@@ -8,7 +8,7 @@ and link utilization from the trace alone.
 """
 
 from .analyze import conservation_check, flow_stats, throughput_series, utilization
-from .engine import EventEngine, EventId, seconds
+from .engine import EventEngine, seconds
 from .errors import (
     InternalError,
     MininsError,
@@ -22,9 +22,7 @@ from .rng import SplitMix64
 from .scenario import ScenarioSpec, parse_scenario, render_scenario
 from .sim import RunResult, Simulation, run_scenario
 from .traffic import (
-    CbrConfig,
     CbrGenerator,
-    ExpOnOffConfig,
     ExpOnOffGenerator,
     SinkMonitor,
     UdpAgent,

@@ -4,18 +4,17 @@ Simulation time is integer nanoseconds, so all scheduling arithmetic is
 exact and runs are bit-reproducible. Events at equal times dispatch in
 insertion (FIFO) order via a monotone sequence counter. The engine knows
 nothing about packets; actions are plain zero-argument callables closing
-over simulation state.
+over simulation state. A scheduled event always runs once its time is
+reached: a component that has to stop never schedules past its stop.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import SimulationError
-
-NS_PER_SEC = 1_000_000_000
+from .units import NS_PER_SEC
 
 
 def seconds(x: float | int) -> int:
@@ -23,15 +22,8 @@ def seconds(x: float | int) -> int:
     return round(x * NS_PER_SEC)
 
 
-@dataclass(frozen=True)
-class EventId:
-    """Handle for a scheduled event; valid until dispatch or cancellation."""
-
-    seq: int
-
-
 class EventEngine:
-    """Time-ordered event queue with a clock, FIFO tie-breaking, cancellation.
+    """Time-ordered event queue with a clock and FIFO tie-breaking.
 
     Single-threaded: one engine instance must never be shared across
     threads. Independent engines share no state.
@@ -39,18 +31,14 @@ class EventEngine:
 
     def __init__(self):
         self._now = 0
-        self._heap: list[list] = []  # [time_ns, seq, action]; action None = cancelled
-        self._pending: dict[int, list] = {}
+        self._heap: list[tuple] = []  # (time_ns, seq, action)
         self._next_seq = 0
 
     def now(self) -> int:
         """Time of the most recently dispatched event (0 before any)."""
         return self._now
 
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def schedule(self, time: int, action: Callable[[], None]) -> EventId:
+    def schedule(self, time: int, action: Callable[[], None]) -> None:
         """Schedule `action` at absolute time `time` (ns). Never in the past."""
         if time < self._now:
             raise SimulationError(
@@ -58,19 +46,7 @@ class EventEngine:
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        entry = [time, seq, action]
-        self._pending[seq] = entry
-        heapq.heappush(self._heap, entry)
-        return EventId(seq)
-
-    def cancel(self, event_id: EventId) -> bool:
-        """Remove a pending event. True if it was pending; False if it
-        already dispatched or was already cancelled."""
-        entry = self._pending.pop(event_id.seq, None)
-        if entry is None:
-            return False
-        entry[2] = None  # tombstone; popped lazily by run_until
-        return True
+        heapq.heappush(self._heap, (time, seq, action))
 
     def run_until(self, limit: int) -> int:
         """Dispatch every event with time <= limit in (time, seq) order.
@@ -81,12 +57,8 @@ class EventEngine:
         if nothing dispatched).
         """
         heap = self._heap
-        pending = self._pending
         while heap and heap[0][0] <= limit:
-            time, seq, action = heapq.heappop(heap)
-            if action is None:
-                continue  # cancelled
-            del pending[seq]
+            time, _, action = heapq.heappop(heap)
             self._now = time
             action()
         return self._now

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import NS_PER_SEC
 from .errors import InternalError, SimulationError
 from .qdisc import QdiscConfig, build_qdisc
+from .units import NS_PER_SEC
 
 
 @dataclass
@@ -150,6 +150,12 @@ class Network:
             routes[src] = table
         self._routes = routes
         return routes
+
+    def reachable(self, src: int, dst: int) -> bool:
+        """Whether a packet from `src` can reach `dst` (after routing)."""
+        if self._routes is None:
+            raise SimulationError("routes not computed")
+        return src == dst or dst in self._routes[src]
 
     def _bfs_distances(self, src: int, neighbors) -> list:
         dist = [None] * self.node_count

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ScenarioError
 from .rng import mix64
 
 DROPTAIL_DEFAULT_LIMIT = 50
@@ -26,18 +25,9 @@ class QdiscConfig:
     limit: int
     buckets: int = SFQ_DEFAULT_BUCKETS  # meaningful for sfq only
 
-    def __post_init__(self):
-        if self.kind not in ("droptail", "sfq"):
-            raise ScenarioError(f"unknown queue discipline {self.kind!r}")
-        if self.limit < 1:
-            raise ScenarioError(f"queue limit must be >= 1, got {self.limit}")
-        if self.buckets < 1:
-            raise ScenarioError(f"bucket count must be >= 1, got {self.buckets}")
-
 
 @dataclass
 class EnqueueResult:
-    accepted: bool
     dropped: object | None = None  # victim Packet, arriving or resident
 
 
@@ -58,8 +48,8 @@ class DropTail:
     def enqueue(self, pkt) -> EnqueueResult:
         if len(self._q) < self.limit:
             self._q.append(pkt)
-            return EnqueueResult(accepted=True)
-        return EnqueueResult(accepted=False, dropped=pkt)
+            return EnqueueResult()
+        return EnqueueResult(dropped=pkt)
 
     def dequeue(self):
         return self._q.popleft() if self._q else None
@@ -85,13 +75,13 @@ class Sfq:
         bucket.append(pkt)
         if self._held < self.limit:
             self._held += 1
-            return EnqueueResult(accepted=True)
+            return EnqueueResult()
         # Overflow: evict from the tail of the longest bucket, lowest
         # index on ties. If the arriving bucket is longest, the arrival
         # itself just became that tail.
         longest = max(self._q, key=len)
         victim = longest.pop()
-        return EnqueueResult(accepted=victim is not pkt, dropped=victim)
+        return EnqueueResult(dropped=victim)
 
     def dequeue(self):
         if self._held == 0:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ScenarioError
+from .netmodel import tx_time
 from .qdisc import (
     DROPTAIL_DEFAULT_LIMIT,
     SFQ_DEFAULT_BUCKETS,
@@ -126,8 +127,10 @@ class _Directive:
         raw = self.opt(key, required)
         if raw is None:
             return default
-        if not raw.lstrip("-").isdigit():
-            raise ScenarioError(f"line {self.lineno}: {key}= wants an integer, got {raw!r}")
+        if not (raw.isascii() and raw.isdigit()):
+            raise ScenarioError(
+                f"line {self.lineno}: {key}= wants a non-negative integer, got {raw!r}"
+            )
         return int(raw)
 
     def _fail_with_line(self, parser, raw):
@@ -193,13 +196,16 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 raise ScenarioError(f"line {lineno}: queue= must be droptail or sfq")
             default_limit = DROPTAIL_DEFAULT_LIMIT if kind == "droptail" else SFQ_DEFAULT_LIMIT
             limit = d.integer("limit", required=False, default=default_limit)
+            if limit < 1:
+                raise ScenarioError(f"line {lineno}: queue limit must be >= 1")
             buckets = d.integer("buckets", required=False, default=None)
             if buckets is not None and kind != "sfq":
                 raise ScenarioError(f"line {lineno}: buckets= only applies to sfq queues")
-            try:
-                qdisc = QdiscConfig(kind, limit, buckets if buckets is not None else SFQ_DEFAULT_BUCKETS)
-            except ScenarioError as exc:
-                raise ScenarioError(f"line {lineno}: {exc}") from None
+            if buckets is None:
+                buckets = SFQ_DEFAULT_BUCKETS
+            elif buckets < 1:
+                raise ScenarioError(f"line {lineno}: bucket count must be >= 1")
+            qdisc = QdiscConfig(kind, limit, buckets)
             bw = d.bandwidth("bw")
             delay = d.time("delay")
             d.check_no_extras()
@@ -238,6 +244,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 stop=d.time("stop"),
             )
             d.check_no_extras()
+            if spec.size < 1:
+                raise ScenarioError(f"line {lineno}: packet size must be >= 1 byte")
             if spec.interval <= 0:
                 raise ScenarioError(f"line {lineno}: interval must be positive")
             if spec.start > spec.stop:
@@ -260,6 +268,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 stop=d.time("stop"),
             )
             d.check_no_extras()
+            if spec.size < 1:
+                raise ScenarioError(f"line {lineno}: packet size must be >= 1 byte")
+            if tx_time(spec.size, spec.rate) == 0:
+                raise ScenarioError(
+                    f"line {lineno}: rate too high for size: zero gap between sends"
+                )
             if spec.burst <= 0 or spec.idle <= 0:
                 raise ScenarioError(f"line {lineno}: burst and idle must be positive")
             if spec.start > spec.stop:

@@ -13,18 +13,17 @@ from dataclasses import dataclass
 
 from .analyze import utilization
 from .engine import EventEngine
+from .errors import ScenarioError
 from .netmodel import Network
 from .rng import SplitMix64
 from .scenario import ScenarioSpec
 from .trace import NullTracer, TraceWriter
 from .traffic import (
-    CbrConfig,
-    ExpOnOffConfig,
+    CbrGenerator,
+    ExpOnOffGenerator,
     MonitorReport,
     SinkMonitor,
     UdpAgent,
-    attach_cbr,
-    attach_exp,
 )
 from .units import format_time_short
 
@@ -67,25 +66,21 @@ class Simulation:
         self.seed = spec.seed if seed is None else seed
         self.trace_path = spec.trace_path if trace_path is None else trace_path
         self.engine = EventEngine()
-        self.tracer = TraceWriter(self.trace_path) if self.trace_path else NullTracer()
-        self.network = Network(self.engine, self.tracer)
+        self.network = Network(self.engine, NullTracer())
         self.sinks: list[SinkMonitor] = []
         self.agents: dict[str, UdpAgent] = {}
         self.generators: list = []
         self._uid_counter = itertools.count()
-        self._seq_counters: dict[int, itertools.count] = {}
         self._build()
+        # Opened only after a successful build: a scenario that fails to
+        # build leaves no trace file behind.
+        self.tracer = TraceWriter(self.trace_path) if self.trace_path else NullTracer()
+        self.network.tracer = self.tracer
 
     # -- construction ------------------------------------------------------
 
     def _alloc_uid(self) -> int:
         return next(self._uid_counter)
-
-    def _alloc_seq(self, fid: int) -> int:
-        counter = self._seq_counters.get(fid)
-        if counter is None:
-            counter = self._seq_counters[fid] = itertools.count()
-        return next(counter)
 
     def _build(self) -> None:
         spec = self.spec
@@ -100,28 +95,31 @@ class Simulation:
         # monitor; ports fall out of creation order, agent then sink.
         for agent_spec in spec.agents:
             src = node_id[agent_spec.src]
+            sink_node = node_id[agent_spec.sink]
+            if not self.network.reachable(src, sink_node):
+                raise ScenarioError(
+                    f"udp {agent_spec.name}: sink {agent_spec.sink} is unreachable "
+                    f"from src {agent_spec.src}"
+                )
             agent = UdpAgent(
                 self.network, src, self.network.allot_port(src), agent_spec.fid,
-                self._alloc_uid, self._alloc_seq,
+                self._alloc_uid,
             )
-            sink_node = node_id[agent_spec.sink]
             sink = SinkMonitor(sink_node, self.network.allot_port(sink_node), self.engine.now)
             self.network.bind_receiver(sink.node, sink.port, sink.on_receive)
             agent.connect(sink.node, sink.port)
             self.agents[agent_spec.name] = agent
             self.sinks.append(sink)
 
-        for ordinal, gen in enumerate(spec.generators):
-            agent = self.agents[gen.agent]
-            if gen.kind == "cbr":
-                cfg = CbrConfig(gen.size, gen.interval, gen.start, gen.stop)
-                self.generators.append(attach_cbr(self.engine, agent, cfg))
+        for ordinal, gen_spec in enumerate(spec.generators):
+            agent = self.agents[gen_spec.agent]
+            if gen_spec.kind == "cbr":
+                gen = CbrGenerator(self.engine, agent, gen_spec)
             else:
-                cfg = ExpOnOffConfig(
-                    gen.size, gen.burst, gen.idle, gen.rate, gen.start, gen.stop
-                )
                 rng = SplitMix64.substream(self.seed, ordinal)
-                self.generators.append(attach_exp(self.engine, agent, cfg, rng))
+                gen = ExpOnOffGenerator(self.engine, agent, gen_spec, rng)
+            gen.install()
+            self.generators.append(gen)
 
         self.engine.schedule(spec.duration, self._finish)
 

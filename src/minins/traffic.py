@@ -1,15 +1,20 @@
 """Transport agents and application-level traffic generators.
 
-A UdpAgent stamps outgoing packets with its flow id and per-flow
-sequence numbers; a SinkMonitor counts arrivals and infers losses from
-sequence gaps. On top sit two generators: constant bit rate (fixed-size
-packets at a fixed interval) and exponential on-off (alternating
-exponentially distributed ON/OFF periods, sending at a fixed rate while
-ON, starting with ON).
+A UdpAgent stamps outgoing packets with its flow id and its own
+sequence numbers (as in ns-2, agents sharing a flow id number their
+packets independently); a SinkMonitor counts arrivals and infers losses
+from sequence gaps. On top sit two generators: constant bit rate
+(fixed-size packets at a fixed interval) and exponential on-off
+(alternating exponentially distributed ON/OFF periods, sending at a
+fixed rate while ON, starting with ON).
 
 Randomness comes only from the on-off generator, which draws from its
 own splitmix64 substream in a fixed order (ON duration, then OFF
 duration, alternating), so a seed fully determines the schedule.
+
+Generators take their validated CbrSpec/ExpSpec directly and never
+schedule an event at or after their own stop time, so nothing has to
+be withdrawn when they stop.
 """
 
 from __future__ import annotations
@@ -17,11 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InternalError, ScenarioError, SimulationError
+from .errors import InternalError, SimulationError
 from .netmodel import Packet, tx_time
-from .rng import SplitMix64
-
-Rng = SplitMix64
+from .scenario import CbrSpec, ExpSpec
 
 
 def exp_variate(mean: int, rng) -> int:
@@ -34,44 +37,10 @@ def exp_variate(mean: int, rng) -> int:
     return int(-mean * math.log1p(-rng.uniform()))
 
 
-@dataclass(frozen=True)
-class CbrConfig:
-    size: int  # bytes
-    interval: int  # ns between sends
-    start: int  # ns
-    stop: int  # ns
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ScenarioError(f"packet size must be >= 1 byte, got {self.size}")
-        if self.interval <= 0:
-            raise ScenarioError(f"cbr interval must be positive, got {self.interval}")
-        if self.start > self.stop:
-            raise ScenarioError("cbr start must not exceed stop")
-
-
-@dataclass(frozen=True)
-class ExpOnOffConfig:
-    size: int  # bytes
-    burst_mean: int  # mean ON duration, ns
-    idle_mean: int  # mean OFF duration, ns
-    rate: int  # bits/s while ON
-    start: int
-    stop: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ScenarioError(f"packet size must be >= 1 byte, got {self.size}")
-        if self.burst_mean <= 0 or self.idle_mean <= 0 or self.rate <= 0:
-            raise ScenarioError("exp burst, idle and rate must all be positive")
-        if self.start > self.stop:
-            raise ScenarioError("exp start must not exceed stop")
-
-
 class UdpAgent:
     """Packet source bound to one node and port, sending to one peer."""
 
-    def __init__(self, network, node: int, port: int, fid: int, alloc_uid, alloc_seq):
+    def __init__(self, network, node: int, port: int, fid: int, alloc_uid):
         self.network = network
         self.node = node
         self.port = port
@@ -79,7 +48,7 @@ class UdpAgent:
         self.peer_node: int | None = None
         self.peer_port: int | None = None
         self._alloc_uid = alloc_uid
-        self._alloc_seq = alloc_seq
+        self._next_seq = 0
 
     def connect(self, peer_node: int, peer_port: int) -> None:
         self.peer_node = peer_node
@@ -92,6 +61,8 @@ class UdpAgent:
     def send(self, size: int, ptype: str) -> Packet:
         if not self.connected:
             raise SimulationError("agent is not connected to a sink")
+        seq = self._next_seq
+        self._next_seq = seq + 1
         pkt = Packet(
             uid=self._alloc_uid(),
             fid=self.fid,
@@ -101,7 +72,7 @@ class UdpAgent:
             sport=self.port,
             dst=self.peer_node,
             dport=self.peer_port,
-            seq=self._alloc_seq(self.fid),
+            seq=seq,
             birth=self.network.engine.now(),
         )
         self.network.forward(self.node, pkt)
@@ -156,129 +127,77 @@ class SinkMonitor:
 class CbrGenerator:
     """Constant bit rate: one `size`-byte packet every `interval` ns.
 
-    Sends land exactly at start + k*interval. The stop event cancels the
-    pending send, including one landing exactly at the stop instant
-    (stop was scheduled at setup time, so it dispatches first).
+    Sends land exactly at start + k*interval, strictly before stop: a
+    send that would land at or past stop is never scheduled.
     """
 
     ptype = "cbr"
 
-    def __init__(self, engine, agent: UdpAgent, cfg: CbrConfig):
+    def __init__(self, engine, agent: UdpAgent, spec: CbrSpec):
         self.engine = engine
         self.agent = agent
-        self.cfg = cfg
+        self.spec = spec
         self.emitted = 0
-        self._stopped = False
-        self._pending = None
 
     def install(self) -> None:
-        self.engine.schedule(self.cfg.start, self._start)
-        self.engine.schedule(self.cfg.stop, self._stop)
+        if self.spec.start < self.spec.stop:
+            self.engine.schedule(self.spec.start, self._start)
 
     def _start(self) -> None:
-        if self._stopped:
-            return
-        self._pending = self.engine.schedule(self.engine.now(), self._send)
+        # The first send is scheduled when start dispatches, not at
+        # install: its place among same-instant events fixes the trace.
+        self.engine.schedule(self.engine.now(), self._send)
 
     def _send(self) -> None:
-        self.agent.send(self.cfg.size, self.ptype)
+        self.agent.send(self.spec.size, self.ptype)
         self.emitted += 1
-        self._pending = self.engine.schedule(self.engine.now() + self.cfg.interval, self._send)
-
-    def _stop(self) -> None:
-        self._stopped = True
-        if self._pending is not None:
-            self.engine.cancel(self._pending)
-            self._pending = None
+        nxt = self.engine.now() + self.spec.interval
+        if nxt < self.spec.stop:
+            self.engine.schedule(nxt, self._send)
 
 
 class ExpOnOffGenerator:
-    """Exponential on-off: ON ~ Exp(burst_mean), OFF ~ Exp(idle_mean).
+    """Exponential on-off: ON ~ Exp(burst), OFF ~ Exp(idle).
 
     The process starts in ON. While ON, packets go out with fixed
     spacing size*8/rate, the first at the period's opening instant; a
     send that would land at or past the period's end is deferred to the
-    next ON opening. Stop cancels whatever is pending.
+    next ON opening. Nothing (send or ON/OFF switch) is scheduled at or
+    past stop, so the generator falls silent there by itself.
     """
 
     ptype = "exp"
 
-    def __init__(self, engine, agent: UdpAgent, cfg: ExpOnOffConfig, rng):
+    def __init__(self, engine, agent: UdpAgent, spec: ExpSpec, rng):
         self.engine = engine
         self.agent = agent
-        self.cfg = cfg
+        self.spec = spec
         self.rng = rng
-        self.gap = tx_time(cfg.size, cfg.rate)  # ns between sends while ON
+        self.gap = tx_time(spec.size, spec.rate)  # ns between sends while ON
         self.emitted = 0
-        self._stopped = False
-        self._on_end = 0
-        self._pending_send = None
-        self._transition = None
+        self._send_until = 0  # end of the current ON period, capped at stop
 
     def install(self) -> None:
-        self.engine.schedule(self.cfg.start, self._start)
-        self.engine.schedule(self.cfg.stop, self._stop)
-
-    def _start(self) -> None:
-        if self._stopped:
-            return
-        self._begin_on()
+        if self.spec.start < self.spec.stop:
+            self.engine.schedule(self.spec.start, self._begin_on)
 
     def _begin_on(self) -> None:
         now = self.engine.now()
-        self._on_end = now + exp_variate(self.cfg.burst_mean, self.rng)
-        if now < self._on_end:
-            self._pending_send = self.engine.schedule(now, self._send)
-        self._transition = self.engine.schedule(self._on_end, self._begin_off)
+        on_end = now + exp_variate(self.spec.burst, self.rng)
+        self._send_until = min(on_end, self.spec.stop)
+        if now < self._send_until:
+            self.engine.schedule(now, self._send)
+        if on_end < self.spec.stop:
+            self.engine.schedule(on_end, self._begin_off)
 
     def _send(self) -> None:
-        self.agent.send(self.cfg.size, self.ptype)
+        self.agent.send(self.spec.size, self.ptype)
         self.emitted += 1
         nxt = self.engine.now() + self.gap
-        if nxt < self._on_end:
-            self._pending_send = self.engine.schedule(nxt, self._send)
-        else:
-            self._pending_send = None  # deferred to the next ON opening
+        if nxt < self._send_until:
+            self.engine.schedule(nxt, self._send)
 
     def _begin_off(self) -> None:
-        off = exp_variate(self.cfg.idle_mean, self.rng)
-        self._transition = self.engine.schedule(self.engine.now() + off, self._begin_on)
-
-    def _stop(self) -> None:
-        self._stopped = True
-        for pending in (self._pending_send, self._transition):
-            if pending is not None:
-                self.engine.cancel(pending)
-        self._pending_send = None
-        self._transition = None
-
-
-def attach_cbr(engine, agent: UdpAgent, cfg: CbrConfig) -> CbrGenerator:
-    """Install a CBR generator on an already-connected agent."""
-    if not agent.connected:
-        raise SimulationError("cannot attach cbr: agent is not connected to a sink")
-    gen = CbrGenerator(engine, agent, cfg)
-    gen.install()
-    return gen
-
-
-def attach_exp(engine, agent: UdpAgent, cfg: ExpOnOffConfig, rng) -> ExpOnOffGenerator:
-    """Install an exponential on-off generator on a connected agent."""
-    if not agent.connected:
-        raise SimulationError("cannot attach exp: agent is not connected to a sink")
-    gen = ExpOnOffGenerator(engine, agent, cfg, rng)
-    gen.install()
-    return gen
-
-
-def attach_expoo_traffic(
-    network, node: int, sink: SinkMonitor, cfg: ExpOnOffConfig, fid: int, rng,
-    alloc_uid, alloc_seq,
-) -> ExpOnOffGenerator:
-    """Create a UDP agent on `node`, connect it to `sink`, and install an
-    exponential on-off generator driving it (one-call convenience)."""
-    if sink is None:
-        raise SimulationError("cannot attach exp generator: unknown sink")
-    agent = UdpAgent(network, node, network.allot_port(node), fid, alloc_uid, alloc_seq)
-    agent.connect(sink.node, sink.port)
-    return attach_exp(network.engine, agent, cfg, rng)
+        on_at = self.engine.now() + exp_variate(self.spec.idle, self.rng)
+        if on_at < self.spec.stop:
+            self.engine.schedule(on_at, self._begin_on)

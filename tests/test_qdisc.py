@@ -5,6 +5,7 @@ import pytest
 
 from minins.errors import ScenarioError
 from minins.qdisc import DropTail, EnqueueResult, QdiscConfig, Sfq, build_qdisc, sfq_bucket
+from minins.scenario import parse_scenario
 
 
 @dataclass
@@ -29,10 +30,10 @@ def reference_splitmix64_bucket(fid, buckets):
 def test_droptail_accepts_until_limit_then_drops_arrival():
     q = DropTail(limit=2)
     p1, p2, p3 = Pkt(1), Pkt(2), Pkt(3)
-    assert q.enqueue(p1).accepted
-    assert q.enqueue(p2).accepted
+    assert q.enqueue(p1).dropped is None
+    assert q.enqueue(p2).dropped is None
     result = q.enqueue(p3)
-    assert result == EnqueueResult(accepted=False, dropped=p3)
+    assert result == EnqueueResult(dropped=p3)
     assert q.held() == 2
     assert q.dequeue() is p1
     assert q.dequeue() is p2
@@ -53,9 +54,9 @@ def test_droptail_matches_list_model_on_random_interleavings():
                 got = q.enqueue(pkt)
                 if len(model) < limit:
                     model.append(pkt)
-                    assert got.accepted
+                    assert got.dropped is None
                 else:
-                    assert got == EnqueueResult(accepted=False, dropped=pkt)
+                    assert got == EnqueueResult(dropped=pkt)
             else:
                 expected = model.pop(0) if model else None
                 assert q.dequeue() is expected
@@ -78,7 +79,7 @@ def test_sfq_bucket_pure_and_mod_one():
 
 def test_sfq_under_limit_accepts():
     q = Sfq(limit=40)
-    assert q.enqueue(Pkt(1, fid=7)).accepted
+    assert q.enqueue(Pkt(1, fid=7)).dropped is None
     assert q.held() == 1
 
 
@@ -89,11 +90,11 @@ def test_sfq_overflow_drops_from_longest_bucket():
     assert sfq_bucket(fid_a, 16) != sfq_bucket(fid_b, 16)
     q = Sfq(limit=4, buckets=16)
     for uid in range(3):
-        assert q.enqueue(Pkt(uid, fid_a)).accepted
-    assert q.enqueue(Pkt(10, fid_b)).accepted
+        assert q.enqueue(Pkt(uid, fid_a)).dropped is None
+    assert q.enqueue(Pkt(10, fid_b)).dropped is None
     newcomer = Pkt(99, fid_a)
     result = q.enqueue(newcomer)
-    assert result == EnqueueResult(accepted=False, dropped=newcomer)
+    assert result == EnqueueResult(dropped=newcomer)
     assert q.held() == 4
 
 
@@ -106,7 +107,6 @@ def test_sfq_overflow_can_evict_resident_of_longer_bucket():
     q.enqueue(Pkt(10, fid_b))
     newcomer = Pkt(99, fid_b)  # B holds 1; A's bucket (3) stays longest
     result = q.enqueue(newcomer)
-    assert result.accepted
     assert result.dropped is residents[-1]  # tail of the longest bucket
     assert q.held() == 4
 
@@ -179,9 +179,14 @@ def test_build_qdisc_from_config():
 
 
 def test_config_validation():
-    with pytest.raises(ScenarioError):
-        QdiscConfig("red", 50)
-    with pytest.raises(ScenarioError):
-        QdiscConfig("droptail", 0)
-    with pytest.raises(ScenarioError):
-        QdiscConfig("sfq", 40, 0)
+    # Queue parameters are validated once, where the scenario is parsed.
+    head = "sim duration=1s\nnode a\nnode b\nduplex-link a b bw=1Mb delay=0s "
+    cases = [
+        ("queue=red", "droptail or sfq"),
+        ("queue=droptail limit=0", "queue limit"),
+        ("queue=sfq limit=0", "queue limit"),
+        ("queue=sfq buckets=0", "bucket count"),
+    ]
+    for options, fragment in cases:
+        with pytest.raises(ScenarioError, match=f"line 4: .*{fragment}"):
+            parse_scenario(head + options + "\n")

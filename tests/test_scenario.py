@@ -108,6 +108,9 @@ def test_seed_defaults_to_zero():
     assert parse_scenario("sim duration=1s\n").seed == 0
 
 
+GEN_HEAD = "sim duration=1s\nnode a\nnode b\nudp f src=a sink=b fid=1\n"
+
+
 def test_errors_carry_line_numbers():
     cases = [
         ("sim duration=1s\nnode a\nnode a\n", "line 3"),
@@ -120,6 +123,16 @@ def test_errors_carry_line_numbers():
         ("sim duration=2s\nsim duration=1s\n", "line 2"),
         ("sim duration=1s\nnode a\nnode b\nduplex-link a b bw=1Mb delay=0s queue=droptail\n"
          "duplex-link b a bw=1Mb delay=0s queue=droptail\n", "line 5"),
+        (GEN_HEAD + "cbr agent=f size=0 interval=1ms start=0s stop=1s\n", "line 5"),
+        (GEN_HEAD + "exp agent=f size=0 burst=1ms idle=1ms rate=1Mb start=0s stop=1s\n",
+         "line 5"),
+        (GEN_HEAD + "exp agent=f size=1 burst=1ms idle=1ms rate=100000Mb start=0s stop=1s\n",
+         "line 5"),
+        ("sim duration=1s\nnode a\nnode b\nudp f src=a sink=b fid=-1\n", "line 4"),
+        ("sim duration=1s\nnode a\nnode b\n"
+         "duplex-link a b bw=1Mb delay=0s queue=droptail limit=0\n", "line 4"),
+        ("sim duration=1s\nnode a\nnode b\n"
+         "duplex-link a b bw=1Mb delay=0s queue=sfq buckets=0\n", "line 4"),
     ]
     for text, fragment in cases:
         with pytest.raises(ScenarioError, match=fragment):

@@ -1,7 +1,10 @@
 import re
 
+import pytest
+
+from minins.errors import ScenarioError
 from minins.scenario import parse_scenario
-from minins.sim import run_scenario
+from minins.sim import Simulation, run_scenario
 
 SHORT_PAPER = """\
 sim duration=20s seed=77
@@ -145,3 +148,34 @@ def test_utilization_uses_first_link_at_sink_node():
     result = run_scenario(spec)
     assert result.npkts == 2
     assert result.utilization_pct == 200 * 8.0 / (2e6 * 1.0) * 100.0
+
+
+def test_shared_fid_agents_number_packets_independently():
+    # Two agents with the same fid and different sinks: each sink sees
+    # one gap-free sequence, so nothing counts as lost.
+    spec = parse_scenario(
+        "sim duration=2s\nnode a\nnode b\nnode c\n"
+        "duplex-link a b bw=10Mb delay=1ms queue=droptail\n"
+        "duplex-link a c bw=10Mb delay=1ms queue=droptail\n"
+        "udp f1 src=a sink=b fid=1\n"
+        "udp f2 src=a sink=c fid=1\n"
+        "cbr agent=f1 size=100 interval=10ms start=0s stop=1s\n"
+        "cbr agent=f2 size=100 interval=10ms start=0s stop=1s\n"
+    )
+    result = run_scenario(spec)
+    assert result.npkts == 200
+    assert result.nlost == 0
+    assert [m.nlost for m in result.monitors] == [0, 0]
+
+
+def test_unroutable_flow_fails_at_build_time(tmp_path):
+    spec = parse_scenario(
+        "sim duration=1s\nnode a\nnode b\nnode c\n"
+        "duplex-link a b bw=1Mb delay=1ms queue=droptail\n"
+        "udp lonely src=a sink=c fid=1\n"
+        "cbr agent=lonely size=100 interval=10ms start=0s stop=1s\n"
+    )
+    trace = tmp_path / "lonely.tr"
+    with pytest.raises(ScenarioError, match="udp lonely"):
+        Simulation(spec, trace_path=str(trace))
+    assert not trace.exists()

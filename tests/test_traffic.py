@@ -7,16 +7,12 @@ from minins.errors import InternalError, ScenarioError, SimulationError
 from minins.netmodel import Network, Packet
 from minins.qdisc import QdiscConfig
 from minins.rng import SplitMix64
+from minins.scenario import CbrSpec, ExpSpec, parse_scenario
 from minins.traffic import (
-    CbrConfig,
     CbrGenerator,
-    ExpOnOffConfig,
     ExpOnOffGenerator,
     SinkMonitor,
     UdpAgent,
-    attach_cbr,
-    attach_exp,
-    attach_expoo_traffic,
     exp_variate,
 )
 
@@ -28,8 +24,6 @@ class StubAgent:
 
     def __init__(self):
         self.sends = []  # (time filled by caller is not known; store sizes)
-
-    connected = True
 
     def send(self, size, ptype):
         self.sends.append((size, ptype))
@@ -123,7 +117,7 @@ def test_duty_cycle_of_renewal_oracle():
 def cbr_emitted(size, interval, start, stop, run_to=None):
     eng = EventEngine()
     agent = TimedAgent(eng)
-    gen = CbrGenerator(eng, agent, CbrConfig(size, interval, start, stop))
+    gen = CbrGenerator(eng, agent, CbrSpec("f", size, interval, start, stop))
     gen.install()
     eng.run_until(run_to if run_to is not None else stop + seconds(1))
     return gen, agent
@@ -159,20 +153,7 @@ def test_cbr_fractional_stop():
 
 def test_cbr_send_exactly_at_stop_instant_is_cancelled():
     gen, agent = cbr_emitted(1000, seconds(1), 0, seconds(2))
-    assert agent.times == [0, seconds(1)]  # the k=2 send dies with stop
-
-
-def test_attach_cbr_requires_connected_agent():
-    eng = EventEngine()
-    net = Network(eng, _null_tracer())
-    node = net.add_node()
-    net.compute_routes()
-    agent = UdpAgent(net, node, 0, 1, lambda: 0, lambda fid: 0)
-    with pytest.raises(SimulationError):
-        attach_cbr(eng, agent, CbrConfig(1000, MS, 0, MS))
-    with pytest.raises(SimulationError):
-        attach_exp(eng, agent, ExpOnOffConfig(1000, MS, MS, 1_000_000, 0, MS),
-                   SplitMix64(0))
+    assert agent.times == [0, seconds(1)]  # the k=2 send is never scheduled
 
 
 # -- exponential on-off -----------------------------------------------------------
@@ -189,7 +170,7 @@ def test_expoo_spacing_within_bursts_is_size_by_rate():
     # (3 sends), OFF far beyond the horizon.
     eng = EventEngine()
     agent = TimedAgent(eng)
-    cfg = ExpOnOffConfig(1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(20))
+    cfg = ExpSpec("f", 1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(20))
     rng = FixedRng(
         u_for_length(800 * MS, 5 * MS),
         u_for_length(2 * MS, 10 * MS),
@@ -210,7 +191,7 @@ def test_expoo_spacing_within_bursts_is_size_by_rate():
 def test_expoo_spacing_statistics_under_real_rng():
     eng = EventEngine()
     agent = TimedAgent(eng)
-    cfg = ExpOnOffConfig(1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(20))
+    cfg = ExpSpec("f", 1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(20))
     gen = ExpOnOffGenerator(eng, agent, cfg, SplitMix64.substream(42, 0))
     gen.install()
     eng.run_until(seconds(20))
@@ -222,7 +203,7 @@ def test_expoo_schedule_bit_identical_for_equal_seed():
     def times(seed):
         eng = EventEngine()
         agent = TimedAgent(eng)
-        cfg = ExpOnOffConfig(1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(30))
+        cfg = ExpSpec("f", 1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(30))
         ExpOnOffGenerator(eng, agent, cfg, SplitMix64.substream(seed, 0)).install()
         eng.run_until(seconds(30))
         return agent.times
@@ -236,7 +217,7 @@ def test_expoo_zero_length_on_period_sends_nothing_that_period():
     # period contributes no packet, the second opens with one.
     eng = EventEngine()
     agent = TimedAgent(eng)
-    cfg = ExpOnOffConfig(1000, 10 * MS, 10 * MS, 8_000_000, 0, seconds(1))
+    cfg = ExpSpec("f", 1000, 10 * MS, 10 * MS, 8_000_000, 0, seconds(1))
     rng = FixedRng(0.0, 0.5, 1 - math.exp(-1), 0.9)
     gen = ExpOnOffGenerator(eng, agent, cfg, rng)
     gen.install()
@@ -248,7 +229,7 @@ def test_expoo_zero_length_on_period_sends_nothing_that_period():
 def test_expoo_duty_cycle_over_long_run():
     eng = EventEngine()
     agent = TimedAgent(eng)
-    cfg = ExpOnOffConfig(1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(400))
+    cfg = ExpSpec("f", 1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(400))
     ExpOnOffGenerator(eng, agent, cfg, SplitMix64.substream(11, 0)).install()
     eng.run_until(seconds(400))
     # each send occupies one gap slot of ON time
@@ -257,13 +238,16 @@ def test_expoo_duty_cycle_over_long_run():
 
 
 def test_expoo_stop_cancels_everything():
+    # Nothing is left to dispatch at or after stop: running far past it
+    # leaves the clock on the generator's last event, before stop.
     eng = EventEngine()
     agent = TimedAgent(eng)
-    cfg = ExpOnOffConfig(1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(1))
+    stop = seconds(1)
+    cfg = ExpSpec("f", 1000, 800 * MS, 2 * MS, 5_000_000, 0, stop)
     ExpOnOffGenerator(eng, agent, cfg, SplitMix64.substream(1, 0)).install()
     eng.run_until(seconds(10))
-    assert all(t < seconds(1) for t in agent.times)
-    assert eng.pending_count() == 0
+    assert agent.times and all(t < stop for t in agent.times)
+    assert eng.now() < stop
 
 
 # -- sink monitor -------------------------------------------------------------------
@@ -310,7 +294,7 @@ def test_misdelivery_is_an_internal_error():
         sink.on_receive(rx_packet(0, port=5))
 
 
-# -- attach_expoo_traffic end to end ----------------------------------------------
+# -- generator over a real network ------------------------------------------------
 
 
 def _null_tracer():
@@ -324,7 +308,7 @@ def _null_tracer():
     return _T()
 
 
-def test_attach_expoo_traffic_builds_working_flow():
+def test_exp_generator_drives_flow_over_network():
     eng = EventEngine()
     net = Network(eng, _null_tracer())
     n0, n1 = net.add_node(), net.add_node()
@@ -332,33 +316,32 @@ def test_attach_expoo_traffic_builds_working_flow():
     net.compute_routes()
     sink = SinkMonitor(n1, net.allot_port(n1), eng.now)
     net.bind_receiver(sink.node, sink.port, sink.on_receive)
-    cfg = ExpOnOffConfig(1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(2))
     uid_counter = iter(range(10**9))
-    gen = attach_expoo_traffic(
-        net, n0, sink, cfg, 1, SplitMix64.substream(3, 0),
-        lambda: next(uid_counter), lambda fid: 0,
-    )
+    agent = UdpAgent(net, n0, net.allot_port(n0), 1, lambda: next(uid_counter))
+    agent.connect(sink.node, sink.port)
+    cfg = ExpSpec("f", 1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(2))
+    gen = ExpOnOffGenerator(eng, agent, cfg, SplitMix64.substream(3, 0))
+    gen.install()
     eng.run_until(seconds(3))
     assert gen.agent.port == 0
     assert sink.npkts == gen.emitted > 0
     assert sink.bytes == 1000 * gen.emitted
-
-
-def test_attach_expoo_traffic_rejects_missing_sink():
-    eng = EventEngine()
-    net = Network(eng, _null_tracer())
-    net.add_node()
-    with pytest.raises(SimulationError):
-        attach_expoo_traffic(net, 0, None, ExpOnOffConfig(1000, MS, MS, MS, 0, MS),
-                             1, SplitMix64(0), lambda: 0, lambda fid: 0)
+    assert sink.nlost == 0
 
 
 def test_config_validation():
-    with pytest.raises(ScenarioError):
-        CbrConfig(1000, 0, 0, MS)  # zero interval
-    with pytest.raises(ScenarioError):
-        CbrConfig(1000, MS, 2 * MS, MS)  # start > stop
-    with pytest.raises(ScenarioError):
-        ExpOnOffConfig(1000, 0, MS, MS, 0, MS)
-    with pytest.raises(ScenarioError):
-        ExpOnOffConfig(0, MS, MS, MS, 0, MS)
+    # Generator parameters are validated once, where the scenario is parsed.
+    head = "sim duration=1s\nnode a\nnode b\nudp f src=a sink=b fid=1\n"
+    cases = [
+        ("cbr agent=f size=1000 interval=0ms start=0s stop=1ms", "interval"),
+        ("cbr agent=f size=1000 interval=1ms start=2ms stop=1ms", "start exceeds stop"),
+        ("cbr agent=f size=0 interval=1ms start=0s stop=1ms", "size"),
+        ("exp agent=f size=1000 burst=0s idle=1ms rate=1Mb start=0s stop=1ms",
+         "burst and idle"),
+        ("exp agent=f size=0 burst=1ms idle=1ms rate=1Mb start=0s stop=1ms", "size"),
+        ("exp agent=f size=1 burst=1ms idle=1ms rate=100000Mb start=0s stop=1ms",
+         "zero gap"),
+    ]
+    for line, fragment in cases:
+        with pytest.raises(ScenarioError, match=f"line 5: .*{fragment}"):
+            parse_scenario(head + line + "\n")
