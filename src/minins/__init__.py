@@ -7,7 +7,7 @@ monitor statistics; the analyze tools recover throughput, loss, delay
 and link utilization from the trace alone.
 """
 
-from .analyze import conservation_check, flow_stats, throughput_series, utilization
+from .analyze import analyze_trace, flow_stats, utilization
 from .engine import EventEngine, seconds
 from .errors import (
     InternalError,

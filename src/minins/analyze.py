@@ -1,17 +1,18 @@
 """Offline trace analytics: throughput, loss, delay, utilization.
 
-All functions stream over trace lines in a single pass with bounded
-per-packet state (a packet's state is retired when it is received or
-dropped), so results do not depend on how the input is chunked.
+`analyze_trace` reads a trace in one streaming pass, parsing each line
+once, with bounded per-packet state (a packet's state is retired when
+it is received or dropped), so results do not depend on how the input
+is chunked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import TraceError
-from .trace import OPS, TraceRecord
+from .trace import parse_line
 from .units import NS_PER_SEC
 
 
@@ -26,55 +27,11 @@ class FlowStats:
     max_delay: float | None = None
 
 
-def _parse_addr(field: str, lineno, what: str) -> tuple[int, int]:
-    node, dot, port = field.partition(".")
-    if not dot or not node.isdigit() or not port.isdigit():
-        raise TraceError(f"bad {what} address {field!r}", lineno)
-    return int(node), int(port)
-
-
-def parse_line(text: str, lineno: int | None = None) -> TraceRecord:
-    """Strict parse of one 12-field trace line back into a TraceRecord."""
-    fields = text.split()
-    if len(fields) != 12:
-        raise TraceError(f"expected 12 fields, got {len(fields)}", lineno)
-    op, time_s, frm, to, ptype, size, flags, fid, src, dst, seq, uid = fields
-    if op not in OPS:
-        raise TraceError(f"unknown event type {op!r}", lineno)
-    whole, dot, frac = time_s.partition(".")
-    if not dot or len(frac) != 9 or not whole.isdigit() or not frac.isdigit():
-        raise TraceError(f"bad timestamp {time_s!r} (want 9 fractional digits)", lineno)
-    if len(flags) != 7:
-        raise TraceError(f"bad flags field {flags!r}", lineno)
-    for name, value in (("from", frm), ("to", to), ("size", size),
-                        ("fid", fid), ("seq", seq), ("uid", uid)):
-        if not value.isdigit():
-            raise TraceError(f"bad {name} field {value!r}", lineno)
-    src_node, src_port = _parse_addr(src, lineno, "source")
-    dst_node, dst_port = _parse_addr(dst, lineno, "destination")
-    return TraceRecord(
-        op=op,
-        time=int(whole) * NS_PER_SEC + int(frac),
-        from_node=int(frm),
-        to_node=int(to),
-        ptype=ptype,
-        size=int(size),
-        flags=flags,
-        fid=int(fid),
-        src_node=src_node,
-        src_port=src_port,
-        dst_node=dst_node,
-        dst_port=dst_port,
-        seq=int(seq),
-        uid=int(uid),
-    )
-
-
-def iter_records(lines: Iterable[str]) -> Iterator[tuple[int, TraceRecord]]:
-    """Yield (lineno, record) pairs; blank lines are skipped."""
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            yield lineno, parse_line(line, lineno)
+@dataclass
+class TraceReport:
+    flow: FlowStats | None  # None unless a flow was asked for
+    series: list[tuple[float, float]]  # (bin start s, bits/s); [] unless bins were asked for
+    violations: list[str]
 
 
 def utilization(bytes_delivered: int, duration: float, bandwidth: float) -> float:
@@ -90,100 +47,110 @@ def utilization(bytes_delivered: int, duration: float, bandwidth: float) -> floa
     return bytes_delivered * 8.0 / (bandwidth * duration) * 100.0
 
 
-def flow_stats(lines: Iterable[str], fid: int, source: int, sink: int) -> FlowStats:
-    """Per-flow counters from a trace.
+def bin_width_ns(bin_seconds: float) -> int:
+    """A throughput bin width in whole ns; it must be finite and at least 1 ns."""
+    ns = bin_seconds * NS_PER_SEC
+    if not (math.isfinite(ns) and ns >= 1):
+        raise ValueError(f"bin must be at least 1 ns and a finite number of ns, got {bin_seconds}")
+    return round(ns)
 
-    sent counts a packet's first enqueue at its source node; received
-    counts deliveries at the sink node; delay for a received packet runs
-    from that first enqueue to delivery (first-hop transmission
-    included).
+
+def analyze_trace(
+    lines: Iterable[str],
+    flow: tuple[int, int, int] | None = None,
+    bin_seconds: float | None = None,
+) -> TraceReport:
+    """Check every packet's lifecycle and, for a flow, count it; one pass.
+
+    Lifecycle grammar per uid: on each link, '+' then exactly one of '-'
+    or 'd'; a '+' after a '-' only at the node that link ends at; 'r'
+    only downstream of a '-' on the incoming link; timestamps never
+    decrease. Packets still queued or in flight at end of trace are
+    fine. State is retired on 'r' or 'd', so a retired uid that shows up
+    again as a fresh '+' is not detected.
+
+    `flow` is (fid, source, sink). sent counts a packet's first enqueue
+    at the source node; received counts deliveries at the sink node;
+    delay for a received packet runs from that first enqueue to delivery
+    (first-hop transmission included). With `bin_seconds`, the report
+    also holds the received bits/s at the sink per time bin, anchored at
+    t=0, for every bin from 0 through the one holding the last delivery.
+    Blank lines are skipped; a malformed line raises TraceError.
     """
-    stats = FlowStats(fid=fid)
-    sent_at: dict[int, int] = {}  # uid -> first '+' time at source
-    delay_total = 0
-    delay_max = 0
-    for _lineno, rec in iter_records(lines):
-        if rec.fid != fid:
-            continue
-        if rec.op == "+":
-            if rec.from_node == source and rec.uid not in sent_at:
-                sent_at[rec.uid] = rec.time
-                stats.sent += 1
-        elif rec.op == "d":
-            stats.dropped += 1
-            sent_at.pop(rec.uid, None)
-        elif rec.op == "r" and rec.to_node == sink:
-            stats.received += 1
-            stats.bytes_received += rec.size
-            birth = sent_at.pop(rec.uid, None)
-            if birth is not None:
-                delay = rec.time - birth
-                delay_total += delay
-                delay_max = max(delay_max, delay)
-    if stats.received:
-        stats.mean_delay = delay_total / stats.received / NS_PER_SEC
-        stats.max_delay = delay_max / NS_PER_SEC
-    return stats
-
-
-def conservation_check(lines: Iterable[str]) -> list[str]:
-    """Validate every packet's lifecycle; returns violation descriptions.
-
-    Grammar per uid: on each link, '+' then exactly one of '-' or 'd';
-    'r' only downstream of a '-' on the incoming link; nothing after a
-    drop or a delivery; timestamps never decrease. Packets still queued
-    or in flight at end of trace are fine.
-    """
+    if bin_seconds is not None and flow is None:
+        raise ValueError("throughput bins need a flow")
+    bin_ns = None if bin_seconds is None else bin_width_ns(bin_seconds)
+    fid, source, sink = flow if flow is not None else (None, None, None)
     violations: list[str] = []
-    # uid -> ("queued"|"transit", from_node, to_node); retired on r/d.
-    state: dict[int, tuple] = {}
+    state: dict[int, tuple] = {}  # uid -> (op of its last link event, from, to)
     last_time = 0
-    for lineno, rec in iter_records(lines):
-        if rec.time < last_time:
-            violations.append(f"line {lineno}: time goes backwards")
-        last_time = max(last_time, rec.time)
-        cur = state.get(rec.uid)
-        link = (rec.from_node, rec.to_node)
-        if rec.op == "+":
-            if cur is not None and cur[0] != "transit":
-                violations.append(f"line {lineno}: uid {rec.uid} enqueued while queued")
-            state[rec.uid] = ("queued",) + link
-        elif rec.op == "-":
-            if cur is None or cur[0] != "queued" or cur[1:] != link:
-                violations.append(f"line {lineno}: '-' for uid {rec.uid} without matching '+'")
-            state[rec.uid] = ("transit",) + link
-        elif rec.op == "d":
-            if cur is None or cur[0] != "queued" or cur[1:] != link:
-                violations.append(f"line {lineno}: 'd' for uid {rec.uid} without matching '+'")
-            state.pop(rec.uid, None)
-        else:  # r
-            if rec.from_node == rec.to_node and cur is None:
-                pass  # delivery at the packet's own source node: no link events
-            elif cur is None or cur[0] != "transit" or cur[1:] != link:
-                violations.append(f"line {lineno}: 'r' for uid {rec.uid} without upstream '-'")
-            state.pop(rec.uid, None)
-    return violations
-
-
-def throughput_series(
-    lines: Iterable[str], fid: int, sink: int, bin_seconds: float
-) -> list[tuple[float, float]]:
-    """Received bits/s per time bin at the sink, bins anchored at t=0.
-
-    Returns (bin start in seconds, bits/s) for every bin from 0 through
-    the bin containing the last delivery; empty trace gives [].
-    """
-    if bin_seconds <= 0:
-        raise ValueError(f"bin must be positive, got {bin_seconds}")
-    bin_ns = round(bin_seconds * NS_PER_SEC)
+    sent_at: dict[int, int] = {}  # uid -> first '+' time at source
+    sent = received = dropped = bytes_received = delay_total = delay_max = 0
     bytes_per_bin: dict[int, int] = {}
-    last_bin = -1
-    for _lineno, rec in iter_records(lines):
-        if rec.op == "r" and rec.fid == fid and rec.to_node == sink:
-            k = rec.time // bin_ns
-            bytes_per_bin[k] = bytes_per_bin.get(k, 0) + rec.size
-            last_bin = max(last_bin, k)
-    return [
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() and line.isascii():
+            continue
+        op, time, frm, to, _, size, _, rec_fid, _, _, _, _, _, uid = parse_line(line, lineno)
+        if time < last_time:
+            violations.append(f"line {lineno}: time goes backwards")
+        else:
+            last_time = time
+        cur = state.get(uid)
+        if op == "+":
+            if cur is not None:
+                if cur[0] != "-":
+                    violations.append(f"line {lineno}: uid {uid} enqueued while queued")
+                elif cur[2] != frm:
+                    violations.append(
+                        f"line {lineno}: uid {uid} enqueued at node {frm}, "
+                        f"but its last hop ended at node {cur[2]}")
+            state[uid] = ("+", frm, to)
+        elif op == "-":
+            if cur != ("+", frm, to):
+                violations.append(f"line {lineno}: '-' for uid {uid} without matching '+'")
+            state[uid] = ("-", frm, to)
+        elif op == "d":
+            if cur != ("+", frm, to):
+                violations.append(f"line {lineno}: 'd' for uid {uid} without matching '+'")
+            state.pop(uid, None)
+        else:  # r; a delivery at the packet's own source node has no link events
+            if cur != ("-", frm, to) and not (frm == to and cur is None):
+                violations.append(f"line {lineno}: 'r' for uid {uid} without upstream '-'")
+            state.pop(uid, None)
+        if rec_fid != fid:
+            continue
+        if op == "+":
+            if frm == source and uid not in sent_at:
+                sent_at[uid] = time
+                sent += 1
+        elif op == "d":
+            dropped += 1
+            sent_at.pop(uid, None)
+        elif op == "r" and to == sink:
+            received += 1
+            bytes_received += size
+            birth = sent_at.pop(uid, None)
+            if birth is not None:
+                delay = time - birth
+                delay_total += delay
+                if delay > delay_max:
+                    delay_max = delay
+            if bin_ns is not None:
+                k = time // bin_ns
+                bytes_per_bin[k] = bytes_per_bin.get(k, 0) + size
+    stats = None
+    if flow is not None:
+        stats = FlowStats(fid, sent, received, dropped, bytes_received)
+        if received:
+            stats.mean_delay = delay_total / received / NS_PER_SEC
+            stats.max_delay = delay_max / NS_PER_SEC
+    series = [] if bin_ns is None else [
         (k * bin_ns / NS_PER_SEC, bytes_per_bin.get(k, 0) * 8 / bin_seconds)
-        for k in range(last_bin + 1)
+        for k in range(max(bytes_per_bin, default=-1) + 1)
     ]
+    return TraceReport(stats, series, violations)
+
+
+def flow_stats(lines: Iterable[str], fid: int, source: int, sink: int) -> FlowStats:
+    """Per-flow counters from a trace; see `analyze_trace`."""
+    return analyze_trace(lines, (fid, source, sink)).flow

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-from .analyze import conservation_check, flow_stats, throughput_series
+from .analyze import analyze_trace, bin_width_ns
 from .errors import MininsError, ScenarioError
 from .golden import run_validate
 from .scenario import parse_scenario
@@ -20,6 +21,16 @@ from .sim import run_scenario
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors must exit 1, not argparse's 2
         raise ScenarioError(message)
+
+
+def _bin_seconds(text: str) -> float:
+    """argparse type of --bin: a finite width of at least 1 ns."""
+    try:
+        value = float(text)
+        bin_width_ns(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -36,7 +47,7 @@ def _build_parser() -> _Parser:
     an_p.add_argument("--fid", type=int, default=None, help="flow id to report on")
     an_p.add_argument("--src", type=int, default=None, help="flow source node id")
     an_p.add_argument("--sink", type=int, default=None, help="flow sink node id")
-    an_p.add_argument("--bin", type=float, default=None, metavar="SECONDS",
+    an_p.add_argument("--bin", type=_bin_seconds, default=None, metavar="SECONDS",
                       help="also print a throughput time series")
     an_p.add_argument("--check", action="store_true",
                       help="verify packet lifecycle conservation")
@@ -48,7 +59,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     try:
-        text = open(args.scenario, encoding="utf-8").read()
+        text = Path(args.scenario).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
     spec = parse_scenario(text)
@@ -66,13 +77,13 @@ def _cmd_analyze(args) -> int:
     if not wants_flow and not args.check:
         raise ScenarioError("nothing to do: pass --fid/--src/--sink and/or --check")
 
-    def lines():
-        with open(args.trace, encoding="ascii") as f:
-            yield from f
-
+    flow = (args.fid, args.src, args.sink) if wants_flow else None
+    # Undecodable bytes reach parse_line as surrogates, which it rejects by line.
+    with open(args.trace, encoding="ascii", errors="surrogateescape") as f:
+        report = analyze_trace(f, flow, args.bin)
     status = 0
-    if wants_flow:
-        stats = flow_stats(lines(), args.fid, args.src, args.sink)
+    stats = report.flow
+    if stats is not None:
         print(f"sent={stats.sent}")
         print(f"received={stats.received}")
         print(f"dropped={stats.dropped}")
@@ -80,15 +91,13 @@ def _cmd_analyze(args) -> int:
         if stats.mean_delay is not None:
             print(f"mean_delay_s={stats.mean_delay!r}")
             print(f"max_delay_s={stats.max_delay!r}")
-        if args.bin is not None:
-            for start, bps in throughput_series(lines(), args.fid, args.sink, args.bin):
-                print(f"throughput_{start:g}s_bps={bps!r}")
+        for start, bps in report.series:
+            print(f"throughput_{start:g}s_bps={bps!r}")
     if args.check:
-        violations = conservation_check(lines())
-        print(f"violations={len(violations)}")
-        for violation in violations:
+        print(f"violations={len(report.violations)}")
+        for violation in report.violations:
             print(violation, file=sys.stderr)
-        if violations:
+        if report.violations:
             status = 2
     return status
 

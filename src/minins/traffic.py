@@ -88,7 +88,13 @@ class MonitorReport:
 
 
 class SinkMonitor:
-    """Terminal agent: counts packets/bytes, infers losses from seq gaps."""
+    """Terminal agent of one flow: counts packets/bytes, infers losses.
+
+    Like ns-2's LossMonitor, `nlost` is inferred from sequence gaps:
+    highest seq received + 1 - packets received. It cannot see drops
+    after the last delivered packet; the analyzer's per-flow `dropped`
+    is the exact count.
+    """
 
     def __init__(self, node: int, port: int, clock):
         self.node = node
@@ -97,8 +103,7 @@ class SinkMonitor:
         self.npkts = 0
         self.bytes = 0
         self.last_arrival: int | None = None
-        self._highest_seq: dict[int, int] = {}
-        self._received: dict[int, int] = {}
+        self._highest_seq = -1
 
     def on_receive(self, pkt: Packet) -> None:
         if pkt.dst != self.node or pkt.dport != self.port:
@@ -108,17 +113,13 @@ class SinkMonitor:
             )
         self.npkts += 1
         self.bytes += pkt.size
-        prev = self._highest_seq.get(pkt.fid)
-        if prev is None or pkt.seq > prev:
-            self._highest_seq[pkt.fid] = pkt.seq
-        self._received[pkt.fid] = self._received.get(pkt.fid, 0) + 1
+        if pkt.seq > self._highest_seq:
+            self._highest_seq = pkt.seq
         self.last_arrival = self._clock()
 
     @property
     def nlost(self) -> int:
-        return sum(
-            high + 1 - self._received[fid] for fid, high in self._highest_seq.items()
-        )
+        return self._highest_seq + 1 - self.npkts
 
     def report(self) -> MonitorReport:
         return MonitorReport(self.npkts, self.bytes, self.nlost, self.last_arrival)

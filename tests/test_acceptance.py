@@ -7,7 +7,7 @@ a failed assertion means the criterion itself failed.
 import random
 import shutil
 
-from minins.analyze import conservation_check, flow_stats, utilization
+from minins.analyze import analyze_trace, flow_stats, utilization
 from minins.engine import EventEngine, seconds
 from minins.golden import golden_dir, run_validate
 from minins.netmodel import Network, Packet
@@ -73,7 +73,7 @@ def test_criterion_4_equal_seed_runs_byte_identical(cbr_run, paper_run, tmp_path
 
 def test_criterion_5_conservation(cbr_run, paper_run, tmp_path):
     for run in (cbr_run, paper_run):
-        assert conservation_check(run.trace_lines()) == []
+        assert analyze_trace(run.trace_lines()).violations == []
 
     rng = random.Random(505)
     for trial in range(6):
@@ -93,7 +93,7 @@ def test_criterion_5_conservation(cbr_run, paper_run, tmp_path):
         sim = Simulation(parse_scenario(text), trace_path=str(trace))
         sim.run()
         lines = trace.read_text().splitlines()
-        assert conservation_check(lines) == []
+        assert analyze_trace(lines).violations == []
         counts = {}
         for line in lines:
             fields = line.split()

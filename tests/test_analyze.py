@@ -2,15 +2,10 @@ import random
 
 import pytest
 
-from minins.analyze import (
-    conservation_check,
-    flow_stats,
-    iter_records,
-    parse_line,
-    throughput_series,
-    utilization,
-)
+import minins.analyze
+from minins.analyze import analyze_trace, flow_stats, utilization
 from minins.errors import TraceError
+from minins.trace import parse_line
 
 
 def trace(*lines):
@@ -24,6 +19,14 @@ GOOD = trace(
     "- 1.010800000 2 3 cbr 1000 ------- 2 1.0 3.1 0 7",
     "r 1.021600000 2 3 cbr 1000 ------- 2 1.0 3.1 0 7",
 )
+
+
+def violations_of(lines):
+    return analyze_trace(lines).violations
+
+
+def series_of(lines, fid, sink, bin_seconds):
+    return analyze_trace(lines, (fid, 1, sink), bin_seconds).series
 
 
 # -- parsing -------------------------------------------------------------------
@@ -46,11 +49,50 @@ def test_parse_rejects_sloppy_timestamps():
         parse_line("+ 1.0 1 2 cbr 1000 ------- 2 1.0 3.1 0 7")
 
 
-def test_iter_records_reports_first_bad_line():
+def test_parse_rejects_non_ascii():
+    for bad in ("７", "²", "\udcff"):  # full-width digit, superscript, undecodable byte
+        line = f"+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 {bad}"
+        with pytest.raises(TraceError) as err:
+            parse_line(line, lineno=4)
+        assert err.value.lineno == 4
+
+
+def test_parse_rejects_numbers_too_long_to_convert():
+    with pytest.raises(TraceError):
+        parse_line("+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 " + "9" * 5000)
+
+
+def test_analyze_trace_reports_first_bad_line():
     lines = GOOD[:2] + ["garbage\n"] + GOOD[2:]
     with pytest.raises(TraceError) as err:
-        list(iter_records(lines))
+        analyze_trace(lines)
     assert err.value.lineno == 3
+
+
+def test_analyze_trace_rejects_non_ascii_blank_line():
+    with pytest.raises(TraceError) as err:
+        analyze_trace(GOOD[:1] + ["\n", "\u3000\n"] + GOOD[1:])
+    assert err.value.lineno == 3
+
+
+def test_analyze_trace_parses_each_line_once(monkeypatch):
+    calls = []
+
+    def counting_parse(text, lineno=None):
+        calls.append(lineno)
+        return parse_line(text, lineno)
+
+    monkeypatch.setattr(minins.analyze, "parse_line", counting_parse)
+    report = analyze_trace(GOOD[:2] + ["\n"] + GOOD[2:], (2, 1, 3), 1.0)
+    assert calls == [1, 2, 4, 5, 6]
+    assert report.flow.received == 1 and report.series and report.violations == []
+
+
+def test_analyze_trace_without_flow_reports_only_violations():
+    report = analyze_trace(GOOD)
+    assert report.flow is None and report.series == [] and report.violations == []
+    with pytest.raises(ValueError):
+        analyze_trace(GOOD, bin_seconds=1.0)  # bins need a flow
 
 
 # -- utilization ----------------------------------------------------------------
@@ -134,58 +176,65 @@ def test_flow_stats_on_golden_run(cbr_run):
 
 
 def test_conservation_clean_trace_has_no_violations():
-    assert conservation_check(GOOD) == []
+    assert violations_of(GOOD) == []
 
 
 def test_conservation_catches_receive_before_enqueue():
     corrupted = [GOOD[4]] + GOOD[:4]
-    violations = conservation_check(corrupted)
+    violations = violations_of(corrupted)
     assert len(violations) >= 1
     assert any("upstream" in v for v in violations)
 
 
 def test_conservation_catches_duplicate_receive():
-    violations = conservation_check(GOOD + [GOOD[4]])
+    violations = violations_of(GOOD + [GOOD[4]])
     assert len(violations) == 1
 
 
 def test_conservation_catches_backwards_time():
     swapped = [GOOD[0], GOOD[2], GOOD[1], GOOD[3], GOOD[4]]
     # times no longer sorted and '-' precedes its '+' on link 1->2
-    assert conservation_check(swapped)
+    assert violations_of(swapped)
 
 
 def test_conservation_accepts_unfinished_packets():
-    assert conservation_check(GOOD[:3]) == []  # still queued on 2->3
+    assert violations_of(GOOD[:3]) == []  # still queued on 2->3
+
+
+def test_conservation_catches_enqueue_away_from_last_hop():
+    lines = GOOD[:2] + [GOOD[2].replace(" 2 3 ", " 5 6 ", 1)]
+    violations = violations_of(lines)
+    assert violations == ["line 3: uid 7 enqueued at node 5, but its last hop ended at node 2"]
 
 
 def test_conservation_accepts_drop_then_silence():
     lines = GOOD[:2] + [GOOD[2], GOOD[2].replace("+ ", "d ", 1)]
-    assert conservation_check(lines) == []
+    assert violations_of(lines) == []
 
 
 # -- throughput -------------------------------------------------------------------
 
 
 def test_throughput_series_on_golden_run(cbr_run):
-    series = throughput_series(cbr_run.trace_lines(), fid=2, sink=3, bin_seconds=1.0)
+    series = series_of(cbr_run.trace_lines(), fid=2, sink=3, bin_seconds=1.0)
     assert series[0][0] == 0.0
     interior = [bps for start, bps in series[2:-1]]
     assert interior and all(bps == 1_600_000.0 for bps in interior)
 
 
 def test_throughput_series_empty_trace():
-    assert throughput_series([], fid=2, sink=3, bin_seconds=1.0) == []
+    assert series_of([], fid=2, sink=3, bin_seconds=1.0) == []
 
 
 def test_throughput_series_single_giant_bin():
-    series = throughput_series(GOOD, fid=2, sink=3, bin_seconds=1000.0)
+    series = series_of(GOOD, fid=2, sink=3, bin_seconds=1000.0)
     assert series == [(0.0, 1000 * 8 / 1000.0)]
 
 
 def test_throughput_rejects_nonpositive_bin():
-    with pytest.raises(ValueError):
-        throughput_series(GOOD, fid=2, sink=3, bin_seconds=0)
+    for bad in (0, -1, float("nan"), float("inf"), 1e-12, 1e300):
+        with pytest.raises(ValueError):
+            series_of(GOOD, fid=2, sink=3, bin_seconds=bad)
 
 
 # -- streaming robustness ------------------------------------------------------------

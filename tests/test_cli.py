@@ -1,4 +1,6 @@
+import gc
 import shutil
+import warnings
 
 import pytest
 
@@ -48,6 +50,14 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_run_closes_scenario_file(tiny_scn, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(tiny_scn), "--trace", str(tmp_path / "t.tr")]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_run_missing_file(capsys):
     assert main(["run", "/nonexistent.scn"]) == 1
     assert "error" in capsys.readouterr().err
@@ -94,6 +104,30 @@ def test_analyze_lifecycle_violations_exit_2(tmp_path, capsys):
     assert main(["analyze", str(trace), "--check"]) == 2
     captured = capsys.readouterr()
     assert "violations=1" in captured.out
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "nan", "inf", "1e-12", "1e300"])
+def test_analyze_rejects_bad_bin_before_output(tiny_scn, tmp_path, capsys, width):
+    trace = tmp_path / "tiny.tr"
+    main(["run", str(tiny_scn), "--trace", str(trace)])
+    capsys.readouterr()
+    code = main(["analyze", str(trace), "--fid", "1", "--src", "0", "--sink", "1",
+                 "--bin", width, "--check"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--bin" in captured.err and "Traceback" not in captured.err
+
+
+def test_analyze_non_ascii_trace_exits_2(tmp_path, capsys):
+    good = b"+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7\n"
+    for bad in (b"\xff", "\uff17".encode(), "\u00b2".encode()):  # raw byte, full-width 7, superscript 2
+        trace = tmp_path / "bad.tr"
+        trace.write_bytes(good + good.replace(b" 7\n", b" " + bad + b"\n"))
+        assert main(["analyze", str(trace), "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err
 
 
 def test_analyze_missing_file_exits_2(capsys):

@@ -1,24 +1,34 @@
-from minins.analyze import parse_line
+from hypothesis import given
+from hypothesis import strategies as st
+
 from minins.engine import EventEngine, seconds
+from minins.errors import TraceError
 from minins.netmodel import Network, Packet
 from minins.qdisc import QdiscConfig
-from minins.trace import FLAGS, TraceRecord, TraceWriter, format_line
+from minins.trace import FLAGS, TraceWriter, parse_line
 from minins.units import format_time_fixed
 
 
-def sample_record(**overrides):
-    fields = dict(
-        op="+", time=seconds(1), from_node=1, to_node=2, ptype="cbr",
-        size=1000, flags=FLAGS, fid=2, src_node=1, src_port=0,
-        dst_node=3, dst_port=1, seq=0, uid=7,
-    )
+def sample_packet(**overrides):
+    fields = dict(uid=7, fid=2, ptype="cbr", size=1000, src=1, sport=0,
+                  dst=3, dport=1, seq=0, birth=0)
     fields.update(overrides)
-    return TraceRecord(**fields)
+    return Packet(**fields)
 
 
-def test_format_line_matches_fixed_layout():
-    line = format_line(sample_record())
-    assert line == "+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7\n"
+def written_lines(tmp_path, *records):
+    """Lines a TraceWriter writes for (op, time, from, to, pkt) records."""
+    path = tmp_path / "out.tr"
+    writer = TraceWriter(str(path))
+    for record in records:
+        writer.record(*record)
+    writer.close_flush()
+    return path.read_text().splitlines(keepends=True)
+
+
+def test_writer_matches_fixed_layout(tmp_path):
+    lines = written_lines(tmp_path, ("+", seconds(1), 1, 2, sample_packet()))
+    assert lines == ["+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7\n"]
 
 
 def test_time_renders_with_nine_fractional_digits():
@@ -28,18 +38,43 @@ def test_time_renders_with_nine_fractional_digits():
     assert format_time_fixed(1) == "0.000000001"
 
 
-def test_every_line_has_twelve_fields():
-    for op in "+-rd":
-        assert len(format_line(sample_record(op=op)).split()) == 12
+def test_every_line_has_twelve_fields(tmp_path):
+    records = [(op, seconds(1), 1, 2, sample_packet()) for op in "+-rd"]
+    for line in written_lines(tmp_path, *records):
+        assert len(line.split()) == 12
 
 
-def test_round_trip_parse_format():
-    for rec in (
-        sample_record(),
-        sample_record(op="d", time=1, uid=2**40, seq=123456),
-        sample_record(op="r", ptype="exp", size=40, src_port=3, dst_port=9),
-    ):
-        assert parse_line(format_line(rec)) == rec
+naturals = st.integers(min_value=0, max_value=2**64)
+
+
+@given(op=st.sampled_from("+-rd"), time=naturals, from_node=naturals, to_node=naturals,
+       ptype=st.sampled_from(["cbr", "exp"]), size=naturals, fid=naturals, src=naturals,
+       sport=naturals, dst=naturals, dport=naturals, seq=naturals, uid=naturals)
+def test_writer_lines_parse_back(tmp_path_factory, op, time, from_node, to_node, ptype,
+                                 size, fid, src, sport, dst, dport, seq, uid):
+    pkt = Packet(uid=uid, fid=fid, ptype=ptype, size=size, src=src, sport=sport,
+                 dst=dst, dport=dport, seq=seq, birth=0)
+    [line] = written_lines(tmp_path_factory.mktemp("rt"), (op, time, from_node, to_node, pkt))
+    assert parse_line(line, 1) == (op, time, from_node, to_node, ptype, size, FLAGS,
+                                   fid, src, sport, dst, dport, seq, uid)
+
+
+VALID_FIELDS = "+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7".split()
+odd_text = st.one_of(st.text(), st.sampled_from(["０", "²", "\udcff", "9" * 5000, "1.", ".1"]))
+# A valid line with one field replaced, so the checks behind the field count run too.
+one_field_off = st.builds(lambda i, text: " ".join(VALID_FIELDS[:i] + [text] + VALID_FIELDS[i + 1:]),
+                          st.integers(0, 11), odd_text)
+
+
+@given(st.one_of(st.text(), one_field_off))
+def test_parse_line_returns_tuple_or_trace_error(text):
+    try:
+        fields = parse_line(text, 9)
+    except TraceError as err:
+        assert err.lineno == 9
+    else:
+        assert isinstance(fields, tuple) and len(fields) == 14
+        assert text.isascii()
 
 
 def test_writer_appends_one_line_per_record(tmp_path):
@@ -79,6 +114,6 @@ def test_trace_lines_follow_dispatch_order(tmp_path):
         eng.schedule(uid * 300, lambda pkt=pkt: net.forward(0, pkt))
     eng.run_until(seconds(1))
     writer.close_flush()
-    times = [parse_line(l, i).time for i, l in enumerate(path.read_text().splitlines(), 1)]
+    times = [parse_line(l, i)[1] for i, l in enumerate(path.read_text().splitlines(), 1)]
     assert times == sorted(times)
     assert len(times) == 15  # +, -, r per packet

@@ -274,11 +274,11 @@ def test_sink_infers_losses_from_sequence_gaps():
     assert sink.nlost == 1
 
 
-def test_sink_tracks_flows_separately():
+def test_sink_cannot_see_losses_after_last_delivery():
     sink = SinkMonitor(3, 0, lambda: 0)
-    for fid, seq in ((1, 0), (2, 0), (1, 2), (2, 1)):
-        sink.on_receive(rx_packet(seq, fid=fid))
-    assert sink.nlost == 1  # flow 1 missing seq 1; flow 2 complete
+    for seq in (0, 1):  # seqs 2.. were sent and dropped
+        sink.on_receive(rx_packet(seq))
+    assert sink.nlost == 0
 
 
 def test_fresh_sink_reports_zeros():
