@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
     spec = parse_scenario(text)
     result = run_scenario(spec, trace_path=args.trace, seed=args.seed)

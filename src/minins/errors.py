@@ -16,8 +16,8 @@ class ScenarioError(MininsError):
 
 
 class SimulationError(MininsError):
-    """Simulator misuse: scheduling into the past, frozen topology,
-    unroutable destination, unconnected agent (exit 1)."""
+    """Simulator misuse: scheduling into the past, forwarding toward an
+    unroutable destination, a non-positive exponential mean (exit 1)."""
 
     exit_code = 1
 

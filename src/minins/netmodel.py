@@ -3,7 +3,7 @@
 Nodes are dense integer ids in creation order. A duplex link is two
 independent simplex links with identical parameters, each with its own
 queue discipline instance. Forwarding is hop-count shortest path with a
-smallest-next-hop tie-break, computed once when the topology freezes.
+smallest-next-hop tie-break, computed once when the network is built.
 
 A link transmits one packet at a time: enqueue ('+' trace event, 'd' on
 drop), dequeue ('-') when the head of line wins the link, then arrival
@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalError, SimulationError
-from .qdisc import QdiscConfig, build_qdisc
+from .qdisc import build_qdisc
 from .units import NS_PER_SEC
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """The unit that is routed, queued, traced, and counted."""
 
@@ -44,7 +44,6 @@ class SimplexLink:
     bandwidth: int  # bits/s
     delay: int  # propagation, ns
     qdisc: object
-    busy_until: int = 0
     transmitting: bool = field(default=False, repr=False)
     enqueued: int = 0  # running event counters, mirror the trace
     dequeued: int = 0
@@ -61,51 +60,28 @@ def tx_time(size: int, bandwidth: int) -> int:
 
 
 class Network:
-    """Nodes, links, routes, and packet movement over one event engine."""
+    """Nodes, links, routes, and packet movement over one event engine.
 
-    def __init__(self, engine, tracer):
+    Built in one step from a validated topology: `node_count` dense node
+    ids and one (a, b, bandwidth, delay, qdisc_config) entry per duplex
+    link, which becomes two simplex links a->b and b->a with identical
+    parameters, each with its own queue discipline instance.
+    """
+
+    def __init__(self, engine, tracer, node_count: int, duplex_links):
         self.engine = engine
         self.tracer = tracer
-        self.node_count = 0
+        self.node_count = node_count
         self.links: list[SimplexLink] = []
         self._link_by_pair: dict[tuple[int, int], SimplexLink] = {}
-        self._routes: dict[int, dict[int, SimplexLink]] | None = None
         self._receivers: dict[tuple[int, int], object] = {}
-        self._ports: list[int] = []  # next free port per node
-
-    # -- topology construction ------------------------------------------
-
-    def add_node(self) -> int:
-        if self._routes is not None:
-            raise SimulationError("topology is frozen: cannot add node after routing")
-        node = self.node_count
-        self.node_count += 1
-        self._ports.append(0)
-        return node
-
-    def add_duplex_link(
-        self, a: int, b: int, bandwidth: int, delay: int, qdisc_spec: QdiscConfig
-    ) -> tuple[SimplexLink, SimplexLink]:
-        """Install two simplex links a->b and b->a with identical parameters.
-
-        Each direction gets its own queue discipline instance.
-        """
-        if self._routes is not None:
-            raise SimulationError("topology is frozen: cannot add link after routing")
-        if a == b:
-            raise SimulationError(f"self-link forbidden (node {a})")
-        for node in (a, b):
-            if not 0 <= node < self.node_count:
-                raise SimulationError(f"unknown node {node}")
-        if (a, b) in self._link_by_pair:
-            raise SimulationError(f"duplicate link between nodes {a} and {b}")
-        pair = []
-        for frm, to in ((a, b), (b, a)):
-            link = SimplexLink(frm, to, bandwidth, delay, build_qdisc(qdisc_spec))
-            self.links.append(link)
-            self._link_by_pair[(frm, to)] = link
-            pair.append(link)
-        return pair[0], pair[1]
+        self._ports = [0] * node_count  # next free port per node
+        for a, b, bandwidth, delay, qdisc_config in duplex_links:
+            for frm, to in ((a, b), (b, a)):
+                link = SimplexLink(frm, to, bandwidth, delay, build_qdisc(qdisc_config))
+                self.links.append(link)
+                self._link_by_pair[(frm, to)] = link
+        self._routes = self.compute_routes()
 
     def link(self, from_node: int, to_node: int) -> SimplexLink:
         return self._link_by_pair[(from_node, to_node)]
@@ -122,7 +98,7 @@ class Network:
     # -- routing ---------------------------------------------------------
 
     def compute_routes(self) -> dict[int, dict[int, SimplexLink]]:
-        """Freeze the topology and build per-node forwarding tables.
+        """Build per-node forwarding tables.
 
         Shortest path by hop count; equal-cost ties resolved toward the
         smallest next-hop node id so multi-path runs are reproducible.
@@ -148,14 +124,7 @@ class Network:
                 )
                 table[dst] = self._link_by_pair[(src, next_hop)]
             routes[src] = table
-        self._routes = routes
         return routes
-
-    def reachable(self, src: int, dst: int) -> bool:
-        """Whether a packet from `src` can reach `dst` (after routing)."""
-        if self._routes is None:
-            raise SimulationError("routes not computed")
-        return src == dst or dst in self._routes[src]
 
     def _bfs_distances(self, src: int, neighbors) -> list:
         dist = [None] * self.node_count
@@ -176,8 +145,6 @@ class Network:
     def forward(self, node: int, pkt: Packet, via_link: SimplexLink | None = None) -> None:
         """Move `pkt` onward from `node`: deliver here, or queue on the
         outgoing link toward pkt.dst (starting transmission if idle)."""
-        if self._routes is None:
-            raise SimulationError("routes not computed")
         if node == pkt.dst:
             self._deliver(node, pkt, via_link)
             return
@@ -210,8 +177,9 @@ class Network:
         self.tracer.record("-", now, link.from_node, link.to_node, pkt)
         link.dequeued += 1
         link.transmitting = True
-        link.busy_until = now + tx_time(pkt.size, link.bandwidth)
-        self.engine.schedule(link.busy_until, lambda: self._tx_complete(link, pkt))
+        self.engine.schedule(
+            now + tx_time(pkt.size, link.bandwidth), lambda: self._tx_complete(link, pkt)
+        )
 
     def _tx_complete(self, link: SimplexLink, pkt: Packet) -> None:
         self.engine.schedule(

@@ -140,6 +140,21 @@ class _Directive:
             raise ScenarioError(f"line {self.lineno}: {exc}") from None
 
 
+def _components(nodes: list[str], links: list[LinkSpec]) -> dict[str, str]:
+    """Map each node to a representative of its connected component."""
+    parent = {node: node for node in nodes}
+
+    def root(node: str) -> str:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]  # path halving
+            node = parent[node]
+        return node
+
+    for link in links:
+        parent[root(link.a)] = root(link.b)
+    return {node: root(node) for node in nodes}
+
+
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse and validate scenario text; all errors carry line numbers."""
     sim_directive = None
@@ -151,6 +166,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
     node_set: set[str] = set()
     agent_names: dict[str, AgentSpec] = {}
     link_pairs: set[frozenset] = set()
+    agent_lines: list[int] = []
     gen_lines: list[int] = []
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -230,6 +246,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
             spec = AgentSpec(agent_name, src, sink, fid, color)
             agent_names[agent_name] = spec
             agents.append(spec)
+            agent_lines.append(lineno)
 
         elif name == "cbr":
             d = _Directive(lineno, _split_options(args, lineno))
@@ -298,6 +315,15 @@ def parse_scenario(text: str) -> ScenarioSpec:
         if gen.stop > duration:
             raise ScenarioError(
                 f"line {lineno}: generator stop exceeds simulation duration"
+            )
+    # Links may be declared after the udp lines that use them, so
+    # reachability is checked once the whole topology is known.
+    component = _components(nodes, links)
+    for lineno, agent in zip(agent_lines, agents):
+        if component[agent.src] != component[agent.sink]:
+            raise ScenarioError(
+                f"line {lineno}: udp {agent.name}: sink {agent.sink} is unreachable "
+                f"from src {agent.src}"
             )
     return ScenarioSpec(
         duration=duration,

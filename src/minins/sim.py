@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .analyze import utilization
 from .engine import EventEngine
-from .errors import ScenarioError
 from .netmodel import Network
 from .rng import SplitMix64
 from .scenario import ScenarioSpec
@@ -66,7 +65,6 @@ class Simulation:
         self.seed = spec.seed if seed is None else seed
         self.trace_path = spec.trace_path if trace_path is None else trace_path
         self.engine = EventEngine()
-        self.network = Network(self.engine, NullTracer())
         self.sinks: list[SinkMonitor] = []
         self.agents: dict[str, UdpAgent] = {}
         self.generators: list = []
@@ -84,30 +82,22 @@ class Simulation:
 
     def _build(self) -> None:
         spec = self.spec
-        node_id = {name: self.network.add_node() for name in spec.nodes}
-        for link in spec.links:
-            self.network.add_duplex_link(
-                node_id[link.a], node_id[link.b], link.bandwidth, link.delay, link.qdisc
-            )
-        self.network.compute_routes()
+        node_id = {name: k for k, name in enumerate(spec.nodes)}
+        self.network = Network(self.engine, NullTracer(), len(spec.nodes), [
+            (node_id[link.a], node_id[link.b], link.bandwidth, link.delay, link.qdisc)
+            for link in spec.links
+        ])
 
         # Each udp directive creates its source agent and its own sink
         # monitor; ports fall out of creation order, agent then sink.
         for agent_spec in spec.agents:
             src = node_id[agent_spec.src]
+            src_port = self.network.allot_port(src)
             sink_node = node_id[agent_spec.sink]
-            if not self.network.reachable(src, sink_node):
-                raise ScenarioError(
-                    f"udp {agent_spec.name}: sink {agent_spec.sink} is unreachable "
-                    f"from src {agent_spec.src}"
-                )
-            agent = UdpAgent(
-                self.network, src, self.network.allot_port(src), agent_spec.fid,
-                self._alloc_uid,
-            )
             sink = SinkMonitor(sink_node, self.network.allot_port(sink_node), self.engine.now)
             self.network.bind_receiver(sink.node, sink.port, sink.on_receive)
-            agent.connect(sink.node, sink.port)
+            agent = UdpAgent(self.network, src, src_port, agent_spec.fid, self._alloc_uid,
+                             sink.node, sink.port)
             self.agents[agent_spec.name] = agent
             self.sinks.append(sink)
 

@@ -64,7 +64,8 @@ def _parse_addr(field: str, lineno, what: str) -> tuple[int, int]:
 
 
 def parse_line(text: str, lineno: int | None = None) -> tuple:
-    """Strict parse of one 12-field trace line.
+    """Strict parse of one 12-field trace line, as `TraceWriter` writes it:
+    single spaces between fields and at most one trailing LF.
 
     Returns the 14-tuple (op, time_ns, from_node, to_node, ptype, size,
     flags, fid, src_node, src_port, dst_node, dst_port, seq, uid) in
@@ -73,12 +74,17 @@ def parse_line(text: str, lineno: int | None = None) -> tuple:
     """
     if not text.isascii():
         raise TraceError("non-ASCII character", lineno)
-    fields = text.split()
+    line = text.removesuffix("\n")
+    if not line.isprintable():  # tabs, CR and other control characters
+        raise TraceError("non-printable character", lineno)
+    fields = line.split(" ")
     if len(fields) != 12:
         raise TraceError(f"expected 12 fields, got {len(fields)}", lineno)
     op, time_s, frm, to, ptype, size, flags, fid, src, dst, seq, uid = fields
     if op not in OPS:
         raise TraceError(f"unknown event type {op!r}", lineno)
+    if not ptype:
+        raise TraceError("empty ptype field", lineno)
     whole, dot, frac = time_s.partition(".")
     if not dot or len(frac) != 9 or not whole.isdigit() or not frac.isdigit():
         raise TraceError(f"bad timestamp {time_s!r} (want 9 fractional digits)", lineno)

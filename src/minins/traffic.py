@@ -40,27 +40,18 @@ def exp_variate(mean: int, rng) -> int:
 class UdpAgent:
     """Packet source bound to one node and port, sending to one peer."""
 
-    def __init__(self, network, node: int, port: int, fid: int, alloc_uid):
+    def __init__(self, network, node: int, port: int, fid: int, alloc_uid,
+                 peer_node: int, peer_port: int):
         self.network = network
         self.node = node
         self.port = port
         self.fid = fid
-        self.peer_node: int | None = None
-        self.peer_port: int | None = None
+        self.peer_node = peer_node
+        self.peer_port = peer_port
         self._alloc_uid = alloc_uid
         self._next_seq = 0
 
-    def connect(self, peer_node: int, peer_port: int) -> None:
-        self.peer_node = peer_node
-        self.peer_port = peer_port
-
-    @property
-    def connected(self) -> bool:
-        return self.peer_node is not None
-
     def send(self, size: int, ptype: str) -> Packet:
-        if not self.connected:
-            raise SimulationError("agent is not connected to a sink")
         seq = self._next_seq
         self._next_seq = seq + 1
         pkt = Packet(

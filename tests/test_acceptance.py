@@ -212,17 +212,11 @@ class _DropWatch:
 def _simulator_outcome(scenario: MicroScenario):
     eng = EventEngine()
     watch = _DropWatch()
-    net = Network(eng, watch)
-    for _ in range(scenario.node_count):
-        net.add_node()
-    seen = set()
-    for (a, b), link in scenario.links.items():
-        if (b, a) in seen:
-            continue
-        seen.add((a, b))
-        net.add_duplex_link(a, b, link.bandwidth, link.delay,
-                            QdiscConfig("droptail", link.limit))
-    net.compute_routes()
+    duplex_links = [
+        (a, b, link.bandwidth, link.delay, QdiscConfig("droptail", link.limit))
+        for (a, b), link in scenario.links.items() if a < b
+    ]
+    net = Network(eng, watch, scenario.node_count, duplex_links)
     delivered = {}
     for node in range(scenario.node_count):
         net.bind_receiver(node, 0, lambda pkt: delivered.__setitem__(pkt.uid, eng.now()))

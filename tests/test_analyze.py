@@ -57,6 +57,23 @@ def test_parse_rejects_non_ascii():
         assert err.value.lineno == 4
 
 
+def test_parse_rejects_whitespace_the_writer_never_writes():
+    good = "+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7"
+    assert parse_line(good + "\n", lineno=5)[-1] == 7
+    for bad in (
+        good.replace(" ", "\x1c", 1),  # ASCII file separator
+        good.replace(" ", "\t", 1),
+        "  " + good,
+        good.replace(" ", "  ", 1),
+        good.replace(" cbr ", "  "),  # doubled space in place of the ptype
+        good + "\r\n",
+        good + "\n\n",
+    ):
+        with pytest.raises(TraceError) as err:
+            parse_line(bad, lineno=5)
+        assert err.value.lineno == 5 and str(err.value).startswith("line 5: ")
+
+
 def test_parse_rejects_numbers_too_long_to_convert():
     with pytest.raises(TraceError):
         parse_line("+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 " + "9" * 5000)

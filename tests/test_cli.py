@@ -58,6 +58,31 @@ def test_run_closes_scenario_file(tiny_scn, tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def test_run_non_utf8_scenario_is_an_error_line(tmp_path, capsys):
+    bad = tmp_path / "latin1.scn"
+    bad.write_bytes(b"sim duration=1s\nnode \xff\n")
+    assert main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read scenario:") and err.count("\n") == 1
+
+
+def test_run_unreachable_sink_leaves_no_trace(tmp_path, capsys):
+    scn = tmp_path / "lonely.scn"
+    trace = tmp_path / "lonely.tr"
+    scn.write_text(
+        "sim duration=1s\nnode a\nnode b\nnode c\n"
+        "duplex-link a b bw=1Mb delay=1ms queue=droptail\n"
+        "udp lonely src=a sink=c fid=1\n"
+        "cbr agent=lonely size=100 interval=10ms start=0s stop=1s\n"
+        f"trace file={trace}\n"
+    )
+    assert main(["run", str(scn)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 6: udp lonely: sink c is unreachable from src a\n"
+    )
+    assert not trace.exists()
+
+
 def test_run_missing_file(capsys):
     assert main(["run", "/nonexistent.scn"]) == 1
     assert "error" in capsys.readouterr().err

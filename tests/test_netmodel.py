@@ -33,12 +33,11 @@ def star_network():
     """The four-node topology: 0 and 1 feed 2, which feeds 3."""
     eng = EventEngine()
     tracer = ListTracer()
-    net = Network(eng, tracer)
-    for _ in range(4):
-        net.add_node()
-    net.add_duplex_link(0, 2, 10_000_000, seconds(0.010), DT)
-    net.add_duplex_link(1, 2, 10_000_000, seconds(0.010), DT)
-    net.add_duplex_link(2, 3, 10_000_000, seconds(0.010), DT)
+    net = Network(eng, tracer, 4, [
+        (0, 2, 10_000_000, seconds(0.010), DT),
+        (1, 2, 10_000_000, seconds(0.010), DT),
+        (2, 3, 10_000_000, seconds(0.010), DT),
+    ])
     return eng, tracer, net
 
 
@@ -48,41 +47,14 @@ def bind_collector(net, node, clock):
     return deliveries
 
 
-def test_add_node_assigns_dense_ids():
-    net = Network(EventEngine(), ListTracer())
-    assert [net.add_node() for _ in range(4)] == [0, 1, 2, 3]
-
-
-def test_topology_frozen_after_compute_routes():
-    eng, _, net = star_network()
-    net.compute_routes()
-    with pytest.raises(SimulationError):
-        net.add_node()
-    with pytest.raises(SimulationError):
-        net.add_duplex_link(0, 1, 10_000_000, 0, DT)
-
-
 def test_duplex_link_is_two_simplex_links_with_own_qdiscs():
-    net = Network(EventEngine(), ListTracer())
-    net.add_node(), net.add_node()
-    fwd, rev = net.add_duplex_link(0, 1, 10_000_000, seconds(0.010), DT)
+    net = Network(EventEngine(), ListTracer(), 2, [(0, 1, 10_000_000, seconds(0.010), DT)])
+    fwd, rev = net.links
     assert (fwd.from_node, fwd.to_node) == (0, 1)
     assert (rev.from_node, rev.to_node) == (1, 0)
     assert fwd.bandwidth == rev.bandwidth == 10_000_000
     assert fwd.delay == rev.delay == 10_000_000
     assert fwd.qdisc is not rev.qdisc
-
-
-def test_link_construction_errors():
-    net = Network(EventEngine(), ListTracer())
-    net.add_node(), net.add_node()
-    with pytest.raises(SimulationError):
-        net.add_duplex_link(1, 1, 1000, 0, DT)
-    with pytest.raises(SimulationError):
-        net.add_duplex_link(0, 5, 1000, 0, DT)
-    net.add_duplex_link(0, 1, 1000, 0, DT)
-    with pytest.raises(SimulationError):
-        net.add_duplex_link(0, 1, 1000, 0, DT)
 
 
 def test_routes_on_star_topology():
@@ -95,22 +67,15 @@ def test_routes_on_star_topology():
 
 def test_equal_cost_tie_breaks_toward_smaller_next_hop():
     # square: 0-1-3 and 0-2-3 both two hops
-    net = Network(EventEngine(), ListTracer())
-    for _ in range(4):
-        net.add_node()
-    net.add_duplex_link(0, 1, 1000, 0, DT)
-    net.add_duplex_link(0, 2, 1000, 0, DT)
-    net.add_duplex_link(1, 3, 1000, 0, DT)
-    net.add_duplex_link(2, 3, 1000, 0, DT)
+    net = Network(EventEngine(), ListTracer(), 4, [
+        (0, 1, 1000, 0, DT), (0, 2, 1000, 0, DT), (1, 3, 1000, 0, DT), (2, 3, 1000, 0, DT),
+    ])
     routes = net.compute_routes()
     assert routes[0][3].to_node == 1
 
 
 def test_unreachable_pairs_absent_from_table():
-    net = Network(EventEngine(), ListTracer())
-    for _ in range(3):
-        net.add_node()
-    net.add_duplex_link(0, 1, 1000, 0, DT)
+    net = Network(EventEngine(), ListTracer(), 3, [(0, 1, 1000, 0, DT)])
     routes = net.compute_routes()
     assert 2 not in routes[0]
     assert routes[2] == {}
@@ -127,7 +92,6 @@ def test_tx_time_exact(size, bw, expected):
 
 def test_single_packet_two_hops_takes_21_6_ms():
     eng, _, net = star_network()
-    net.compute_routes()
     deliveries = bind_collector(net, 3, eng.now)
     pkt = make_packet(0, src=0, dst=3)
     eng.schedule(0, lambda: net.forward(0, pkt))
@@ -137,7 +101,6 @@ def test_single_packet_two_hops_takes_21_6_ms():
 
 def test_delivery_at_own_node_has_no_link_events():
     eng, tracer, net = star_network()
-    net.compute_routes()
     deliveries = bind_collector(net, 2, eng.now)
     pkt = make_packet(0, src=2, dst=2)
     eng.schedule(0, lambda: net.forward(2, pkt))
@@ -147,27 +110,15 @@ def test_delivery_at_own_node_has_no_link_events():
 
 
 def test_forward_without_route_raises():
-    eng = EventEngine()
-    net = Network(eng, ListTracer())
-    for _ in range(3):
-        net.add_node()
-    net.add_duplex_link(0, 1, 1000, 0, DT)
-    net.compute_routes()
+    net = Network(EventEngine(), ListTracer(), 3, [(0, 1, 1000, 0, DT)])
     with pytest.raises(SimulationError):
         net.forward(0, make_packet(0, src=0, dst=2))
 
 
-def test_forward_before_routing_raises():
-    eng, _, net = star_network()
-    with pytest.raises(SimulationError):
-        net.forward(0, make_packet(0, src=0, dst=3))
-
-
 def test_link_transmits_one_packet_at_a_time():
     # Burst of 5 packets lands at once; '-' events must be spaced by the
-    # 0.8 ms transmission time and busy_until must never decrease.
+    # 0.8 ms transmission time.
     eng, tracer, net = star_network()
-    net.compute_routes()
     bind_collector(net, 3, eng.now)
     for uid in range(5):
         pkt = make_packet(uid, src=0, dst=3)
@@ -181,7 +132,6 @@ def test_link_transmits_one_packet_at_a_time():
 
 def test_fifo_per_link_preserves_receive_order():
     eng, tracer, net = star_network()
-    net.compute_routes()
     deliveries = bind_collector(net, 3, eng.now)
     for uid in range(10):
         pkt = make_packet(uid, src=1, dst=3, size=500 + 100 * uid)
@@ -193,7 +143,6 @@ def test_fifo_per_link_preserves_receive_order():
 
 def test_arrival_follows_dequeue_by_tx_plus_delay():
     eng, tracer, net = star_network()
-    net.compute_routes()
     bind_collector(net, 3, eng.now)
     pkt = make_packet(0, src=2, dst=3, size=250)
     eng.schedule(7, lambda: net.forward(2, pkt))
@@ -206,10 +155,7 @@ def test_arrival_follows_dequeue_by_tx_plus_delay():
 def test_per_link_counters_obey_conservation():
     # slam 100 packets into a tight queue, then stop time mid-drain
     eng = EventEngine()
-    net = Network(eng, ListTracer())
-    net.add_node(), net.add_node()
-    net.add_duplex_link(0, 1, 1_000_000, 0, QdiscConfig("droptail", 5))
-    net.compute_routes()
+    net = Network(eng, ListTracer(), 2, [(0, 1, 1_000_000, 0, QdiscConfig("droptail", 5))])
     net.bind_receiver(1, 0, lambda pkt: None)
     for uid in range(100):
         pkt = make_packet(uid, src=0, dst=1)

@@ -1,8 +1,20 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minins.errors import ScenarioError
 from minins.golden import golden_dir
-from minins.scenario import CbrSpec, ExpSpec, parse_scenario, render_scenario
+from minins.netmodel import tx_time
+from minins.qdisc import SFQ_DEFAULT_BUCKETS, QdiscConfig
+from minins.scenario import (
+    AgentSpec,
+    CbrSpec,
+    ExpSpec,
+    LinkSpec,
+    ScenarioSpec,
+    parse_scenario,
+    render_scenario,
+)
 from minins.units import (
     format_time_short,
     parse_bandwidth,
@@ -109,6 +121,12 @@ def test_seed_defaults_to_zero():
 
 
 GEN_HEAD = "sim duration=1s\nnode a\nnode b\nudp f src=a sink=b fid=1\n"
+UNREACHABLE = (
+    "sim duration=1s\nnode a\nnode b\nnode c\n"
+    "udp linked src=a sink=b fid=1\n"
+    "udp lonely src=a sink=c fid=2\n"
+    "duplex-link a b bw=1Mb delay=1ms queue=droptail\n"
+)
 
 
 def test_errors_carry_line_numbers():
@@ -133,6 +151,7 @@ def test_errors_carry_line_numbers():
          "duplex-link a b bw=1Mb delay=0s queue=droptail limit=0\n", "line 4"),
         ("sim duration=1s\nnode a\nnode b\n"
          "duplex-link a b bw=1Mb delay=0s queue=sfq buckets=0\n", "line 4"),
+        (UNREACHABLE, "line 6: udp lonely: sink c is unreachable from src a"),
     ]
     for text, fragment in cases:
         with pytest.raises(ScenarioError, match=fragment):
@@ -162,7 +181,8 @@ def test_comments_and_blank_lines_ignored():
 
 def test_color_accepted_and_kept():
     spec = parse_scenario(
-        "sim duration=1s\nnode a\nnode b\nudp f src=a sink=b fid=1 color=Green\n"
+        "sim duration=1s\nnode a\nnode b\nduplex-link a b bw=1Mb delay=0s queue=droptail\n"
+        "udp f src=a sink=b fid=1 color=Green\n"
     )
     assert spec.agents[0].color == "Green"
 
@@ -179,3 +199,74 @@ def test_render_parse_round_trip():
 def test_render_round_trip_minimal():
     spec = parse_scenario(MINIMAL)
     assert parse_scenario(render_scenario(spec)) == spec
+
+
+positive_ns = st.integers(1, 10**12)
+
+
+@st.composite
+def random_specs(draw):
+    """Valid specs on 2-6 nodes with a random subset of links, so some
+    flows have no path; every generator respects its parse-time bounds."""
+    nodes = [f"n{k}" for k in range(draw(st.integers(2, 6)))]
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    links = []
+    for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)):
+        if draw(st.booleans()):
+            a, b = b, a
+        kind = draw(st.sampled_from(["droptail", "sfq"]))
+        buckets = draw(st.integers(1, 64)) if kind == "sfq" else SFQ_DEFAULT_BUCKETS
+        qdisc = QdiscConfig(kind, draw(st.integers(1, 100)), buckets)
+        links.append(LinkSpec(a, b, draw(st.integers(1, 10**10)),
+                              draw(st.integers(0, 10**10)), qdisc))
+    agents = [
+        AgentSpec(f"f{k}", draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)),
+                  draw(st.integers(0, 2**32)), draw(st.sampled_from([None, "Green"])))
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    duration = draw(st.integers(0, 10**12))
+    generators = []
+    for _ in range(draw(st.integers(0, 3))):
+        agent = draw(st.sampled_from(agents)).name
+        stop = draw(st.integers(0, duration))
+        start = draw(st.integers(0, stop))
+        size = draw(st.integers(1, 65_535))
+        if draw(st.booleans()):
+            generators.append(CbrSpec(agent, size, draw(positive_ns), start, stop))
+        else:
+            rate = draw(st.integers(1, size * 8 * 10**9))  # a gap of at least 1 ns
+            assert tx_time(size, rate) > 0
+            generators.append(ExpSpec(agent, size, draw(positive_ns), draw(positive_ns),
+                                      rate, start, stop))
+    return ScenarioSpec(duration, draw(st.integers(0, 2**64 - 1)), nodes, links, agents,
+                        generators, draw(st.sampled_from([None, "out.tr"])))
+
+
+def _reachable_from(node, links):
+    seen, frontier = {node}, [node]
+    while frontier:
+        here = frontier.pop()
+        for link in links:
+            for a, b in ((link.a, link.b), (link.b, link.a)):
+                if a == here and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+    return seen
+
+
+@given(random_specs())
+def test_random_specs_round_trip_or_name_first_unreachable_flow(spec):
+    text = render_scenario(spec)
+    cut = [i for i, agent in enumerate(spec.agents)
+           if agent.sink not in _reachable_from(agent.src, spec.links)]
+    if not cut:
+        assert parse_scenario(text) == spec
+        return
+    agent = spec.agents[cut[0]]
+    lineno = 2 + len(spec.nodes) + len(spec.links) + cut[0]  # sim, nodes, links, udp
+    assert text.splitlines()[lineno - 1].startswith(f"udp {agent.name} ")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == (
+        f"line {lineno}: udp {agent.name}: sink {agent.sink} is unreachable from src {agent.src}"
+    )

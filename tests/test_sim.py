@@ -1,10 +1,7 @@
 import re
 
-import pytest
-
-from minins.errors import ScenarioError
 from minins.scenario import parse_scenario
-from minins.sim import Simulation, run_scenario
+from minins.sim import run_scenario
 
 SHORT_PAPER = """\
 sim duration=20s seed=77
@@ -167,15 +164,3 @@ def test_shared_fid_agents_number_packets_independently():
     assert result.nlost == 0
     assert [m.nlost for m in result.monitors] == [0, 0]
 
-
-def test_unroutable_flow_fails_at_build_time(tmp_path):
-    spec = parse_scenario(
-        "sim duration=1s\nnode a\nnode b\nnode c\n"
-        "duplex-link a b bw=1Mb delay=1ms queue=droptail\n"
-        "udp lonely src=a sink=c fid=1\n"
-        "cbr agent=lonely size=100 interval=10ms start=0s stop=1s\n"
-    )
-    trace = tmp_path / "lonely.tr"
-    with pytest.raises(ScenarioError, match="udp lonely"):
-        Simulation(spec, trace_path=str(trace))
-    assert not trace.exists()

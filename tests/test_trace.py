@@ -103,10 +103,8 @@ def test_trace_lines_follow_dispatch_order(tmp_path):
     path = tmp_path / "mini.tr"
     eng = EventEngine()
     writer = TraceWriter(str(path))
-    net = Network(eng, writer)
-    net.add_node(), net.add_node()
-    net.add_duplex_link(0, 1, 1_000_000, seconds(0.001), QdiscConfig("droptail", 50))
-    net.compute_routes()
+    net = Network(eng, writer, 2,
+                  [(0, 1, 1_000_000, seconds(0.001), QdiscConfig("droptail", 50))])
     net.bind_receiver(1, 0, lambda pkt: None)
     for uid in range(5):
         pkt = Packet(uid=uid, fid=1, ptype="cbr", size=100, src=0, sport=0,

@@ -310,15 +310,13 @@ def _null_tracer():
 
 def test_exp_generator_drives_flow_over_network():
     eng = EventEngine()
-    net = Network(eng, _null_tracer())
-    n0, n1 = net.add_node(), net.add_node()
-    net.add_duplex_link(n0, n1, 10_000_000, MS, QdiscConfig("droptail", 50))
-    net.compute_routes()
+    n0, n1 = 0, 1
+    net = Network(eng, _null_tracer(), 2, [(n0, n1, 10_000_000, MS, QdiscConfig("droptail", 50))])
     sink = SinkMonitor(n1, net.allot_port(n1), eng.now)
     net.bind_receiver(sink.node, sink.port, sink.on_receive)
     uid_counter = iter(range(10**9))
-    agent = UdpAgent(net, n0, net.allot_port(n0), 1, lambda: next(uid_counter))
-    agent.connect(sink.node, sink.port)
+    agent = UdpAgent(net, n0, net.allot_port(n0), 1, lambda: next(uid_counter),
+                     sink.node, sink.port)
     cfg = ExpSpec("f", 1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(2))
     gen = ExpOnOffGenerator(eng, agent, cfg, SplitMix64.substream(3, 0))
     gen.install()
