@@ -3,7 +3,8 @@
 Nodes are dense integer ids in creation order. A duplex link is two
 independent simplex links with identical parameters, each with its own
 queue discipline instance. Forwarding is hop-count shortest path with a
-smallest-next-hop tie-break, computed once when the network is built.
+smallest-next-hop tie-break, computed per destination, on the first
+packet toward it.
 
 A link transmits one packet at a time: enqueue ('+' trace event, 'd' on
 drop), dequeue ('-') when the head of line wins the link, then arrival
@@ -76,12 +77,15 @@ class Network:
         self._link_by_pair: dict[tuple[int, int], SimplexLink] = {}
         self._receivers: dict[tuple[int, int], object] = {}
         self._ports = [0] * node_count  # next free port per node
+        self._links_into: list[list[SimplexLink]] = [[] for _ in range(node_count)]
         for a, b, bandwidth, delay, qdisc_config in duplex_links:
             for frm, to in ((a, b), (b, a)):
                 link = SimplexLink(frm, to, bandwidth, delay, build_qdisc(qdisc_config))
                 self.links.append(link)
                 self._link_by_pair[(frm, to)] = link
-        self._routes = self.compute_routes()
+                self._links_into[to].append(link)
+        # next-hop column per destination, built on the first packet toward it
+        self._routes: list[list[SimplexLink | None] | None] = [None] * node_count
 
     def link(self, from_node: int, to_node: int) -> SimplexLink:
         return self._link_by_pair[(from_node, to_node)]
@@ -97,48 +101,28 @@ class Network:
 
     # -- routing ---------------------------------------------------------
 
-    def compute_routes(self) -> dict[int, dict[int, SimplexLink]]:
-        """Build per-node forwarding tables.
+    def compute_routes(self, dst: int) -> list[SimplexLink | None]:
+        """Next-hop link toward `dst` from every node, indexed by node id.
 
         Shortest path by hop count; equal-cost ties resolved toward the
         smallest next-hop node id so multi-path runs are reproducible.
-        Unreachable pairs simply get no entry.
+        One BFS backward from `dst` over incoming links, visiting each
+        level in ascending node order, so the first node of a level to
+        reach a neighbour is its smallest next hop. `dst` itself and
+        nodes with no path to it get None.
         """
-        neighbors: dict[int, list[int]] = {n: [] for n in range(self.node_count)}
-        for (frm, to) in self._link_by_pair:
-            neighbors[frm].append(to)
-        for lst in neighbors.values():
-            lst.sort()
-
-        dist = [self._bfs_distances(src, neighbors) for src in range(self.node_count)]
-
-        routes: dict[int, dict[int, SimplexLink]] = {}
-        for src in range(self.node_count):
-            table: dict[int, SimplexLink] = {}
-            for dst in range(self.node_count):
-                if dst == src or dist[src][dst] is None:
-                    continue
-                next_hop = min(
-                    n for n in neighbors[src]
-                    if dist[n][dst] is not None and dist[n][dst] == dist[src][dst] - 1
-                )
-                table[dst] = self._link_by_pair[(src, next_hop)]
-            routes[src] = table
-        return routes
-
-    def _bfs_distances(self, src: int, neighbors) -> list:
-        dist = [None] * self.node_count
-        dist[src] = 0
-        frontier = [src]
+        column: list[SimplexLink | None] = [None] * self.node_count
+        frontier = [dst]
         while frontier:
             nxt = []
-            for node in frontier:
-                for n in neighbors[node]:
-                    if dist[n] is None:
-                        dist[n] = dist[node] + 1
-                        nxt.append(n)
+            for node in sorted(frontier):
+                for link in self._links_into[node]:
+                    frm = link.from_node
+                    if column[frm] is None and frm != dst:
+                        column[frm] = link
+                        nxt.append(frm)
             frontier = nxt
-        return dist
+        return column
 
     # -- packet movement ---------------------------------------------------
 
@@ -148,7 +132,10 @@ class Network:
         if node == pkt.dst:
             self._deliver(node, pkt, via_link)
             return
-        link = self._routes[node].get(pkt.dst)
+        column = self._routes[pkt.dst]
+        if column is None:
+            column = self._routes[pkt.dst] = self.compute_routes(pkt.dst)
+        link = column[node]
         if link is None:
             raise SimulationError(f"no route from node {node} to node {pkt.dst}")
         self.tracer.record("+", self.engine.now(), link.from_node, link.to_node, pkt)

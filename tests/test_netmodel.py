@@ -1,11 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minins.engine import EventEngine, seconds
 from minins.errors import SimulationError
 from minins.netmodel import Network, Packet, tx_time
 from minins.qdisc import QdiscConfig
+
+from reference_model import MicroLink, MicroScenario, next_hop
 
 DT = QdiscConfig("droptail", 50)
 
@@ -59,10 +63,10 @@ def test_duplex_link_is_two_simplex_links_with_own_qdiscs():
 
 def test_routes_on_star_topology():
     _, _, net = star_network()
-    routes = net.compute_routes()
-    assert routes[0][3] is net.link(0, 2)  # via node 2
-    assert routes[2][3] is net.link(2, 3)  # direct
-    assert routes[3][0] is net.link(3, 2)
+    toward_3 = net.compute_routes(3)
+    assert toward_3[0] is net.link(0, 2)  # via node 2
+    assert toward_3[2] is net.link(2, 3)  # direct
+    assert net.compute_routes(0)[3] is net.link(3, 2)
 
 
 def test_equal_cost_tie_breaks_toward_smaller_next_hop():
@@ -70,15 +74,44 @@ def test_equal_cost_tie_breaks_toward_smaller_next_hop():
     net = Network(EventEngine(), ListTracer(), 4, [
         (0, 1, 1000, 0, DT), (0, 2, 1000, 0, DT), (1, 3, 1000, 0, DT), (2, 3, 1000, 0, DT),
     ])
-    routes = net.compute_routes()
-    assert routes[0][3].to_node == 1
+    assert net.compute_routes(3)[0].to_node == 1
 
 
 def test_unreachable_pairs_absent_from_table():
     net = Network(EventEngine(), ListTracer(), 3, [(0, 1, 1000, 0, DT)])
-    routes = net.compute_routes()
-    assert 2 not in routes[0]
-    assert routes[2] == {}
+    assert net.compute_routes(2) == [None, None, None]  # nothing reaches 2
+    assert net.compute_routes(0)[2] is None and net.compute_routes(1)[2] is None
+
+
+@st.composite
+def random_topologies(draw):
+    """A node count and a random subset of its possible duplex links."""
+    node_count = draw(st.integers(min_value=2, max_value=7))
+    pairs = list(itertools.combinations(range(node_count), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    return node_count, chosen
+
+
+@given(random_topologies())
+def test_routes_match_exhaustive_reference(topology):
+    node_count, pairs = topology
+    net = Network(EventEngine(), ListTracer(), node_count,
+                  [(a, b, 1000, 0, DT) for a, b in pairs])
+    links = {}
+    for a, b in pairs:
+        links[(a, b)] = links[(b, a)] = MicroLink(50, 1000, 0)
+    micro = MicroScenario(node_count, links, [])
+    for dst in range(node_count):
+        column = net.compute_routes(dst)
+        assert column[dst] is None
+        for src in range(node_count):
+            if src == dst:
+                continue
+            expected = next_hop(micro, src, dst)
+            if expected is None:
+                assert column[src] is None
+            else:
+                assert column[src] is net.link(src, expected)
 
 
 @pytest.mark.parametrize("size,bw,expected", [

@@ -164,3 +164,26 @@ def test_shared_fid_agents_number_packets_independently():
     assert result.nlost == 0
     assert [m.nlost for m in result.monitors] == [0, 0]
 
+
+def test_same_instant_events_keep_schedule_order(tmp_path):
+    # At 13 ms flow 2's send (scheduled by its 3 ms send) and flow 1's
+    # far-end arrival (scheduled when its 8 ms transmission completed)
+    # fall due together; the earlier-scheduled send runs first. The
+    # golden digests do not pin this order: scheduling the arrival at
+    # dequeue time instead flips it and still passes all four.
+    spec = parse_scenario(
+        "sim duration=50ms\nnode a\nnode b\n"
+        "duplex-link a b bw=1Mb delay=5ms queue=droptail\n"
+        "udp f1 src=a sink=b fid=1\n"
+        "udp f2 src=a sink=b fid=2\n"
+        "cbr agent=f1 size=1000 interval=20ms start=0s stop=50ms\n"
+        "cbr agent=f2 size=1 interval=10ms start=3ms stop=50ms\n"
+    )
+    trace = tmp_path / "tie.tr"
+    run_scenario(spec, trace_path=str(trace))
+    at_13ms = [line for line in trace.read_text().splitlines() if " 0.013000000 " in line]
+    assert at_13ms == [
+        "+ 0.013000000 0 1 cbr 1 ------- 2 0.1 1.1 1 2",
+        "- 0.013000000 0 1 cbr 1 ------- 2 0.1 1.1 1 2",
+        "r 0.013000000 0 1 cbr 1000 ------- 1 0.0 1.0 0 0",
+    ]
