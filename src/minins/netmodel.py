@@ -36,6 +36,7 @@ class Packet:
     dport: int
     seq: int  # per-flow sequence number
     birth: int  # ns
+    tail: str | None = field(default=None, repr=False, compare=False)  # TraceWriter's cache
 
 
 @dataclass

@@ -4,8 +4,10 @@ Each test finishes by printing a PASS line (visible with pytest -s);
 a failed assertion means the criterion itself failed.
 """
 
+import multiprocessing
 import random
 import shutil
+from concurrent.futures import ProcessPoolExecutor
 
 from minins.analyze import analyze_trace, flow_stats, utilization
 from minins.engine import EventEngine, seconds
@@ -49,16 +51,22 @@ def test_criterion_2_deterministic_cbr_golden(cbr_run):
     print("PASS criterion 2: cbr golden exact (99600 pkts, 21.6 ms, 15.936%)")
 
 
-def test_criterion_3_paper_scenario_bands_over_ten_seeds():
+def paper_seed_totals(seed):
+    """(exp sink bytes, utilization %, bottleneck drops) of one paper.scn seed."""
     spec = parse_scenario((golden_dir() / "paper.scn").read_text())
-    for seed in range(1, 11):
-        sim = Simulation(spec, seed=seed)  # trace-free: bands are about totals
-        result = sim.run()
-        exp_bytes = sim.sinks[0].bytes
+    sim = Simulation(spec, seed=seed)  # trace-free: bands are about totals
+    result = sim.run()
+    return sim.sinks[0].bytes, result.utilization_pct, sim.network.link(2, 3).drops
+
+
+def test_criterion_3_paper_scenario_bands_over_ten_seeds():
+    seeds = range(1, 11)  # each run is a pure function of its seed, so they run in parallel
+    with ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn")) as pool:
+        totals = list(pool.map(paper_seed_totals, seeds))
+    for seed, (exp_bytes, utilization_pct, bottleneck_drops) in zip(seeds, totals):
         assert abs(exp_bytes - EXP_BYTES_EXPECTED) / EXP_BYTES_EXPECTED <= 0.05, seed
-        assert 62.0 <= result.utilization_pct <= 69.0, seed
-        bottleneck = sim.network.link(2, 3)
-        assert bottleneck.drops == 0, seed
+        assert 62.0 <= utilization_pct <= 69.0, seed
+        assert bottleneck_drops == 0, seed
     print("PASS criterion 3: 10 seeds inside +-5% byte band, util in [62,69], 0 drops")
 
 

@@ -5,7 +5,7 @@ import pytest
 import minins.analyze
 from minins.analyze import analyze_trace, flow_stats, utilization
 from minins.errors import TraceError
-from minins.trace import parse_line
+from minins.trace import parse_event, parse_line
 
 
 def trace(*lines):
@@ -97,9 +97,9 @@ def test_analyze_trace_parses_each_line_once(monkeypatch):
 
     def counting_parse(text, lineno=None):
         calls.append(lineno)
-        return parse_line(text, lineno)
+        return parse_event(text, lineno)
 
-    monkeypatch.setattr(minins.analyze, "parse_line", counting_parse)
+    monkeypatch.setattr(minins.analyze, "parse_event", counting_parse)
     report = analyze_trace(GOOD[:2] + ["\n"] + GOOD[2:], (2, 1, 3), 1.0)
     assert calls == [1, 2, 4, 5, 6]
     assert report.flow.received == 1 and report.series and report.violations == []

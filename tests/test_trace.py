@@ -1,11 +1,12 @@
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from minins.engine import EventEngine, seconds
 from minins.errors import TraceError
 from minins.netmodel import Network, Packet
 from minins.qdisc import QdiscConfig
-from minins.trace import FLAGS, TraceWriter, parse_line
+from minins.trace import FLAGS, TraceWriter, parse_event, parse_line
 from minins.units import format_time_fixed
 
 
@@ -29,6 +30,27 @@ def written_lines(tmp_path, *records):
 def test_writer_matches_fixed_layout(tmp_path):
     lines = written_lines(tmp_path, ("+", seconds(1), 1, 2, sample_packet()))
     assert lines == ["+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7\n"]
+
+
+def fixed_layout(op, time, from_node, to_node, pkt):
+    return (f"{op} {format_time_fixed(time)} {from_node} {to_node} {pkt.ptype} {pkt.size}"
+            f" {FLAGS} {pkt.fid} {pkt.src}.{pkt.sport} {pkt.dst}.{pkt.dport} {pkt.seq} {pkt.uid}\n")
+
+
+def test_writer_formats_tail_per_packet_and_time_per_instant(tmp_path):
+    a = sample_packet()
+    b = sample_packet(uid=8, fid=3, ptype="exp", size=40, src=4, sport=1, dst=5, dport=2, seq=9)
+    records = [
+        ("+", 0, 1, 2, a),  # first record at time 0
+        ("-", 0, 1, 2, a),  # same packet, same instant
+        ("+", 0, 4, 2, b),  # a second packet, interleaved with the first
+        ("+", 800_000, 2, 3, a),  # a later instant
+        ("-", 800_000, 4, 2, b),
+        ("-", 800_000, 2, 3, a),
+        ("r", 1_600_000, 2, 3, a),
+        ("d", seconds(2) + 1, 4, 2, b),
+    ]
+    assert written_lines(tmp_path, *records) == [fixed_layout(*r) for r in records]
 
 
 def test_time_renders_with_nine_fractional_digits():
@@ -75,6 +97,29 @@ def test_parse_line_returns_tuple_or_trace_error(text):
     else:
         assert isinstance(fields, tuple) and len(fields) == 14
         assert text.isascii()
+
+
+packets = st.builds(Packet, uid=naturals, fid=naturals, ptype=st.sampled_from(["cbr", "exp"]),
+                    size=naturals, src=naturals, sport=naturals, dst=naturals,
+                    dport=naturals, seq=naturals, birth=st.just(0))
+records = st.tuples(st.sampled_from("+-rd"), naturals, naturals, naturals, packets)
+
+
+@given(st.one_of(odd_text, one_field_off, records))
+@example(" ".join(VALID_FIELDS[:10] + ["9" * 5000] + VALID_FIELDS[11:]))  # a seq int() refuses
+def test_parse_event_agrees_with_parse_line(tmp_path_factory, source):
+    if isinstance(source, tuple):  # a record, so the line TraceWriter writes for it
+        [text] = written_lines(tmp_path_factory.mktemp("ev"), source)
+    else:
+        text = source
+    try:
+        fields = parse_line(text, 9)
+    except TraceError as err:
+        with pytest.raises(TraceError) as fast_err:
+            parse_event(text, 9)
+        assert (str(fast_err.value), fast_err.value.lineno) == (str(err), err.lineno)
+    else:
+        assert parse_event(text, 9) == tuple(fields[i] for i in (0, 1, 2, 3, 5, 7, 13))
 
 
 def test_writer_appends_one_line_per_record(tmp_path):
