@@ -3,8 +3,9 @@
 Simulation time is integer nanoseconds, so all scheduling arithmetic is
 exact and runs are bit-reproducible. Events at equal times dispatch in
 insertion (FIFO) order via a monotone sequence counter. The engine knows
-nothing about packets; actions are plain zero-argument callables closing
-over simulation state. A scheduled event always runs once its time is
+nothing about packets; actions are zero-argument callables bound once
+per component (a bound method or a `functools.partial`), not closures
+made per event. A scheduled event always runs once its time is
 reached: a component that has to stop never schedules past its stop.
 """
 

@@ -15,7 +15,10 @@ per-hop processing delay is modeled.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .errors import InternalError, SimulationError
 from .qdisc import build_qdisc
@@ -46,10 +49,15 @@ class SimplexLink:
     bandwidth: int  # bits/s
     delay: int  # propagation, ns
     qdisc: object
-    transmitting: bool = field(default=False, repr=False)
+    sending: Packet | None = field(default=None, repr=False)  # on the wire now
     enqueued: int = 0  # running event counters, mirror the trace
     dequeued: int = 0
     drops: int = 0
+    # Sent but not yet arrived, oldest first: the delay is constant, so
+    # arrivals fall due in transmit order.
+    in_flight: deque = field(default_factory=deque, repr=False)
+    tx_done: Callable[[], None] | None = field(default=None, repr=False)
+    arrive: Callable[[], None] | None = field(default=None, repr=False)
 
 
 def tx_time(size: int, bandwidth: int) -> int:
@@ -82,6 +90,10 @@ class Network:
         for a, b, bandwidth, delay, qdisc_config in duplex_links:
             for frm, to in ((a, b), (b, a)):
                 link = SimplexLink(frm, to, bandwidth, delay, build_qdisc(qdisc_config))
+                # The link's engine actions, bound once instead of a
+                # closure per packet.
+                link.tx_done = partial(self._tx_complete, link)
+                link.arrive = partial(self._arrive, link)
                 self.links.append(link)
                 self._link_by_pair[(frm, to)] = link
                 self._links_into[to].append(link)
@@ -130,8 +142,15 @@ class Network:
     def forward(self, node: int, pkt: Packet, via_link: SimplexLink | None = None) -> None:
         """Move `pkt` onward from `node`: deliver here, or queue on the
         outgoing link toward pkt.dst (starting transmission if idle)."""
+        now = self.engine.now()
+        tracer = self.tracer
         if node == pkt.dst:
-            self._deliver(node, pkt, via_link)
+            frm = via_link.from_node if via_link is not None else node
+            tracer.record("r", now, frm, node, pkt)
+            receiver = self._receivers.get((node, pkt.dport))
+            if receiver is None:
+                raise InternalError(f"no receiver bound at node {node} port {pkt.dport}")
+            receiver(pkt)
             return
         column = self._routes[pkt.dst]
         if column is None:
@@ -139,38 +158,28 @@ class Network:
         link = column[node]
         if link is None:
             raise SimulationError(f"no route from node {node} to node {pkt.dst}")
-        self.tracer.record("+", self.engine.now(), link.from_node, link.to_node, pkt)
+        tracer.record("+", now, link.from_node, link.to_node, pkt)
         link.enqueued += 1
-        result = link.qdisc.enqueue(pkt)
-        if result.dropped is not None:
-            self.tracer.record("d", self.engine.now(), link.from_node, link.to_node, result.dropped)
+        victim = link.qdisc.enqueue(pkt).dropped
+        if victim is not None:
+            tracer.record("d", now, link.from_node, link.to_node, victim)
             link.drops += 1
-        if not link.transmitting:
-            self._start_tx(link)
+        if link.sending is None:
+            self._start_tx(link, now)
 
-    def _deliver(self, node: int, pkt: Packet, via_link: SimplexLink | None) -> None:
-        frm = via_link.from_node if via_link is not None else node
-        self.tracer.record("r", self.engine.now(), frm, node, pkt)
-        receiver = self._receivers.get((node, pkt.dport))
-        if receiver is None:
-            raise InternalError(f"no receiver bound at node {node} port {pkt.dport}")
-        receiver(pkt)
-
-    def _start_tx(self, link: SimplexLink) -> None:
-        pkt = link.qdisc.dequeue()
+    def _start_tx(self, link: SimplexLink, now: int) -> None:
+        pkt = link.sending = link.qdisc.dequeue()
         if pkt is None:
-            link.transmitting = False
             return
-        now = self.engine.now()
         self.tracer.record("-", now, link.from_node, link.to_node, pkt)
         link.dequeued += 1
-        link.transmitting = True
-        self.engine.schedule(
-            now + tx_time(pkt.size, link.bandwidth), lambda: self._tx_complete(link, pkt)
-        )
+        self.engine.schedule(now + tx_time(pkt.size, link.bandwidth), link.tx_done)
 
-    def _tx_complete(self, link: SimplexLink, pkt: Packet) -> None:
-        self.engine.schedule(
-            self.engine.now() + link.delay, lambda: self.forward(link.to_node, pkt, link)
-        )
-        self._start_tx(link)  # next waiting packet, back to back
+    def _tx_complete(self, link: SimplexLink) -> None:
+        now = self.engine.now()
+        link.in_flight.append(link.sending)
+        self.engine.schedule(now + link.delay, link.arrive)
+        self._start_tx(link, now)  # next waiting packet, back to back
+
+    def _arrive(self, link: SimplexLink) -> None:
+        self.forward(link.to_node, link.in_flight.popleft(), link)

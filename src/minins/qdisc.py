@@ -5,10 +5,15 @@ SFQ hashes flows into buckets served round-robin; on overflow it drops
 from the tail of the currently longest bucket (lowest bucket index on
 ties), which is the arriving packet whenever its own bucket is longest.
 Both count occupancy in packets, not bytes.
+
+SFQ keeps only the buckets its flows have used, plus a sorted list of
+the non-empty ones, so its memory grows with the number of flows and
+its service cost with the number of busy buckets, not with `buckets`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -26,9 +31,12 @@ class QdiscConfig:
     buckets: int = SFQ_DEFAULT_BUCKETS  # meaningful for sfq only
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EnqueueResult:
     dropped: object | None = None  # victim Packet, arriving or resident
+
+
+ACCEPTED = EnqueueResult()  # shared result of every enqueue that drops nothing
 
 
 def sfq_bucket(fid: int, buckets: int) -> int:
@@ -48,7 +56,7 @@ class DropTail:
     def enqueue(self, pkt) -> EnqueueResult:
         if len(self._q) < self.limit:
             self._q.append(pkt)
-            return EnqueueResult()
+            return ACCEPTED
         return EnqueueResult(dropped=pkt)
 
     def dequeue(self):
@@ -66,33 +74,50 @@ class Sfq:
     def __init__(self, limit: int = SFQ_DEFAULT_LIMIT, buckets: int = SFQ_DEFAULT_BUCKETS):
         self.limit = limit
         self.buckets = buckets
-        self._q: list[deque] = [deque() for _ in range(buckets)]
+        self._q: dict[int, deque] = {}  # bucket index -> FIFO, made on first use
+        self._busy: list[int] = []  # indices of non-empty buckets, ascending
+        self._bucket_of: dict[int, int] = {}  # fid -> bucket index
         self._held = 0
-        self._rr = buckets - 1  # last-served bucket; scan starts after it
+        self._rr = buckets - 1  # last-served bucket; service resumes after it
 
     def enqueue(self, pkt) -> EnqueueResult:
-        bucket = self._q[sfq_bucket(pkt.fid, self.buckets)]
+        idx = self._bucket_of.get(pkt.fid)
+        if idx is None:
+            idx = self._bucket_of[pkt.fid] = sfq_bucket(pkt.fid, self.buckets)
+            self._q.setdefault(idx, deque())
+        bucket = self._q[idx]
+        if not bucket:
+            insort(self._busy, idx)
         bucket.append(pkt)
         if self._held < self.limit:
             self._held += 1
-            return EnqueueResult()
+            return ACCEPTED
         # Overflow: evict from the tail of the longest bucket, lowest
         # index on ties. If the arriving bucket is longest, the arrival
         # itself just became that tail.
-        longest = max(self._q, key=len)
-        victim = longest.pop()
+        queues = self._q
+        longest = max(self._busy, key=lambda i: len(queues[i]))
+        victim = queues[longest].pop()
+        if not queues[longest]:
+            self._busy.remove(longest)
         return EnqueueResult(dropped=victim)
 
     def dequeue(self):
-        if self._held == 0:
+        busy = self._busy
+        if not busy:
             return None
-        for step in range(1, self.buckets + 1):
-            idx = (self._rr + step) % self.buckets
-            if self._q[idx]:
-                self._rr = idx
-                self._held -= 1
-                return self._q[idx].popleft()
-        return None  # unreachable while _held is consistent
+        # The first busy bucket after the last-served one, wrapping
+        # around to the lowest: the bucket a cyclic scan would reach.
+        pos = bisect_right(busy, self._rr)
+        if pos == len(busy):
+            pos = 0
+        idx = self._rr = busy[pos]
+        bucket = self._q[idx]
+        pkt = bucket.popleft()
+        if not bucket:
+            del busy[pos]
+        self._held -= 1
+        return pkt
 
     def held(self) -> int:
         return self._held

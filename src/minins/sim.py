@@ -68,7 +68,6 @@ class Simulation:
         self.sinks: list[SinkMonitor] = []
         self.agents: dict[str, UdpAgent] = {}
         self.generators: list = []
-        self._uid_counter = itertools.count()
         self._build()
         # Opened only after a successful build: a scenario that fails to
         # build leaves no trace file behind.
@@ -76,9 +75,6 @@ class Simulation:
         self.network.tracer = self.tracer
 
     # -- construction ------------------------------------------------------
-
-    def _alloc_uid(self) -> int:
-        return next(self._uid_counter)
 
     def _build(self) -> None:
         spec = self.spec
@@ -90,13 +86,15 @@ class Simulation:
 
         # Each udp directive creates its source agent and its own sink
         # monitor; ports fall out of creation order, agent then sink.
+        # Packet uids come from one counter shared by every agent.
+        next_uid = itertools.count().__next__
         for agent_spec in spec.agents:
             src = node_id[agent_spec.src]
             src_port = self.network.allot_port(src)
             sink_node = node_id[agent_spec.sink]
             sink = SinkMonitor(sink_node, self.network.allot_port(sink_node), self.engine.now)
             self.network.bind_receiver(sink.node, sink.port, sink.on_receive)
-            agent = UdpAgent(self.network, src, src_port, agent_spec.fid, self._alloc_uid,
+            agent = UdpAgent(self.network, src, src_port, agent_spec.fid, next_uid,
                              sink.node, sink.port)
             self.agents[agent_spec.name] = agent
             self.sinks.append(sink)

@@ -54,18 +54,9 @@ class UdpAgent:
     def send(self, size: int, ptype: str) -> Packet:
         seq = self._next_seq
         self._next_seq = seq + 1
-        pkt = Packet(
-            uid=self._alloc_uid(),
-            fid=self.fid,
-            ptype=ptype,
-            size=size,
-            src=self.node,
-            sport=self.port,
-            dst=self.peer_node,
-            dport=self.peer_port,
-            seq=seq,
-            birth=self.network.engine.now(),
-        )
+        # Positional, in field order: uid fid ptype size src sport dst dport seq birth.
+        pkt = Packet(self._alloc_uid(), self.fid, ptype, size, self.node, self.port,
+                     self.peer_node, self.peer_port, seq, self.network.engine.now())
         self.network.forward(self.node, pkt)
         return pkt
 

@@ -7,6 +7,9 @@ classes, no shared code with the simulator beyond arithmetic on ints.
 Creation order mirrors the simulator's documented FIFO tie-break: the
 initial injections first, then events in the order causality creates
 them (service completion, then arrival, then next service).
+
+ReferenceSfq is SFQ the same way: one plain list per bucket and a
+linear scan for every service and every eviction.
 """
 
 import itertools
@@ -90,3 +93,56 @@ def reference_outcome(scenario: MicroScenario):
         else:  # arrive
             handle_at(pair[1], pkt, now)
     return delivered, dropped
+
+
+def reference_bucket(fid: int, buckets: int) -> int:
+    """splitmix64 finalizer mod buckets, transcribed independently of
+    the implementation under test."""
+    z = fid & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    z = z ^ (z >> 31)
+    return z % buckets
+
+
+class ReferenceSfq:
+    """SFQ as plain lists, scanned linearly.
+
+    Service: the non-empty bucket met first by a cyclic scan that starts
+    just after the last-served bucket. Overflow: the arrival is queued,
+    then the tail of the longest bucket (lowest index on ties) goes.
+    Only buckets some flow hashed to are kept, so `buckets` may be huge;
+    the scan measures each one's cyclic distance from its start instead
+    of stepping through every index.
+    """
+
+    def __init__(self, limit: int, buckets: int):
+        self.limit = limit
+        self.buckets = buckets
+        self.lists = {}  # bucket index -> list of packets, oldest first
+        self.last_served = buckets - 1
+
+    def held(self) -> int:
+        return sum(len(q) for q in self.lists.values())
+
+    def enqueue(self, pkt):
+        """Returns the drop victim, or None."""
+        self.lists.setdefault(reference_bucket(pkt.fid, self.buckets), []).append(pkt)
+        if self.held() <= self.limit:
+            return None
+        longest = None
+        for idx, q in self.lists.items():
+            if q and (longest is None or (len(q), -idx) > (len(self.lists[longest]), -longest)):
+                longest = idx
+        return self.lists[longest].pop()
+
+    def dequeue(self):
+        best = None
+        for idx, q in self.lists.items():
+            distance = (idx - self.last_served - 1) % self.buckets
+            if q and (best is None or distance < best[0]):
+                best = (distance, idx)
+        if best is None:
+            return None
+        self.last_served = best[1]
+        return self.lists[best[1]].pop(0)

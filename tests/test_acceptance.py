@@ -246,6 +246,31 @@ def test_criterion_8_micro_oracle_equivalence():
     print("PASS criterion 8: 1000 micro scenarios match the brute-force model exactly")
 
 
+def _zero_tx_micro_scenario(rng: random.Random) -> MicroScenario:
+    # At 10**12 b/s a packet under 125 B serializes in 0 ns, so a burst
+    # injected at one instant is sent, and with delay 0 also arrives, at
+    # that same instant.
+    links = {}
+    for a, b in rng.choice(TOPOLOGIES):
+        link = MicroLink(limit=rng.randint(1, 3), bandwidth=10**12,
+                         delay=rng.choice([0, 0, 1_000]))
+        links[(a, b)] = link
+        links[(b, a)] = MicroLink(link.limit, link.bandwidth, link.delay)
+    injections = [
+        (rng.randrange(2) * 1_000, uid, rng.randrange(3), rng.randrange(3), rng.randint(1, 124))
+        for uid in range(rng.randint(1, 16))
+    ]
+    return MicroScenario(node_count=3, links=links, injections=injections)
+
+
+def test_zero_transmit_time_arrivals_match_the_brute_force_model():
+    rng = random.Random(808)
+    for trial in range(300):
+        scenario = _zero_tx_micro_scenario(rng)
+        assert _simulator_outcome(scenario) == reference_outcome(scenario), \
+            f"trial {trial}: {scenario}"
+
+
 def test_criterion_9_validate_passes_clean_and_fails_perturbed(tmp_path, capsys):
     messages = []
     assert run_validate(write=messages.append) is True

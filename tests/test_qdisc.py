@@ -2,26 +2,28 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minins.errors import ScenarioError
-from minins.qdisc import DropTail, EnqueueResult, QdiscConfig, Sfq, build_qdisc, sfq_bucket
+from minins.qdisc import (
+    ACCEPTED,
+    DropTail,
+    EnqueueResult,
+    QdiscConfig,
+    Sfq,
+    build_qdisc,
+    sfq_bucket,
+)
 from minins.scenario import parse_scenario
+
+from reference_model import ReferenceSfq, reference_bucket
 
 
 @dataclass
 class Pkt:
     uid: int
     fid: int = 0
-
-
-def reference_splitmix64_bucket(fid, buckets):
-    # Independent transcription of the splitmix64 finalizer, kept
-    # deliberately separate from the implementation under test.
-    z = fid & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    z = z ^ (z >> 31)
-    return z % buckets
 
 
 # -- DropTail ---------------------------------------------------------------
@@ -69,7 +71,7 @@ def test_droptail_matches_list_model_on_random_interleavings():
 def test_sfq_bucket_matches_reference_hash():
     for fid in list(range(64)) + [10**9, 2**63, 2**64 - 1]:
         for buckets in (1, 7, 16):
-            assert sfq_bucket(fid, buckets) == reference_splitmix64_bucket(fid, buckets)
+            assert sfq_bucket(fid, buckets) == reference_bucket(fid, buckets)
 
 
 def test_sfq_bucket_pure_and_mod_one():
@@ -166,6 +168,33 @@ def test_sfq_conservation_counts():
             deq += 1
         assert q.held() <= 10
     assert enq == deq + drops + q.held()
+
+
+# Each op enqueues a packet of that fid, or dequeues on None.
+SFQ_OPS = st.lists(st.one_of(st.none(), st.integers(0, 9)), max_size=300)
+
+
+@settings(max_examples=400, deadline=None)
+@given(buckets=st.sampled_from([1, 2, 16, 17, 10**9]), limit=st.integers(1, 24), ops=SFQ_OPS)
+# limit 1, fids 1 and 2 in buckets 5 and 10 of 16: the tie evicts the
+# resident of bucket 5 and empties it, so bucket 10 is served next.
+@example(buckets=16, limit=1, ops=[1, 2, None, None, 1, None])
+def test_sfq_matches_plain_list_reference(buckets, limit, ops):
+    q = Sfq(limit=limit, buckets=buckets)
+    ref = ReferenceSfq(limit=limit, buckets=buckets)
+    for uid, fid in enumerate(ops):
+        if fid is None:
+            assert q.dequeue() is ref.dequeue()
+        else:
+            pkt = Pkt(uid, fid)
+            assert q.enqueue(pkt).dropped is ref.enqueue(pkt)
+        assert q.held() == ref.held()
+
+
+def test_enqueue_without_drop_returns_the_shared_result():
+    assert DropTail(limit=1).enqueue(Pkt(1)) is ACCEPTED
+    assert Sfq(limit=1).enqueue(Pkt(1)) is ACCEPTED
+    assert ACCEPTED.dropped is None
 
 
 # -- config ------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import re
 
+from minins.golden import golden_dir
 from minins.scenario import parse_scenario
-from minins.sim import run_scenario
+from minins.sim import Simulation, run_scenario
 
 SHORT_PAPER = """\
 sim duration=20s seed=77
@@ -187,3 +188,18 @@ def test_same_instant_events_keep_schedule_order(tmp_path):
         "- 0.013000000 0 1 cbr 1 ------- 2 0.1 1.1 1 2",
         "r 0.013000000 0 1 cbr 1000 ------- 1 0.0 1.0 0 0",
     ]
+
+
+def test_huge_sfq_bucket_count_runs_and_conserves_packets():
+    # A billion buckets is a valid scenario: SFQ keeps only the buckets
+    # its two flows use, so the run neither hangs nor exhausts memory.
+    text = (golden_dir() / "sfq_pair.scn").read_text()
+    assert text.count("queue=sfq") == 1
+    spec = parse_scenario(text.replace("queue=sfq", "queue=sfq buckets=1000000000"))
+    sim = Simulation(spec)
+    result = sim.run()
+    assert result.npkts > 0
+    sfq_links = [link for link in sim.network.links if link.qdisc.kind == "sfq"]
+    assert len(sfq_links) == 2 and sfq_links[0].qdisc.buckets == 10**9
+    for link in sim.network.links:
+        assert link.enqueued == link.dequeued + link.drops + link.qdisc.held()
