@@ -7,11 +7,14 @@ nothing about packets; actions are zero-argument callables bound once
 per component (a bound method or a `functools.partial`), not closures
 made per event. A scheduled event always runs once its time is
 reached: a component that has to stop never schedules past its stop.
+
+The clock is the plain attribute `engine.now`, read without a call on
+the per-packet path; only the engine writes it.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable
 
 from .errors import SimulationError
@@ -31,23 +34,19 @@ class EventEngine:
     """
 
     def __init__(self):
-        self._now = 0
+        self.now = 0  # time of the most recently dispatched event (0 before any)
         self._heap: list[tuple] = []  # (time_ns, seq, action)
         self._next_seq = 0
 
-    def now(self) -> int:
-        """Time of the most recently dispatched event (0 before any)."""
-        return self._now
-
     def schedule(self, time: int, action: Callable[[], None]) -> None:
         """Schedule `action` at absolute time `time` (ns). Never in the past."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} ns: clock already at {self._now} ns"
+                f"cannot schedule at {time} ns: clock already at {self.now} ns"
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, action))
+        heappush(self._heap, (time, seq, action))
 
     def run_until(self, limit: int) -> int:
         """Dispatch every event with time <= limit in (time, seq) order.
@@ -59,7 +58,7 @@ class EventEngine:
         """
         heap = self._heap
         while heap and heap[0][0] <= limit:
-            time, _, action = heapq.heappop(heap)
-            self._now = time
+            time, _, action = heappop(heap)
+            self.now = time
             action()
-        return self._now
+        return self.now

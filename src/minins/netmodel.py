@@ -11,6 +11,13 @@ drop), dequeue ('-') when the head of line wins the link, then arrival
 at the far node after transmission time plus propagation delay. The far
 node either delivers to a bound receiver ('r') or forwards onward. No
 per-hop processing delay is modeled.
+
+The per-packet path makes no call that cannot change state. It reads
+the clock as the attribute `engine.now`, skips every trace record when
+`tracer` is None (no trace file), and dequeues only when a packet is
+waiting: a link's counters say so, since `enqueued - drops - dequeued`
+is what its queue holds (`qdisc.held()`). An idle link's queue is
+empty, so the packet enqueued on it is always accepted and sent at once.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ class Network:
 
     def __init__(self, engine, tracer, node_count: int, duplex_links):
         self.engine = engine
-        self.tracer = tracer
+        self.tracer = tracer  # None: no trace file, so nothing is recorded
         self.node_count = node_count
         self.links: list[SimplexLink] = []
         self._link_by_pair: dict[tuple[int, int], SimplexLink] = {}
@@ -142,11 +149,12 @@ class Network:
     def forward(self, node: int, pkt: Packet, via_link: SimplexLink | None = None) -> None:
         """Move `pkt` onward from `node`: deliver here, or queue on the
         outgoing link toward pkt.dst (starting transmission if idle)."""
-        now = self.engine.now()
+        now = self.engine.now
         tracer = self.tracer
         if node == pkt.dst:
-            frm = via_link.from_node if via_link is not None else node
-            tracer.record("r", now, frm, node, pkt)
+            if tracer is not None:
+                frm = via_link.from_node if via_link is not None else node
+                tracer.record("r", now, frm, node, pkt)
             receiver = self._receivers.get((node, pkt.dport))
             if receiver is None:
                 raise InternalError(f"no receiver bound at node {node} port {pkt.dport}")
@@ -158,28 +166,34 @@ class Network:
         link = column[node]
         if link is None:
             raise SimulationError(f"no route from node {node} to node {pkt.dst}")
-        tracer.record("+", now, link.from_node, link.to_node, pkt)
+        if tracer is not None:
+            tracer.record("+", now, link.from_node, link.to_node, pkt)
         link.enqueued += 1
         victim = link.qdisc.enqueue(pkt).dropped
         if victim is not None:
-            tracer.record("d", now, link.from_node, link.to_node, victim)
+            if tracer is not None:
+                tracer.record("d", now, link.from_node, link.to_node, victim)
             link.drops += 1
         if link.sending is None:
             self._start_tx(link, now)
 
     def _start_tx(self, link: SimplexLink, now: int) -> None:
+        """Send the next waiting packet; the caller knows one is waiting."""
         pkt = link.sending = link.qdisc.dequeue()
-        if pkt is None:
-            return
-        self.tracer.record("-", now, link.from_node, link.to_node, pkt)
+        if self.tracer is not None:
+            self.tracer.record("-", now, link.from_node, link.to_node, pkt)
         link.dequeued += 1
-        self.engine.schedule(now + tx_time(pkt.size, link.bandwidth), link.tx_done)
+        # tx_time(pkt.size, link.bandwidth), inline
+        self.engine.schedule(now + pkt.size * 8 * NS_PER_SEC // link.bandwidth, link.tx_done)
 
     def _tx_complete(self, link: SimplexLink) -> None:
-        now = self.engine.now()
+        now = self.engine.now
         link.in_flight.append(link.sending)
         self.engine.schedule(now + link.delay, link.arrive)
-        self._start_tx(link, now)  # next waiting packet, back to back
+        if link.enqueued - link.drops > link.dequeued:  # qdisc.held() > 0
+            self._start_tx(link, now)  # next waiting packet, back to back
+        else:
+            link.sending = None
 
     def _arrive(self, link: SimplexLink) -> None:
         self.forward(link.to_node, link.in_flight.popleft(), link)

@@ -26,7 +26,7 @@ from .qdisc import (
     SFQ_DEFAULT_LIMIT,
     QdiscConfig,
 )
-from .units import parse_bandwidth, parse_time, render_bandwidth, render_time
+from .units import MAX_VALUE, bounded_int, parse_bandwidth, parse_time
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,13 @@ class _Directive:
             )
 
     def time(self, key: str) -> int:
-        return self._fail_with_line(parse_time, self.opt(key))
+        return self._fail_with_line(key, parse_time, self.opt(key))
 
     def bandwidth(self, key: str) -> int:
-        return self._fail_with_line(parse_bandwidth, self.opt(key))
+        return self._fail_with_line(key, parse_bandwidth, self.opt(key))
 
-    def integer(self, key: str, required: bool = True, default: int | None = None) -> int | None:
+    def integer(self, key: str, required: bool = True, default: int | None = None,
+                maximum: int = MAX_VALUE) -> int | None:
         raw = self.opt(key, required)
         if raw is None:
             return default
@@ -131,13 +132,13 @@ class _Directive:
             raise ScenarioError(
                 f"line {self.lineno}: {key}= wants a non-negative integer, got {raw!r}"
             )
-        return int(raw)
+        return self._fail_with_line(key, bounded_int, raw, "value", maximum)
 
-    def _fail_with_line(self, parser, raw):
+    def _fail_with_line(self, key: str, parser, *args):
         try:
-            return parser(raw)
+            return parser(*args)
         except ScenarioError as exc:
-            raise ScenarioError(f"line {self.lineno}: {exc}") from None
+            raise ScenarioError(f"line {self.lineno}: {key}: {exc}") from None
 
 
 def _components(nodes: list[str], links: list[LinkSpec]) -> dict[str, str]:
@@ -181,9 +182,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 raise ScenarioError(f"line {lineno}: duplicate sim directive")
             d = _Directive(lineno, _split_options(args, lineno))
             duration = d.time("duration")
-            seed = d.integer("seed", required=False, default=0)
-            if not 0 <= seed < (1 << 64):
-                raise ScenarioError(f"line {lineno}: seed must fit in 64 bits")
+            seed = d.integer("seed", required=False, default=0, maximum=2**64 - 1)
             d.check_no_extras()
             sim_directive = (duration, seed)
 
@@ -334,41 +333,3 @@ def parse_scenario(text: str) -> ScenarioSpec:
         generators=generators,
         trace_path=trace_path,
     )
-
-
-def render_scenario(spec: ScenarioSpec) -> str:
-    """Canonical text for a spec; parse_scenario(render_scenario(s)) == s."""
-    out = [f"sim duration={render_time(spec.duration)} seed={spec.seed}"]
-    for node in spec.nodes:
-        out.append(f"node {node}")
-    for link in spec.links:
-        line = (
-            f"duplex-link {link.a} {link.b} bw={render_bandwidth(link.bandwidth)}"
-            f" delay={render_time(link.delay)} queue={link.qdisc.kind}"
-            f" limit={link.qdisc.limit}"
-        )
-        if link.qdisc.kind == "sfq":
-            line += f" buckets={link.qdisc.buckets}"
-        out.append(line)
-    for agent in spec.agents:
-        line = f"udp {agent.name} src={agent.src} sink={agent.sink} fid={agent.fid}"
-        if agent.color is not None:
-            line += f" color={agent.color}"
-        out.append(line)
-    for gen in spec.generators:
-        if gen.kind == "cbr":
-            out.append(
-                f"cbr agent={gen.agent} size={gen.size}"
-                f" interval={render_time(gen.interval)}"
-                f" start={render_time(gen.start)} stop={render_time(gen.stop)}"
-            )
-        else:
-            out.append(
-                f"exp agent={gen.agent} size={gen.size}"
-                f" burst={render_time(gen.burst)} idle={render_time(gen.idle)}"
-                f" rate={render_bandwidth(gen.rate)}"
-                f" start={render_time(gen.start)} stop={render_time(gen.stop)}"
-            )
-    if spec.trace_path is not None:
-        out.append(f"trace file={spec.trace_path}")
-    return "\n".join(out) + "\n"

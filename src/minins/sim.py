@@ -16,7 +16,7 @@ from .engine import EventEngine
 from .netmodel import Network
 from .rng import SplitMix64
 from .scenario import ScenarioSpec
-from .trace import NullTracer, TraceWriter
+from .trace import TraceWriter
 from .traffic import (
     CbrGenerator,
     ExpOnOffGenerator,
@@ -71,7 +71,7 @@ class Simulation:
         self._build()
         # Opened only after a successful build: a scenario that fails to
         # build leaves no trace file behind.
-        self.tracer = TraceWriter(self.trace_path) if self.trace_path else NullTracer()
+        self.tracer = TraceWriter(self.trace_path) if self.trace_path else None
         self.network.tracer = self.tracer
 
     # -- construction ------------------------------------------------------
@@ -79,7 +79,7 @@ class Simulation:
     def _build(self) -> None:
         spec = self.spec
         node_id = {name: k for k, name in enumerate(spec.nodes)}
-        self.network = Network(self.engine, NullTracer(), len(spec.nodes), [
+        self.network = Network(self.engine, None, len(spec.nodes), [
             (node_id[link.a], node_id[link.b], link.bandwidth, link.delay, link.qdisc)
             for link in spec.links
         ])
@@ -92,7 +92,7 @@ class Simulation:
             src = node_id[agent_spec.src]
             src_port = self.network.allot_port(src)
             sink_node = node_id[agent_spec.sink]
-            sink = SinkMonitor(sink_node, self.network.allot_port(sink_node), self.engine.now)
+            sink = SinkMonitor(sink_node, self.network.allot_port(sink_node), self.engine)
             self.network.bind_receiver(sink.node, sink.port, sink.on_receive)
             agent = UdpAgent(self.network, src, src_port, agent_spec.fid, next_uid,
                              sink.node, sink.port)
@@ -120,11 +120,12 @@ class Simulation:
         try:
             self.engine.run_until(self.spec.duration)
         finally:
-            self.tracer.close_flush()
+            if self.tracer is not None:
+                self.tracer.close_flush()
         return self._result()
 
     def _result(self) -> RunResult:
-        duration = self.engine.now()
+        duration = self.engine.now
         npkts = sum(s.npkts for s in self.sinks)
         total_bytes = sum(s.bytes for s in self.sinks)
         nlost = sum(s.nlost for s in self.sinks)

@@ -62,18 +62,6 @@ class TraceWriter:
             self._file.close()
 
 
-class NullTracer:
-    """Tracer stand-in when no trace file was requested."""
-
-    path = None
-
-    def record(self, op, time, from_node, to_node, pkt) -> None:
-        pass
-
-    def close_flush(self) -> None:
-        pass
-
-
 def _parse_addr(field: str, lineno, what: str) -> tuple[int, int]:
     node, dot, port = field.partition(".")
     if not dot or not node.isdigit() or not port.isdigit():

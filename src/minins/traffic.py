@@ -56,7 +56,7 @@ class UdpAgent:
         self._next_seq = seq + 1
         # Positional, in field order: uid fid ptype size src sport dst dport seq birth.
         pkt = Packet(self._alloc_uid(), self.fid, ptype, size, self.node, self.port,
-                     self.peer_node, self.peer_port, seq, self.network.engine.now())
+                     self.peer_node, self.peer_port, seq, self.network.engine.now)
         self.network.forward(self.node, pkt)
         return pkt
 
@@ -78,10 +78,10 @@ class SinkMonitor:
     is the exact count.
     """
 
-    def __init__(self, node: int, port: int, clock):
+    def __init__(self, node: int, port: int, engine):
         self.node = node
         self.port = port
-        self._clock = clock
+        self._engine = engine  # read for the arrival time
         self.npkts = 0
         self.bytes = 0
         self.last_arrival: int | None = None
@@ -97,7 +97,7 @@ class SinkMonitor:
         self.bytes += pkt.size
         if pkt.seq > self._highest_seq:
             self._highest_seq = pkt.seq
-        self.last_arrival = self._clock()
+        self.last_arrival = self._engine.now
 
     @property
     def nlost(self) -> int:
@@ -129,12 +129,12 @@ class CbrGenerator:
     def _start(self) -> None:
         # The first send is scheduled when start dispatches, not at
         # install: its place among same-instant events fixes the trace.
-        self.engine.schedule(self.engine.now(), self._send)
+        self.engine.schedule(self.engine.now, self._send)
 
     def _send(self) -> None:
         self.agent.send(self.spec.size, self.ptype)
         self.emitted += 1
-        nxt = self.engine.now() + self.spec.interval
+        nxt = self.engine.now + self.spec.interval
         if nxt < self.spec.stop:
             self.engine.schedule(nxt, self._send)
 
@@ -165,7 +165,7 @@ class ExpOnOffGenerator:
             self.engine.schedule(self.spec.start, self._begin_on)
 
     def _begin_on(self) -> None:
-        now = self.engine.now()
+        now = self.engine.now
         on_end = now + exp_variate(self.spec.burst, self.rng)
         self._send_until = min(on_end, self.spec.stop)
         if now < self._send_until:
@@ -176,11 +176,11 @@ class ExpOnOffGenerator:
     def _send(self) -> None:
         self.agent.send(self.spec.size, self.ptype)
         self.emitted += 1
-        nxt = self.engine.now() + self.gap
+        nxt = self.engine.now + self.gap
         if nxt < self._send_until:
             self.engine.schedule(nxt, self._send)
 
     def _begin_off(self) -> None:
-        on_at = self.engine.now() + exp_variate(self.spec.idle, self.rng)
+        on_at = self.engine.now + exp_variate(self.spec.idle, self.rng)
         if on_at < self.spec.stop:
             self.engine.schedule(on_at, self._begin_on)

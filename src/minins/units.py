@@ -8,41 +8,57 @@ printed statistics. Parsing is exact (no float round-trips) so that
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 
 from .errors import ScenarioError
 
 NS_PER_SEC = 1_000_000_000
+# Largest time (ns), bandwidth (b/s) or integer option a scenario may give.
+MAX_VALUE = 2**63 - 1
 
-_TIME_UNITS = {"s": 1_000_000_000, "ms": 1_000_000, "us": 1_000, "ns": 1}
-_BW_UNITS = {"Mb": 1_000_000, "kb": 1_000, "b": 1}
+_DECIMAL = re.compile(r"([0-9]+)(?:\.([0-9]+))?", re.ASCII)  # README's <number>
+_TIME_DIGITS = {"s": 9, "ms": 6, "us": 3, "ns": 0}  # unit as a power of ten ns
+_BW_DIGITS = {"Mb": 6, "kb": 3, "b": 0}  # unit as a power of ten b/s
+
+
+def bounded_int(digits: str, what: str, maximum: int = MAX_VALUE) -> int:
+    """int() of a string of ASCII digits, or ScenarioError above `maximum`.
+
+    The length is checked first, so no digit string is too long to check.
+    """
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(maximum)) or int(digits) > maximum:
+        raise ScenarioError(f"{what} exceeds the maximum {maximum}")
+    return int(digits)
 
 
 def parse_time(text: str) -> int:
-    """Parse '<number>s|ms|us|ns' to integer nanoseconds, exactly."""
+    """Parse '<number>s|ms|us|ns' to integer nanoseconds, exactly.
+
+    <number> is plain decimal, <digits>[.<digits>]; the result must be a
+    whole number of nanoseconds no larger than MAX_VALUE.
+    """
     for suffix in ("ms", "us", "ns", "s"):  # longest suffixes first
         if text.endswith(suffix):
-            number = text[: -len(suffix)]
-            try:
-                value = Fraction(number) * _TIME_UNITS[suffix]
-            except (ValueError, ZeroDivisionError):
-                raise ScenarioError(f"bad time value {text!r}") from None
-            if value.denominator != 1:
+            match = _DECIMAL.fullmatch(text[: -len(suffix)])
+            if match is None:
+                raise ScenarioError(f"bad time value {text!r}")
+            whole, frac = match.group(1), (match.group(2) or "").rstrip("0")
+            places = _TIME_DIGITS[suffix]
+            if len(frac) > places:
                 raise ScenarioError(f"time {text!r} is not a whole number of nanoseconds")
-            if value < 0:
-                raise ScenarioError(f"time {text!r} is negative")
-            return int(value)
+            return bounded_int(whole + frac.ljust(places, "0"), "time in ns")
     raise ScenarioError(f"unknown time unit in {text!r} (expected s, ms, us or ns)")
 
 
 def parse_bandwidth(text: str) -> int:
-    """Parse '<int>Mb|kb|b' (decimal) to integer bits/second."""
+    """Parse '<int>Mb|kb|b' (decimal) to integer bits/second, at most MAX_VALUE."""
     for suffix in ("Mb", "kb", "b"):
         if text.endswith(suffix):
             number = text[: -len(suffix)]
-            if not number.isdigit():
+            if not (number.isascii() and number.isdigit()):
                 raise ScenarioError(f"bad bandwidth value {text!r} (integer required)")
-            value = int(number) * _BW_UNITS[suffix]
+            value = bounded_int(number + "0" * _BW_DIGITS[suffix], "bandwidth in b/s")
             if value <= 0:
                 raise ScenarioError(f"bandwidth {text!r} must be positive")
             return value
@@ -60,18 +76,3 @@ def format_time_short(ns: int) -> str:
     if frac == 0:
         return str(whole)
     return f"{whole}.{frac:09d}".rstrip("0")
-
-
-def render_time(ns: int) -> str:
-    """Compact exact scenario-file spelling: largest unit with integer value."""
-    for suffix, factor in (("s", 1_000_000_000), ("ms", 1_000_000), ("us", 1_000)):
-        if ns % factor == 0:
-            return f"{ns // factor}{suffix}"
-    return f"{ns}ns"
-
-
-def render_bandwidth(bps: int) -> str:
-    for suffix, factor in (("Mb", 1_000_000), ("kb", 1_000)):
-        if bps % factor == 0:
-            return f"{bps // factor}{suffix}"
-    return f"{bps}b"

@@ -227,7 +227,7 @@ def _simulator_outcome(scenario: MicroScenario):
     net = Network(eng, watch, scenario.node_count, duplex_links)
     delivered = {}
     for node in range(scenario.node_count):
-        net.bind_receiver(node, 0, lambda pkt: delivered.__setitem__(pkt.uid, eng.now()))
+        net.bind_receiver(node, 0, lambda pkt: delivered.__setitem__(pkt.uid, eng.now))
     for time, uid, src, dst, size in scenario.injections:
         pkt = Packet(uid=uid, fid=uid, ptype="cbr", size=size, src=src, sport=0,
                      dst=dst, dport=0, seq=uid, birth=time)

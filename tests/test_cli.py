@@ -50,6 +50,19 @@ def test_run_rejects_bad_scenario(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["duration=1e5000s", f"duration={'9' * 5000}s"])
+def test_run_rejects_unbounded_number_before_running(tmp_path, capsys, option):
+    bad = tmp_path / "huge.scn"
+    bad.write_text(f"sim {option}\nnode a\nnode b\n"
+                   "duplex-link a b bw=1Mb delay=1ms queue=droptail\n"
+                   "trace file=" + str(tmp_path / "huge.tr") + "\n")
+    assert main(["run", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: line 1: duration: ") and err.count("\n") == 1
+    assert not (tmp_path / "huge.tr").exists()
+
+
 def test_run_closes_scenario_file(tiny_scn, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -49,7 +49,7 @@ def test_scheduling_in_the_past_rejected():
 def test_run_until_empty_queue_leaves_clock_at_zero():
     eng = EventEngine()
     assert eng.run_until(seconds(500)) == 0
-    assert eng.now() == 0
+    assert eng.now == 0
 
 
 def test_limit_excludes_later_events():
@@ -69,8 +69,8 @@ def test_events_scheduled_during_dispatch_participate():
 
     def first():
         log.append("first")
-        eng.schedule(eng.now(), lambda: log.append("chained-now"))
-        eng.schedule(eng.now() + 5, lambda: log.append("chained-later"))
+        eng.schedule(eng.now, lambda: log.append("chained-now"))
+        eng.schedule(eng.now + 5, lambda: log.append("chained-later"))
 
     eng.schedule(10, first)
     eng.run_until(100)
@@ -84,7 +84,7 @@ def test_paper_style_schedule_reaches_full_duration():
     eng.schedule(seconds(1), lambda: None)  # second start
     eng.schedule(seconds(499), lambda: None)  # stops
     eng.schedule(seconds(499), lambda: None)
-    eng.schedule(seconds(500), lambda: observed.setdefault("now", eng.now()))
+    eng.schedule(seconds(500), lambda: observed.setdefault("now", eng.now))
     final = eng.run_until(seconds(500))
     assert observed["now"] == seconds(500)
     assert final == seconds(500)
@@ -93,10 +93,10 @@ def test_paper_style_schedule_reaches_full_duration():
 def test_now_inside_event_matches_event_time():
     eng = EventEngine()
     seen = []
-    eng.schedule(12345, lambda: seen.append(eng.now()))
+    eng.schedule(12345, lambda: seen.append(eng.now))
     eng.run_until(99999)
     assert seen == [12345]
-    assert eng.now() == 12345
+    assert eng.now == 12345
 
 
 def test_random_workload_is_deterministic_and_ordered():

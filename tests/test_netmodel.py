@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
+from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minins.engine import EventEngine, seconds
@@ -45,9 +47,9 @@ def star_network():
     return eng, tracer, net
 
 
-def bind_collector(net, node, clock):
+def bind_collector(net, node, engine):
     deliveries = []
-    net.bind_receiver(node, 0, lambda pkt: deliveries.append((pkt.uid, clock())))
+    net.bind_receiver(node, 0, lambda pkt: deliveries.append((pkt.uid, engine.now)))
     return deliveries
 
 
@@ -125,7 +127,7 @@ def test_tx_time_exact(size, bw, expected):
 
 def test_single_packet_two_hops_takes_21_6_ms():
     eng, _, net = star_network()
-    deliveries = bind_collector(net, 3, eng.now)
+    deliveries = bind_collector(net, 3, eng)
     pkt = make_packet(0, src=0, dst=3)
     eng.schedule(0, lambda: net.forward(0, pkt))
     eng.run_until(seconds(1))
@@ -134,7 +136,7 @@ def test_single_packet_two_hops_takes_21_6_ms():
 
 def test_delivery_at_own_node_has_no_link_events():
     eng, tracer, net = star_network()
-    deliveries = bind_collector(net, 2, eng.now)
+    deliveries = bind_collector(net, 2, eng)
     pkt = make_packet(0, src=2, dst=2)
     eng.schedule(0, lambda: net.forward(2, pkt))
     eng.run_until(seconds(1))
@@ -152,7 +154,7 @@ def test_link_transmits_one_packet_at_a_time():
     # Burst of 5 packets lands at once; '-' events must be spaced by the
     # 0.8 ms transmission time.
     eng, tracer, net = star_network()
-    bind_collector(net, 3, eng.now)
+    bind_collector(net, 3, eng)
     for uid in range(5):
         pkt = make_packet(uid, src=0, dst=3)
         eng.schedule(0, lambda pkt=pkt: net.forward(0, pkt))
@@ -165,7 +167,7 @@ def test_link_transmits_one_packet_at_a_time():
 
 def test_fifo_per_link_preserves_receive_order():
     eng, tracer, net = star_network()
-    deliveries = bind_collector(net, 3, eng.now)
+    deliveries = bind_collector(net, 3, eng)
     for uid in range(10):
         pkt = make_packet(uid, src=1, dst=3, size=500 + 100 * uid)
         eng.schedule(uid * 1000, lambda pkt=pkt: net.forward(1, pkt))
@@ -176,7 +178,7 @@ def test_fifo_per_link_preserves_receive_order():
 
 def test_arrival_follows_dequeue_by_tx_plus_delay():
     eng, tracer, net = star_network()
-    bind_collector(net, 3, eng.now)
+    bind_collector(net, 3, eng)
     pkt = make_packet(0, src=2, dst=3, size=250)
     eng.schedule(7, lambda: net.forward(2, pkt))
     eng.run_until(seconds(1))
@@ -198,3 +200,62 @@ def test_per_link_counters_obey_conservation():
     assert link.enqueued == 100
     assert link.enqueued == link.dequeued + link.drops + link.qdisc.held()
     assert link.drops > 0 and link.qdisc.held() > 0
+
+
+@st.composite
+def mixed_queue_runs(draw):
+    """A connected topology of DropTail and SFQ links with small queues,
+    bursts of random packets injected at a few instants, and a time to
+    stop the run at, often while queues still hold packets."""
+    node_count = draw(st.integers(2, 6))
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, node_count)}  # a tree
+    pairs |= set(draw(st.lists(st.sampled_from(list(itertools.combinations(range(node_count), 2))),
+                               max_size=4)))
+    duplex_links = []
+    for a, b in sorted(pairs):
+        if draw(st.booleans()):
+            qdisc = QdiscConfig("sfq", draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        else:
+            qdisc = QdiscConfig("droptail", draw(st.integers(1, 4)))
+        duplex_links.append((a, b, draw(st.sampled_from([125_000, 1_000_000, 10**12])),
+                             draw(st.sampled_from([0, 1_000, 1_000_000])), qdisc))
+    nodes = st.integers(0, node_count - 1)
+    injections = draw(st.lists(
+        st.tuples(st.sampled_from([0, 1_000, 2_000_000]), nodes, nodes,
+                  st.integers(1, 1500), st.integers(0, 5), st.integers(1, 8)),
+        min_size=1, max_size=12))
+    return node_count, duplex_links, injections, draw(st.integers(0, 30_000_000))
+
+
+def run_mixed(case, tracer):
+    node_count, duplex_links, injections, stop = case
+    eng = EventEngine()
+    net = Network(eng, tracer, node_count, duplex_links)
+    for node in range(node_count):
+        net.bind_receiver(node, 0, lambda pkt: None)
+    uids = itertools.count()
+    for time, src, dst, size, fid, burst in injections:
+        for uid in itertools.islice(uids, burst):
+            pkt = make_packet(uid, src, dst, size=size, fid=fid, birth=time)
+            eng.schedule(time, partial(net.forward, src, pkt))
+    eng.run_until(stop)
+    return net
+
+
+@settings(deadline=None)
+@given(mixed_queue_runs())
+def test_links_conserve_packets_in_counters_and_trace(case):
+    # Each link's counters and its +/-/d trace lines obey
+    # '+' = '-' + 'd' + held(), which is how a link knows a packet is
+    # waiting; an untraced run moves exactly the same packets.
+    tracer = ListTracer()
+    traced = run_mixed(case, tracer)
+    untraced = run_mixed(case, None)
+    for link, bare in zip(traced.links, untraced.links):
+        ops = Counter(op for op, _, frm, to, _ in tracer.events
+                      if (frm, to) == (link.from_node, link.to_node))
+        assert (ops["+"], ops["-"], ops["d"]) == (link.enqueued, link.dequeued, link.drops)
+        assert ops["+"] == ops["-"] + ops["d"] + link.qdisc.held()
+        assert link.enqueued == link.dequeued + link.drops + link.qdisc.held()
+        assert (bare.enqueued, bare.dequeued, bare.drops, bare.qdisc.held()) == \
+            (link.enqueued, link.dequeued, link.drops, link.qdisc.held())

@@ -13,15 +13,10 @@ from minins.scenario import (
     LinkSpec,
     ScenarioSpec,
     parse_scenario,
-    render_scenario,
 )
-from minins.units import (
-    format_time_short,
-    parse_bandwidth,
-    parse_time,
-    render_bandwidth,
-    render_time,
-)
+from minins.units import MAX_VALUE, format_time_short, parse_bandwidth, parse_time
+
+from scenario_text import render_bandwidth, render_scenario, render_time
 
 MINIMAL = """\
 sim duration=10s seed=3
@@ -50,7 +45,8 @@ def test_parse_time(text, ns):
     assert parse_time(text) == ns
 
 
-@pytest.mark.parametrize("bad", ["5", "5min", "x ms", "1.5ns", "-1s"])
+@pytest.mark.parametrize("bad", ["5", "5min", "x ms", "1.5ns", "-1s", "+1s", ".5s", "5.s",
+                                 "1e3s", "1/2s", "1_000s", " 1s", "\uff17s"])
 def test_parse_time_rejects(bad):
     with pytest.raises(ScenarioError):
         parse_time(bad)
@@ -65,10 +61,22 @@ def test_parse_bandwidth(text, bps):
     assert parse_bandwidth(text) == bps
 
 
-@pytest.mark.parametrize("bad", ["10", "10MB", "2.5Mb", "-1Mb", "0b"])
+@pytest.mark.parametrize("bad", ["10", "10MB", "2.5Mb", "-1Mb", "0b", "\u00b2Mb", "1e3b"])
 def test_parse_bandwidth_rejects(bad):
     with pytest.raises(ScenarioError):
         parse_bandwidth(bad)
+
+
+def test_numbers_are_bounded():
+    assert parse_time(f"{MAX_VALUE}ns") == MAX_VALUE
+    assert parse_time(f"000{MAX_VALUE}.000ns") == MAX_VALUE
+    assert parse_bandwidth(f"{MAX_VALUE}b") == MAX_VALUE
+    for text in (f"{MAX_VALUE + 1}ns", "9223372037s", "1" + "0" * 5000 + "s"):
+        with pytest.raises(ScenarioError, match="exceeds the maximum"):
+            parse_time(text)
+    for text in (f"{MAX_VALUE + 1}b", "9223372036855Mb", "9" * 400 + "b"):
+        with pytest.raises(ScenarioError, match="exceeds the maximum"):
+            parse_bandwidth(text)
 
 
 def test_render_round_trips_units():
@@ -152,6 +160,20 @@ def test_errors_carry_line_numbers():
         ("sim duration=1s\nnode a\nnode b\n"
          "duplex-link a b bw=1Mb delay=0s queue=sfq buckets=0\n", "line 4"),
         (UNREACHABLE, "line 6: udp lonely: sink c is unreachable from src a"),
+        # Numbers are plain decimals no larger than MAX_VALUE, checked before use.
+        ("sim duration=1e5000s\n", "line 1: duration: bad time value"),
+        ("sim duration=1e1000000s\n", "line 1: duration: bad time value"),
+        ("sim duration=1e1000000000000s\n", "line 1: duration: bad time value"),
+        (f"sim duration={MAX_VALUE + 1}ns\n", "line 1: duration: .*exceeds the maximum"),
+        ("sim duration=1s seed=18446744073709551616\n", "line 1: seed: .*exceeds the maximum"),
+        ("sim duration=1s\nnode a\nnode b\n"
+         f"duplex-link a b bw={'9' * 400}b delay=0s queue=droptail\n",
+         "line 4: bw: .*exceeds the maximum"),
+        ("sim duration=1s\nnode a\nnode b\n"
+         f"duplex-link a b bw=1Mb delay=0s queue=droptail limit={MAX_VALUE + 1}\n",
+         "line 4: limit: .*exceeds the maximum"),
+        (GEN_HEAD + f"cbr agent=f size={'7' * 5000} interval=1ms start=0s stop=1s\n",
+         "line 5: size: .*exceeds the maximum"),
     ]
     for text, fragment in cases:
         with pytest.raises(ScenarioError, match=fragment):

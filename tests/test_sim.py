@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 from minins.golden import golden_dir
 from minins.scenario import parse_scenario
 from minins.sim import Simulation, run_scenario
@@ -203,3 +205,30 @@ def test_huge_sfq_bucket_count_runs_and_conserves_packets():
     assert len(sfq_links) == 2 and sfq_links[0].qdisc.buckets == 10**9
     for link in sim.network.links:
         assert link.enqueued == link.dequeued + link.drops + link.qdisc.held()
+
+
+def _observed(sim, result):
+    """What a run reports: stats block, per-sink and per-link counters."""
+    return (result.stats_block(),
+            [(sink.npkts, sink.bytes, sink.nlost) for sink in sim.sinks],
+            [(link.enqueued, link.dequeued, link.drops, link.qdisc.held())
+             for link in sim.network.links])
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in golden_dir().glob("*.scn")))
+def test_untraced_run_matches_traced_run(name, tmp_path, request):
+    # The golden digests only see traced runs; a run without a trace file
+    # takes its own path (no tracer at all) and must move the same packets.
+    fixture = {"cbr_golden": "cbr_run", "paper": "paper_run"}.get(name)
+    if fixture is not None:  # the session-scoped fixture already ran it traced
+        traced = request.getfixturevalue(fixture)
+        spec, traced_sim, traced_result = traced.spec, traced.sim, traced.result
+    else:
+        spec = parse_scenario((golden_dir() / f"{name}.scn").read_text())
+        traced_sim = Simulation(spec, trace_path=str(tmp_path / f"{name}.tr"))
+        traced_result = traced_sim.run()
+    assert traced_sim.network.tracer is not None
+    untraced_sim = Simulation(spec)  # the bundled scenarios ask for no trace
+    assert untraced_sim.network.tracer is None
+    untraced_result = untraced_sim.run()
+    assert _observed(untraced_sim, untraced_result) == _observed(traced_sim, traced_result)

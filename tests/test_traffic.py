@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,7 +38,7 @@ class TimedAgent(StubAgent):
 
     def send(self, size, ptype):
         super().send(size, ptype)
-        self.times.append(self.engine.now())
+        self.times.append(self.engine.now)
 
 
 class FixedRng:
@@ -247,7 +248,7 @@ def test_expoo_stop_cancels_everything():
     ExpOnOffGenerator(eng, agent, cfg, SplitMix64.substream(1, 0)).install()
     eng.run_until(seconds(10))
     assert agent.times and all(t < stop for t in agent.times)
-    assert eng.now() < stop
+    assert eng.now < stop
 
 
 # -- sink monitor -------------------------------------------------------------------
@@ -259,8 +260,7 @@ def rx_packet(seq, fid=1, size=1000, node=3, port=0):
 
 
 def test_sink_counts_packets_and_bytes():
-    clock = [7]
-    sink = SinkMonitor(3, 0, lambda: clock[0])
+    sink = SinkMonitor(3, 0, SimpleNamespace(now=7))
     sink.on_receive(rx_packet(0))
     report = sink.report()
     assert (report.npkts, report.bytes, report.nlost) == (1, 1000, 0)
@@ -268,26 +268,26 @@ def test_sink_counts_packets_and_bytes():
 
 
 def test_sink_infers_losses_from_sequence_gaps():
-    sink = SinkMonitor(3, 0, lambda: 0)
+    sink = SinkMonitor(3, 0, EventEngine())
     for seq in (0, 1, 3):
         sink.on_receive(rx_packet(seq))
     assert sink.nlost == 1
 
 
 def test_sink_cannot_see_losses_after_last_delivery():
-    sink = SinkMonitor(3, 0, lambda: 0)
+    sink = SinkMonitor(3, 0, EventEngine())
     for seq in (0, 1):  # seqs 2.. were sent and dropped
         sink.on_receive(rx_packet(seq))
     assert sink.nlost == 0
 
 
 def test_fresh_sink_reports_zeros():
-    report = SinkMonitor(3, 0, lambda: 0).report()
+    report = SinkMonitor(3, 0, EventEngine()).report()
     assert (report.npkts, report.bytes, report.nlost, report.last_arrival) == (0, 0, 0, None)
 
 
 def test_misdelivery_is_an_internal_error():
-    sink = SinkMonitor(3, 0, lambda: 0)
+    sink = SinkMonitor(3, 0, EventEngine())
     with pytest.raises(InternalError):
         sink.on_receive(rx_packet(0, node=2))
     with pytest.raises(InternalError):
@@ -297,22 +297,11 @@ def test_misdelivery_is_an_internal_error():
 # -- generator over a real network ------------------------------------------------
 
 
-def _null_tracer():
-    class _T:
-        def record(self, *a):
-            pass
-
-        def close_flush(self):
-            pass
-
-    return _T()
-
-
 def test_exp_generator_drives_flow_over_network():
     eng = EventEngine()
     n0, n1 = 0, 1
-    net = Network(eng, _null_tracer(), 2, [(n0, n1, 10_000_000, MS, QdiscConfig("droptail", 50))])
-    sink = SinkMonitor(n1, net.allot_port(n1), eng.now)
+    net = Network(eng, None, 2, [(n0, n1, 10_000_000, MS, QdiscConfig("droptail", 50))])
+    sink = SinkMonitor(n1, net.allot_port(n1), eng)
     net.bind_receiver(sink.node, sink.port, sink.on_receive)
     uid_counter = iter(range(10**9))
     agent = UdpAgent(net, n0, net.allot_port(n0), 1, lambda: next(uid_counter),
