@@ -93,7 +93,9 @@ class Network:
         self._link_by_pair: dict[tuple[int, int], SimplexLink] = {}
         self._receivers: dict[tuple[int, int], object] = {}
         self._ports = [0] * node_count  # next free port per node
-        self._links_into: list[list[SimplexLink]] = [[] for _ in range(node_count)]
+        # incoming links per node, in declaration order: a node's first is
+        # from the first declared link touching it
+        self.links_into: list[list[SimplexLink]] = [[] for _ in range(node_count)]
         for a, b, bandwidth, delay, qdisc_config in duplex_links:
             for frm, to in ((a, b), (b, a)):
                 link = SimplexLink(frm, to, bandwidth, delay, build_qdisc(qdisc_config))
@@ -103,7 +105,7 @@ class Network:
                 link.arrive = partial(self._arrive, link)
                 self.links.append(link)
                 self._link_by_pair[(frm, to)] = link
-                self._links_into[to].append(link)
+                self.links_into[to].append(link)
         # next-hop column per destination, built on the first packet toward it
         self._routes: list[list[SimplexLink | None] | None] = [None] * node_count
 
@@ -136,7 +138,7 @@ class Network:
         while frontier:
             nxt = []
             for node in sorted(frontier):
-                for link in self._links_into[node]:
+                for link in self.links_into[node]:
                     frm = link.from_node
                     if column[frm] is None and frm != dst:
                         column[frm] = link

@@ -17,26 +17,18 @@ from .netmodel import Network
 from .rng import SplitMix64
 from .scenario import ScenarioSpec
 from .trace import TraceWriter
-from .traffic import (
-    CbrGenerator,
-    ExpOnOffGenerator,
-    MonitorReport,
-    SinkMonitor,
-    UdpAgent,
-)
+from .traffic import CbrGenerator, ExpOnOffGenerator, SinkMonitor, UdpAgent
 from .units import format_time_short
 
 
 @dataclass
 class RunResult:
-    duration: int  # final clock, ns
+    duration: int  # ns
     npkts: int  # received, all sinks
     bytes: int
     nlost: int
-    utilization_pct: float
+    utilization_pct: float  # bytes delivered at sink_node only
     sink_node: int | None  # node whose counters the human block reports
-    monitors: list[MonitorReport]
-    trace_path: str | None
 
     def stats_block(self) -> str:
         """The printed statistics: human lines plus machine key=value."""
@@ -92,7 +84,7 @@ class Simulation:
             src = node_id[agent_spec.src]
             src_port = self.network.allot_port(src)
             sink_node = node_id[agent_spec.sink]
-            sink = SinkMonitor(sink_node, self.network.allot_port(sink_node), self.engine)
+            sink = SinkMonitor(sink_node, self.network.allot_port(sink_node))
             self.network.bind_receiver(sink.node, sink.port, sink.on_receive)
             agent = UdpAgent(self.network, src, src_port, agent_spec.fid, next_uid,
                              sink.node, sink.port)
@@ -109,11 +101,6 @@ class Simulation:
             gen.install()
             self.generators.append(gen)
 
-        self.engine.schedule(spec.duration, self._finish)
-
-    def _finish(self) -> None:
-        """Terminal no-op: guarantees the clock reaches the duration."""
-
     # -- execution ---------------------------------------------------------
 
     def run(self) -> RunResult:
@@ -125,37 +112,24 @@ class Simulation:
         return self._result()
 
     def _result(self) -> RunResult:
-        duration = self.engine.now
-        npkts = sum(s.npkts for s in self.sinks)
-        total_bytes = sum(s.bytes for s in self.sinks)
-        nlost = sum(s.nlost for s in self.sinks)
+        duration = self.spec.duration
         sink_node = self.sinks[0].node if self.sinks else None
-        ref_bw = self._reference_bandwidth(sink_node)
-        if duration > 0 and ref_bw is not None:
-            util = utilization(total_bytes, duration / 1e9, float(ref_bw))
+        # Quoted against the first declared link touching the primary
+        # sink's node (its last hop), so only that node's bytes count.
+        into = self.network.links_into[sink_node] if self.sinks else []
+        if duration > 0 and into:
+            node_bytes = sum(s.bytes for s in self.sinks if s.node == sink_node)
+            util = utilization(node_bytes, duration / 1e9, float(into[0].bandwidth))
         else:
             util = 0.0
         return RunResult(
             duration=duration,
-            npkts=npkts,
-            bytes=total_bytes,
-            nlost=nlost,
+            npkts=sum(s.npkts for s in self.sinks),
+            bytes=sum(s.bytes for s in self.sinks),
+            nlost=sum(s.nlost for s in self.sinks),
             utilization_pct=util,
             sink_node=sink_node,
-            monitors=[s.report() for s in self.sinks],
-            trace_path=self.trace_path,
         )
-
-    def _reference_bandwidth(self, sink_node: int | None) -> int | None:
-        """Bandwidth the utilization figure is quoted against: the first
-        declared link touching the primary sink's node (its last hop)."""
-        if sink_node is None:
-            return None
-        name = self.spec.nodes[sink_node]
-        for link in self.spec.links:
-            if name in (link.a, link.b):
-                return link.bandwidth
-        return None
 
 
 def run_scenario(spec: ScenarioSpec, trace_path: str | None = None,

@@ -20,7 +20,6 @@ be withdrawn when they stop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InternalError, SimulationError
 from .netmodel import Packet, tx_time
@@ -61,14 +60,6 @@ class UdpAgent:
         return pkt
 
 
-@dataclass
-class MonitorReport:
-    npkts: int
-    bytes: int
-    nlost: int
-    last_arrival: int | None  # ns, None before any packet
-
-
 class SinkMonitor:
     """Terminal agent of one flow: counts packets/bytes, infers losses.
 
@@ -78,13 +69,11 @@ class SinkMonitor:
     is the exact count.
     """
 
-    def __init__(self, node: int, port: int, engine):
+    def __init__(self, node: int, port: int):
         self.node = node
         self.port = port
-        self._engine = engine  # read for the arrival time
         self.npkts = 0
         self.bytes = 0
-        self.last_arrival: int | None = None
         self._highest_seq = -1
 
     def on_receive(self, pkt: Packet) -> None:
@@ -97,17 +86,48 @@ class SinkMonitor:
         self.bytes += pkt.size
         if pkt.seq > self._highest_seq:
             self._highest_seq = pkt.seq
-        self.last_arrival = self._engine.now
 
     @property
     def nlost(self) -> int:
         return self._highest_seq + 1 - self.npkts
 
-    def report(self) -> MonitorReport:
-        return MonitorReport(self.npkts, self.bytes, self.nlost, self.last_arrival)
+
+class _OnOffSender:
+    """The send loop both generators share: while an ON period lasts,
+    one `size`-byte packet every `gap` ns, the first at the period's
+    opening instant, none at or past `_send_until` (the period's end,
+    capped at stop). The base class runs a single ON period, [start,
+    stop).
+    """
+
+    ptype: str
+
+    def __init__(self, engine, agent: UdpAgent, spec, gap: int):
+        self.engine = engine
+        self.agent = agent
+        self.spec = spec
+        self.gap = gap  # ns between sends while ON
+        self.emitted = 0
+        self._send_until = spec.stop
+
+    def install(self) -> None:
+        if self.spec.start < self.spec.stop:
+            self.engine.schedule(self.spec.start, self._begin_on)
+
+    def _begin_on(self) -> None:
+        # The first send is scheduled when the period opens, not at
+        # install: its place among same-instant events fixes the trace.
+        self.engine.schedule(self.engine.now, self._send)
+
+    def _send(self) -> None:
+        self.agent.send(self.spec.size, self.ptype)
+        self.emitted += 1
+        nxt = self.engine.now + self.gap
+        if nxt < self._send_until:
+            self.engine.schedule(nxt, self._send)
 
 
-class CbrGenerator:
+class CbrGenerator(_OnOffSender):
     """Constant bit rate: one `size`-byte packet every `interval` ns.
 
     Sends land exactly at start + k*interval, strictly before stop: a
@@ -117,29 +137,10 @@ class CbrGenerator:
     ptype = "cbr"
 
     def __init__(self, engine, agent: UdpAgent, spec: CbrSpec):
-        self.engine = engine
-        self.agent = agent
-        self.spec = spec
-        self.emitted = 0
-
-    def install(self) -> None:
-        if self.spec.start < self.spec.stop:
-            self.engine.schedule(self.spec.start, self._start)
-
-    def _start(self) -> None:
-        # The first send is scheduled when start dispatches, not at
-        # install: its place among same-instant events fixes the trace.
-        self.engine.schedule(self.engine.now, self._send)
-
-    def _send(self) -> None:
-        self.agent.send(self.spec.size, self.ptype)
-        self.emitted += 1
-        nxt = self.engine.now + self.spec.interval
-        if nxt < self.spec.stop:
-            self.engine.schedule(nxt, self._send)
+        super().__init__(engine, agent, spec, spec.interval)
 
 
-class ExpOnOffGenerator:
+class ExpOnOffGenerator(_OnOffSender):
     """Exponential on-off: ON ~ Exp(burst), OFF ~ Exp(idle).
 
     The process starts in ON. While ON, packets go out with fixed
@@ -152,17 +153,8 @@ class ExpOnOffGenerator:
     ptype = "exp"
 
     def __init__(self, engine, agent: UdpAgent, spec: ExpSpec, rng):
-        self.engine = engine
-        self.agent = agent
-        self.spec = spec
+        super().__init__(engine, agent, spec, tx_time(spec.size, spec.rate))
         self.rng = rng
-        self.gap = tx_time(spec.size, spec.rate)  # ns between sends while ON
-        self.emitted = 0
-        self._send_until = 0  # end of the current ON period, capped at stop
-
-    def install(self) -> None:
-        if self.spec.start < self.spec.stop:
-            self.engine.schedule(self.spec.start, self._begin_on)
 
     def _begin_on(self) -> None:
         now = self.engine.now
@@ -172,13 +164,6 @@ class ExpOnOffGenerator:
             self.engine.schedule(now, self._send)
         if on_end < self.spec.stop:
             self.engine.schedule(on_end, self._begin_off)
-
-    def _send(self) -> None:
-        self.agent.send(self.spec.size, self.ptype)
-        self.emitted += 1
-        nxt = self.engine.now + self.gap
-        if nxt < self._send_until:
-            self.engine.schedule(nxt, self._send)
 
     def _begin_off(self) -> None:
         on_at = self.engine.now + exp_variate(self.spec.idle, self.rng)

@@ -20,12 +20,25 @@ class GoldenRun:
 
 
 @pytest.fixture(scope="session")
-def cbr_run(tmp_path_factory):
-    """The deterministic CBR-only golden scenario, run once per session."""
-    return GoldenRun("cbr_golden", tmp_path_factory.mktemp("cbr_golden"))
+def golden_runs(tmp_path_factory):
+    """`golden_runs(name)`: that bundled scenario, run traced once per session."""
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            runs[name] = GoldenRun(name, tmp_path_factory.mktemp(name))
+        return runs[name]
+
+    return get
 
 
 @pytest.fixture(scope="session")
-def paper_run(tmp_path_factory):
+def cbr_run(golden_runs):
+    """The deterministic CBR-only golden scenario, run once per session."""
+    return golden_runs("cbr_golden")
+
+
+@pytest.fixture(scope="session")
+def paper_run(golden_runs):
     """The full two-generator scenario at its bundled seed, run once."""
-    return GoldenRun("paper", tmp_path_factory.mktemp("paper"))
+    return golden_runs("paper")

@@ -160,19 +160,22 @@ def test_criterion_6_sfq_fairness_vs_droptail_fifo(tmp_path):
     print("PASS criterion 6: sfq split within 5%; droptail preserves FIFO order")
 
 
-def test_criterion_7_online_offline_equivalence(cbr_run, paper_run):
-    checks = [
-        (cbr_run, [(2, 1, 3, 0)]),
-        (paper_run, [(1, 0, 3, 0), (2, 1, 3, 1)]),
-    ]
-    for run, flows in checks:
+def test_criterion_7_online_offline_equivalence(golden_runs):
+    names = sorted(path.stem for path in golden_dir().glob("*.scn"))
+    assert names == ["cbr_golden", "overload_droptail", "paper", "sfq_pair"]
+    for name in names:
+        run = golden_runs(name)
         lines = run.trace_lines()
-        for fid, src, sink_node, monitor_index in flows:
-            offline = flow_stats(lines, fid, src, sink_node)
-            online = run.result.monitors[monitor_index]
-            assert offline.received == online.npkts
-            assert offline.bytes_received == online.bytes
-    print("PASS criterion 7: analyzer equals loss monitors on every golden run")
+        node_id = {node: k for k, node in enumerate(run.spec.nodes)}
+        dropped = 0
+        # one sink per udp directive, in directive order
+        for agent, sink in zip(run.spec.agents, run.sim.sinks, strict=True):
+            offline = flow_stats(lines, agent.fid, node_id[agent.src], node_id[agent.sink])
+            assert offline.received == sink.npkts, (name, agent.fid)
+            assert offline.bytes_received == sink.bytes, (name, agent.fid)
+            dropped += offline.dropped
+        assert dropped == sum(link.drops for link in run.sim.network.links), name
+    print("PASS criterion 7: analyzer equals loss monitors and link drops on every golden run")
 
 
 TOPOLOGIES = [

@@ -29,8 +29,8 @@ def test_cbr_golden_statistics(cbr_run):
     assert result.nlost == 0
     assert result.utilization_pct == 15.936
     assert result.duration == 500_000_000_000
-    (monitor,) = result.monitors
-    assert monitor.npkts == 99_600 and monitor.nlost == 0
+    (sink,) = cbr_run.sim.sinks
+    assert sink.npkts == 99_600 and sink.nlost == 0
 
 
 def test_cbr_golden_stats_block_text(cbr_run):
@@ -77,12 +77,13 @@ def test_repeat_runs_byte_identical(tmp_path):
 
 def test_different_seed_changes_exponential_flow(tmp_path):
     spec = parse_scenario(SHORT_PAPER)
-    a = run_scenario(spec, trace_path=str(tmp_path / "a.tr"), seed=1)
-    b = run_scenario(spec, trace_path=str(tmp_path / "b.tr"), seed=2)
-    assert a.monitors[0].npkts != b.monitors[0].npkts  # exp flow differs
+    a = Simulation(spec, trace_path=str(tmp_path / "a.tr"), seed=1)
+    b = Simulation(spec, trace_path=str(tmp_path / "b.tr"), seed=2)
+    a.run()
+    b.run()
+    assert a.sinks[0].npkts != b.sinks[0].npkts  # exp flow differs
     # cbr counts are seed-independent (timing may shift via shared queue)
-    assert (a.monitors[1].npkts, a.monitors[1].bytes) == \
-        (b.monitors[1].npkts, b.monitors[1].bytes)
+    assert (a.sinks[1].npkts, a.sinks[1].bytes) == (b.sinks[1].npkts, b.sinks[1].bytes)
 
 
 def test_generator_substreams_keyed_by_position(tmp_path):
@@ -94,9 +95,11 @@ def test_generator_substreams_keyed_by_position(tmp_path):
         "cbr agent=udp1 size=1000 interval=5ms start=1s stop=19s\n"
         "exp agent=exp0 size=1000 burst=800ms idle=2ms rate=5Mb start=0s stop=19s\n",
     ))
-    r1 = run_scenario(one)
-    r2 = run_scenario(swapped)
-    assert r1.monitors[0].npkts != r2.monitors[0].npkts
+    s1 = Simulation(one)
+    s2 = Simulation(swapped)
+    s1.run()
+    s2.run()
+    assert s1.sinks[0].npkts != s2.sinks[0].npkts
 
 
 def test_paper_scenario_first_cbr_enqueue_line(paper_run):
@@ -150,6 +153,26 @@ def test_utilization_uses_first_link_at_sink_node():
     assert result.utilization_pct == 200 * 8.0 / (2e6 * 1.0) * 100.0
 
 
+def test_utilization_counts_only_the_reported_sink_node():
+    # Flows end at b and c. The figure is quoted against b's first
+    # declared link (a-b, 2 Mb), so only b's 200 bytes count: c's 10000
+    # bytes crossed other links. The packet and byte lines stay totals.
+    spec = parse_scenario(
+        "sim duration=1s\nnode a\nnode b\nnode c\n"
+        "duplex-link a b bw=2Mb delay=1ms queue=droptail\n"
+        "duplex-link a c bw=1Mb delay=1ms queue=droptail\n"
+        "duplex-link b c bw=10Mb delay=1ms queue=droptail\n"
+        "udp f1 src=a sink=b fid=1\n"
+        "udp f2 src=a sink=c fid=2\n"
+        "cbr agent=f1 size=100 interval=500ms start=0s stop=600ms\n"
+        "cbr agent=f2 size=1000 interval=100ms start=0s stop=1s\n"
+    )
+    result = run_scenario(spec)
+    assert (result.sink_node, result.npkts, result.bytes) == (1, 12, 10_200)
+    assert repr(result.utilization_pct) == "0.08"
+    assert "Utilizacao do link: 0.08%\n" in result.stats_block()
+
+
 def test_shared_fid_agents_number_packets_independently():
     # Two agents with the same fid and different sinks: each sink sees
     # one gap-free sequence, so nothing counts as lost.
@@ -162,10 +185,11 @@ def test_shared_fid_agents_number_packets_independently():
         "cbr agent=f1 size=100 interval=10ms start=0s stop=1s\n"
         "cbr agent=f2 size=100 interval=10ms start=0s stop=1s\n"
     )
-    result = run_scenario(spec)
+    sim = Simulation(spec)
+    result = sim.run()
     assert result.npkts == 200
     assert result.nlost == 0
-    assert [m.nlost for m in result.monitors] == [0, 0]
+    assert [sink.nlost for sink in sim.sinks] == [0, 0]
 
 
 def test_same_instant_events_keep_schedule_order(tmp_path):
@@ -216,17 +240,11 @@ def _observed(sim, result):
 
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in golden_dir().glob("*.scn")))
-def test_untraced_run_matches_traced_run(name, tmp_path, request):
+def test_untraced_run_matches_traced_run(name, golden_runs):
     # The golden digests only see traced runs; a run without a trace file
     # takes its own path (no tracer at all) and must move the same packets.
-    fixture = {"cbr_golden": "cbr_run", "paper": "paper_run"}.get(name)
-    if fixture is not None:  # the session-scoped fixture already ran it traced
-        traced = request.getfixturevalue(fixture)
-        spec, traced_sim, traced_result = traced.spec, traced.sim, traced.result
-    else:
-        spec = parse_scenario((golden_dir() / f"{name}.scn").read_text())
-        traced_sim = Simulation(spec, trace_path=str(tmp_path / f"{name}.tr"))
-        traced_result = traced_sim.run()
+    traced = golden_runs(name)
+    spec, traced_sim, traced_result = traced.spec, traced.sim, traced.result
     assert traced_sim.network.tracer is not None
     untraced_sim = Simulation(spec)  # the bundled scenarios ask for no trace
     assert untraced_sim.network.tracer is None

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import pytest
 
@@ -260,34 +259,32 @@ def rx_packet(seq, fid=1, size=1000, node=3, port=0):
 
 
 def test_sink_counts_packets_and_bytes():
-    sink = SinkMonitor(3, 0, SimpleNamespace(now=7))
+    sink = SinkMonitor(3, 0)
     sink.on_receive(rx_packet(0))
-    report = sink.report()
-    assert (report.npkts, report.bytes, report.nlost) == (1, 1000, 0)
-    assert report.last_arrival == 7
+    assert (sink.npkts, sink.bytes, sink.nlost) == (1, 1000, 0)
 
 
 def test_sink_infers_losses_from_sequence_gaps():
-    sink = SinkMonitor(3, 0, EventEngine())
+    sink = SinkMonitor(3, 0)
     for seq in (0, 1, 3):
         sink.on_receive(rx_packet(seq))
     assert sink.nlost == 1
 
 
 def test_sink_cannot_see_losses_after_last_delivery():
-    sink = SinkMonitor(3, 0, EventEngine())
+    sink = SinkMonitor(3, 0)
     for seq in (0, 1):  # seqs 2.. were sent and dropped
         sink.on_receive(rx_packet(seq))
     assert sink.nlost == 0
 
 
 def test_fresh_sink_reports_zeros():
-    report = SinkMonitor(3, 0, EventEngine()).report()
-    assert (report.npkts, report.bytes, report.nlost, report.last_arrival) == (0, 0, 0, None)
+    sink = SinkMonitor(3, 0)
+    assert (sink.npkts, sink.bytes, sink.nlost) == (0, 0, 0)
 
 
 def test_misdelivery_is_an_internal_error():
-    sink = SinkMonitor(3, 0, EventEngine())
+    sink = SinkMonitor(3, 0)
     with pytest.raises(InternalError):
         sink.on_receive(rx_packet(0, node=2))
     with pytest.raises(InternalError):
@@ -301,7 +298,7 @@ def test_exp_generator_drives_flow_over_network():
     eng = EventEngine()
     n0, n1 = 0, 1
     net = Network(eng, None, 2, [(n0, n1, 10_000_000, MS, QdiscConfig("droptail", 50))])
-    sink = SinkMonitor(n1, net.allot_port(n1), eng)
+    sink = SinkMonitor(n1, net.allot_port(n1))
     net.bind_receiver(sink.node, sink.port, sink.on_receive)
     uid_counter = iter(range(10**9))
     agent = UdpAgent(net, n0, net.allot_port(n0), 1, lambda: next(uid_counter),
