@@ -14,7 +14,7 @@ from pathlib import Path
 from .analyze import analyze_trace, bin_width_ns
 from .errors import MininsError, ScenarioError
 from .golden import run_validate
-from .scenario import parse_scenario
+from .scenario import SEED_MAX, parse_integer, parse_scenario
 from .sim import run_scenario
 
 
@@ -39,7 +39,8 @@ def _build_parser() -> _Parser:
 
     run_p = sub.add_parser("run", help="run a scenario file")
     run_p.add_argument("scenario", help="scenario file path")
-    run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    run_p.add_argument("--seed", default=None,
+                       help="override the scenario seed (0 to 2**64 - 1, as seed=)")
     run_p.add_argument("--trace", default=None, help="override the trace output path")
 
     an_p = sub.add_parser("analyze", help="compute statistics from a trace file")
@@ -58,12 +59,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
+    seed = None if args.seed is None else parse_integer("--seed", args.seed, SEED_MAX)
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
     spec = parse_scenario(text)
-    result = run_scenario(spec, trace_path=args.trace, seed=args.seed)
+    result = run_scenario(spec, trace_path=args.trace, seed=seed)
     sys.stdout.write(result.stats_block())
     return 0
 

@@ -15,6 +15,7 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
+from .errors import MininsError
 from .scenario import parse_scenario
 from .sim import RunResult, run_scenario
 
@@ -56,6 +57,21 @@ def check_golden(scn_path: Path, fixture: dict, workdir: Path) -> list[str]:
     return problems
 
 
+def _load_fixture(path: Path) -> dict:
+    """The fixture at `path`, or MininsError saying why it is unusable."""
+    if not path.exists():
+        raise MininsError(f"missing fixture {path.name}")
+    try:
+        fixture = json.loads(path.read_text())
+    except ValueError as exc:  # also undecodable bytes
+        raise MininsError(f"{path.name} is not valid JSON: {exc}") from None
+    if not isinstance(fixture, dict):
+        raise MininsError(f"{path.name} is not a JSON object")
+    if "trace_sha256" not in fixture:
+        raise MininsError(f"{path.name} has no trace_sha256")
+    return fixture
+
+
 def run_validate(scenario_dir: Path | None = None, write=print) -> bool:
     """Validate every golden scenario; prints PASS/FAIL per scenario."""
     base = Path(scenario_dir) if scenario_dir is not None else golden_dir()
@@ -66,13 +82,11 @@ def run_validate(scenario_dir: Path | None = None, write=print) -> bool:
     all_pass = True
     with tempfile.TemporaryDirectory(prefix="minins-validate-") as tmp:
         for scn_path in scn_paths:
-            fixture_path = scn_path.with_suffix(".expected.json")
-            if not fixture_path.exists():
-                write(f"FAIL {scn_path.stem}: missing fixture {fixture_path.name}")
-                all_pass = False
-                continue
-            fixture = json.loads(fixture_path.read_text())
-            problems = check_golden(scn_path, fixture, Path(tmp))
+            try:
+                fixture = _load_fixture(scn_path.with_suffix(".expected.json"))
+                problems = check_golden(scn_path, fixture, Path(tmp))
+            except (MininsError, OSError, UnicodeDecodeError) as exc:
+                problems = [str(exc)]
             if problems:
                 all_pass = False
                 write(f"FAIL {scn_path.stem}: " + "; ".join(problems))

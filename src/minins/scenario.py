@@ -82,63 +82,53 @@ class ScenarioSpec:
     trace_path: str | None = None
 
 
-def _split_options(tokens: list[str], lineno: int) -> dict[str, str]:
+SEED_MAX = 2**64 - 1
+
+
+def _split_options(tokens: list[str]) -> dict[str, str]:
+    """key=value tokens as a dict. Each read pops its key; what stays is unknown."""
     options = {}
     for token in tokens:
         key, eq, value = token.partition("=")
         if not eq or not key or not value:
-            raise ScenarioError(f"line {lineno}: expected key=value, got {token!r}")
+            raise ScenarioError(f"expected key=value, got {token!r}")
         if key in options:
-            raise ScenarioError(f"line {lineno}: duplicate option {key!r}")
+            raise ScenarioError(f"duplicate option {key!r}")
         options[key] = value
     return options
 
 
-class _Directive:
-    """Option accounting for one tokenized scenario line."""
+def _take(options: dict[str, str], key: str) -> str:
+    if key not in options:
+        raise ScenarioError(f"missing option {key}=")
+    return options.pop(key)
 
-    def __init__(self, lineno: int, options: dict[str, str]):
-        self.lineno = lineno
-        self._options = options
-        self._used = set()
 
-    def opt(self, key: str, required: bool = True) -> str | None:
-        if key not in self._options:
-            if required:
-                raise ScenarioError(f"line {self.lineno}: missing option {key}=")
-            return None
-        self._used.add(key)
-        return self._options[key]
+def _unit(options: dict[str, str], key: str, parse=parse_time) -> int:
+    raw = _take(options, key)
+    try:
+        return parse(raw)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{key}: {exc}") from None
 
-    def check_no_extras(self) -> None:
-        extras = set(self._options) - self._used
-        if extras:
-            raise ScenarioError(
-                f"line {self.lineno}: unknown option(s) {', '.join(sorted(extras))}"
-            )
 
-    def time(self, key: str) -> int:
-        return self._fail_with_line(key, parse_time, self.opt(key))
+def parse_integer(key: str, raw: str, maximum: int = MAX_VALUE) -> int:
+    """Plain decimal digits no larger than `maximum`, as every integer option is."""
+    if not (raw.isascii() and raw.isdigit()):
+        raise ScenarioError(f"{key}= wants a non-negative integer, got {raw!r}")
+    return bounded_int(raw, f"{key}: value", maximum)
 
-    def bandwidth(self, key: str) -> int:
-        return self._fail_with_line(key, parse_bandwidth, self.opt(key))
 
-    def integer(self, key: str, required: bool = True, default: int | None = None,
-                maximum: int = MAX_VALUE) -> int | None:
-        raw = self.opt(key, required)
-        if raw is None:
-            return default
-        if not (raw.isascii() and raw.isdigit()):
-            raise ScenarioError(
-                f"line {self.lineno}: {key}= wants a non-negative integer, got {raw!r}"
-            )
-        return self._fail_with_line(key, bounded_int, raw, "value", maximum)
+def _integer(options: dict[str, str], key: str, default: int | None = None,
+             maximum: int = MAX_VALUE) -> int:
+    if default is not None and key not in options:
+        return default
+    return parse_integer(key, _take(options, key), maximum)
 
-    def _fail_with_line(self, key: str, parser, *args):
-        try:
-            return parser(*args)
-        except ScenarioError as exc:
-            raise ScenarioError(f"line {self.lineno}: {key}: {exc}") from None
+
+def _no_extras(options: dict[str, str]) -> None:
+    if options:
+        raise ScenarioError(f"unknown option(s) {', '.join(sorted(options))}")
 
 
 def _components(nodes: list[str], links: list[LinkSpec]) -> dict[str, str]:
@@ -158,158 +148,126 @@ def _components(nodes: list[str], links: list[LinkSpec]) -> dict[str, str]:
 
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse and validate scenario text; all errors carry line numbers."""
-    sim_directive = None
-    nodes: list[str] = []
+    duration = seed = None
+    nodes: dict[str, None] = {}  # an ordered set: names in file order
     links: list[LinkSpec] = []
     agents: list[AgentSpec] = []
     generators: list = []
     trace_path = None
-    node_set: set[str] = set()
-    agent_names: dict[str, AgentSpec] = {}
     link_pairs: set[frozenset] = set()
-    agent_lines: list[int] = []
+    agent_lines: dict[str, int] = {}  # udp name -> its line
     gen_lines: list[int] = []
 
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    # Lines end at LF, CRLF or a lone CR only; str.splitlines() also breaks at \f etc.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        name, args = tokens[0], tokens[1:]
+        name, *args = line.split()
+        try:
+            if name == "sim":
+                if duration is not None:
+                    raise ScenarioError("duplicate sim directive")
+                opts = _split_options(args)
+                duration = _unit(opts, "duration")
+                seed = _integer(opts, "seed", 0, SEED_MAX)
+                _no_extras(opts)
 
-        if name == "sim":
-            if sim_directive is not None:
-                raise ScenarioError(f"line {lineno}: duplicate sim directive")
-            d = _Directive(lineno, _split_options(args, lineno))
-            duration = d.time("duration")
-            seed = d.integer("seed", required=False, default=0, maximum=2**64 - 1)
-            d.check_no_extras()
-            sim_directive = (duration, seed)
+            elif name == "node":
+                if len(args) != 1:
+                    raise ScenarioError("usage: node <name>")
+                if args[0] in nodes:
+                    raise ScenarioError(f"duplicate node name {args[0]!r}")
+                nodes[args[0]] = None
 
-        elif name == "node":
-            if len(args) != 1:
-                raise ScenarioError(f"line {lineno}: usage: node <name>")
-            if args[0] in node_set:
-                raise ScenarioError(f"line {lineno}: duplicate node name {args[0]!r}")
-            node_set.add(args[0])
-            nodes.append(args[0])
+            elif name == "duplex-link":
+                if len(args) < 2:
+                    raise ScenarioError("usage: duplex-link <a> <b> ...")
+                a, b = args[0], args[1]
+                for n in (a, b):
+                    if n not in nodes:
+                        raise ScenarioError(f"undeclared node {n!r}")
+                if a == b:
+                    raise ScenarioError(f"self-link on {a!r}")
+                if frozenset((a, b)) in link_pairs:
+                    raise ScenarioError(f"duplicate link {a!r} {b!r}")
+                opts = _split_options(args[2:])
+                kind = _take(opts, "queue")
+                if kind not in ("droptail", "sfq"):
+                    raise ScenarioError("queue= must be droptail or sfq")
+                default_limit = DROPTAIL_DEFAULT_LIMIT if kind == "droptail" else SFQ_DEFAULT_LIMIT
+                limit = _integer(opts, "limit", default_limit)
+                if limit < 1:
+                    raise ScenarioError("queue limit must be >= 1")
+                buckets_given = "buckets" in opts
+                buckets = _integer(opts, "buckets", SFQ_DEFAULT_BUCKETS)
+                if buckets_given and kind != "sfq":
+                    raise ScenarioError("buckets= only applies to sfq queues")
+                if buckets < 1:
+                    raise ScenarioError("bucket count must be >= 1")
+                links.append(LinkSpec(a, b, _unit(opts, "bw", parse_bandwidth),
+                                      _unit(opts, "delay"), QdiscConfig(kind, limit, buckets)))
+                _no_extras(opts)
+                link_pairs.add(frozenset((a, b)))
 
-        elif name == "duplex-link":
-            if len(args) < 2:
-                raise ScenarioError(f"line {lineno}: usage: duplex-link <a> <b> ...")
-            a, b = args[0], args[1]
-            for n in (a, b):
-                if n not in node_set:
-                    raise ScenarioError(f"line {lineno}: undeclared node {n!r}")
-            if a == b:
-                raise ScenarioError(f"line {lineno}: self-link on {a!r}")
-            if frozenset((a, b)) in link_pairs:
-                raise ScenarioError(f"line {lineno}: duplicate link {a!r} {b!r}")
-            d = _Directive(lineno, _split_options(args[2:], lineno))
-            kind = d.opt("queue")
-            if kind not in ("droptail", "sfq"):
-                raise ScenarioError(f"line {lineno}: queue= must be droptail or sfq")
-            default_limit = DROPTAIL_DEFAULT_LIMIT if kind == "droptail" else SFQ_DEFAULT_LIMIT
-            limit = d.integer("limit", required=False, default=default_limit)
-            if limit < 1:
-                raise ScenarioError(f"line {lineno}: queue limit must be >= 1")
-            buckets = d.integer("buckets", required=False, default=None)
-            if buckets is not None and kind != "sfq":
-                raise ScenarioError(f"line {lineno}: buckets= only applies to sfq queues")
-            if buckets is None:
-                buckets = SFQ_DEFAULT_BUCKETS
-            elif buckets < 1:
-                raise ScenarioError(f"line {lineno}: bucket count must be >= 1")
-            qdisc = QdiscConfig(kind, limit, buckets)
-            bw = d.bandwidth("bw")
-            delay = d.time("delay")
-            d.check_no_extras()
-            link_pairs.add(frozenset((a, b)))
-            links.append(LinkSpec(a, b, bw, delay, qdisc))
+            elif name == "udp":
+                if not args:
+                    raise ScenarioError("usage: udp <name> ...")
+                agent_name = args[0]
+                if agent_name in agent_lines:
+                    raise ScenarioError(f"duplicate agent name {agent_name!r}")
+                opts = _split_options(args[1:])
+                src, sink = _take(opts, "src"), _take(opts, "sink")
+                for n in (src, sink):
+                    if n not in nodes:
+                        raise ScenarioError(f"undeclared node {n!r}")
+                fid = _integer(opts, "fid")
+                color = opts.pop("color", None)  # nam legacy, ignored
+                _no_extras(opts)
+                agents.append(AgentSpec(agent_name, src, sink, fid, color))
+                agent_lines[agent_name] = lineno
 
-        elif name == "udp":
-            if len(args) < 1:
-                raise ScenarioError(f"line {lineno}: usage: udp <name> ...")
-            agent_name = args[0]
-            if agent_name in agent_names:
-                raise ScenarioError(f"line {lineno}: duplicate agent name {agent_name!r}")
-            d = _Directive(lineno, _split_options(args[1:], lineno))
-            src = d.opt("src")
-            sink = d.opt("sink")
-            for n in (src, sink):
-                if n not in node_set:
-                    raise ScenarioError(f"line {lineno}: undeclared node {n!r}")
-            fid = d.integer("fid")
-            color = d.opt("color", required=False)  # nam legacy, ignored
-            d.check_no_extras()
-            spec = AgentSpec(agent_name, src, sink, fid, color)
-            agent_names[agent_name] = spec
-            agents.append(spec)
-            agent_lines.append(lineno)
+            elif name == "cbr" or name == "exp":
+                opts = _split_options(args)
+                agent = _take(opts, "agent")
+                if agent not in agent_lines:
+                    raise ScenarioError(f"undeclared agent {agent!r}")
+                if name == "cbr":
+                    spec = CbrSpec(agent, _integer(opts, "size"), _unit(opts, "interval"),
+                                   _unit(opts, "start"), _unit(opts, "stop"))
+                else:
+                    spec = ExpSpec(agent, _integer(opts, "size"), _unit(opts, "burst"),
+                                   _unit(opts, "idle"), _unit(opts, "rate", parse_bandwidth),
+                                   _unit(opts, "start"), _unit(opts, "stop"))
+                _no_extras(opts)
+                if spec.size < 1:
+                    raise ScenarioError("packet size must be >= 1 byte")
+                if name == "cbr" and spec.interval <= 0:
+                    raise ScenarioError("interval must be positive")
+                if name == "exp" and tx_time(spec.size, spec.rate) == 0:
+                    raise ScenarioError("rate too high for size: zero gap between sends")
+                if name == "exp" and (spec.burst <= 0 or spec.idle <= 0):
+                    raise ScenarioError("burst and idle must be positive")
+                if spec.start > spec.stop:
+                    raise ScenarioError("start exceeds stop")
+                generators.append(spec)
+                gen_lines.append(lineno)
 
-        elif name == "cbr":
-            d = _Directive(lineno, _split_options(args, lineno))
-            agent = d.opt("agent")
-            if agent not in agent_names:
-                raise ScenarioError(f"line {lineno}: undeclared agent {agent!r}")
-            spec = CbrSpec(
-                agent=agent,
-                size=d.integer("size"),
-                interval=d.time("interval"),
-                start=d.time("start"),
-                stop=d.time("stop"),
-            )
-            d.check_no_extras()
-            if spec.size < 1:
-                raise ScenarioError(f"line {lineno}: packet size must be >= 1 byte")
-            if spec.interval <= 0:
-                raise ScenarioError(f"line {lineno}: interval must be positive")
-            if spec.start > spec.stop:
-                raise ScenarioError(f"line {lineno}: start exceeds stop")
-            generators.append(spec)
-            gen_lines.append(lineno)
+            elif name == "trace":
+                if trace_path is not None:
+                    raise ScenarioError("duplicate trace directive")
+                opts = _split_options(args)
+                trace_path = _take(opts, "file")
+                _no_extras(opts)
 
-        elif name == "exp":
-            d = _Directive(lineno, _split_options(args, lineno))
-            agent = d.opt("agent")
-            if agent not in agent_names:
-                raise ScenarioError(f"line {lineno}: undeclared agent {agent!r}")
-            spec = ExpSpec(
-                agent=agent,
-                size=d.integer("size"),
-                burst=d.time("burst"),
-                idle=d.time("idle"),
-                rate=d.bandwidth("rate"),
-                start=d.time("start"),
-                stop=d.time("stop"),
-            )
-            d.check_no_extras()
-            if spec.size < 1:
-                raise ScenarioError(f"line {lineno}: packet size must be >= 1 byte")
-            if tx_time(spec.size, spec.rate) == 0:
-                raise ScenarioError(
-                    f"line {lineno}: rate too high for size: zero gap between sends"
-                )
-            if spec.burst <= 0 or spec.idle <= 0:
-                raise ScenarioError(f"line {lineno}: burst and idle must be positive")
-            if spec.start > spec.stop:
-                raise ScenarioError(f"line {lineno}: start exceeds stop")
-            generators.append(spec)
-            gen_lines.append(lineno)
+            else:
+                raise ScenarioError(f"unknown directive {name!r}")
+        except ScenarioError as exc:
+            raise ScenarioError(f"line {lineno}: {exc}") from None
 
-        elif name == "trace":
-            if trace_path is not None:
-                raise ScenarioError(f"line {lineno}: duplicate trace directive")
-            d = _Directive(lineno, _split_options(args, lineno))
-            trace_path = d.opt("file")
-            d.check_no_extras()
-
-        else:
-            raise ScenarioError(f"line {lineno}: unknown directive {name!r}")
-
-    if sim_directive is None:
+    if duration is None:
         raise ScenarioError("missing sim directive")
-    duration, seed = sim_directive
     for lineno, gen in zip(gen_lines, generators):
         if gen.stop > duration:
             raise ScenarioError(
@@ -317,17 +275,17 @@ def parse_scenario(text: str) -> ScenarioSpec:
             )
     # Links may be declared after the udp lines that use them, so
     # reachability is checked once the whole topology is known.
-    component = _components(nodes, links)
-    for lineno, agent in zip(agent_lines, agents):
+    component = _components(list(nodes), links)
+    for agent in agents:
         if component[agent.src] != component[agent.sink]:
             raise ScenarioError(
-                f"line {lineno}: udp {agent.name}: sink {agent.sink} is unreachable "
-                f"from src {agent.src}"
+                f"line {agent_lines[agent.name]}: udp {agent.name}: sink {agent.sink} "
+                f"is unreachable from src {agent.src}"
             )
     return ScenarioSpec(
         duration=duration,
         seed=seed,
-        nodes=nodes,
+        nodes=list(nodes),
         links=links,
         agents=agents,
         generators=generators,

@@ -1,4 +1,5 @@
 import gc
+import json
 import shutil
 import warnings
 
@@ -41,6 +42,22 @@ def test_run_seed_override_changes_nothing_for_pure_cbr(tiny_scn, tmp_path, caps
     second = capsys.readouterr().out
     assert first == second
     assert (tmp_path / "a.tr").read_bytes() == (tmp_path / "b.tr").read_bytes()
+
+
+@pytest.mark.parametrize("seed,message", [
+    ("-1", "--seed= wants a non-negative integer, got '-1'"),
+    ("+5", "--seed= wants a non-negative integer, got '+5'"),
+    ("0x5", "--seed= wants a non-negative integer, got '0x5'"),
+    ("18446744073709551621", "--seed: value exceeds the maximum 18446744073709551615"),
+])
+def test_run_seed_follows_the_scenario_seed_rule(tiny_scn, tmp_path, capsys, seed, message):
+    trace = tmp_path / "t.tr"
+    assert main(["run", str(tiny_scn), "--trace", str(trace), "--seed", seed]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not trace.exists()
+    assert main(["run", str(tiny_scn), "--trace", str(trace),
+                 "--seed", "0018446744073709551615"]) == 0
 
 
 def test_run_rejects_bad_scenario(tmp_path, capsys):
@@ -207,6 +224,26 @@ def test_validate_missing_fixture_fails(tmp_path, capsys):
     shutil.copy(golden_dir() / "overload_droptail.scn", tmp_path)
     assert main(["validate", "--dir", str(tmp_path)]) == 1
     assert "missing fixture" in capsys.readouterr().out
+
+
+def test_validate_reports_every_broken_scenario_and_goes_on(tmp_path, capsys):
+    good = "overload_droptail"
+    for name in ("a_bad_scenario", "b_not_json", "c_no_digest", good):
+        shutil.copy(golden_dir() / f"{good}.scn", tmp_path / f"{name}.scn")
+        shutil.copy(golden_dir() / f"{good}.expected.json", tmp_path / f"{name}.expected.json")
+    (tmp_path / "a_bad_scenario.scn").write_text("sim duration=1s\nnode a\nnode a\n")
+    (tmp_path / "b_not_json.expected.json").write_text("{not json")
+    fixture = json.loads((tmp_path / "c_no_digest.expected.json").read_text())
+    del fixture["trace_sha256"]
+    (tmp_path / "c_no_digest.expected.json").write_text(json.dumps(fixture))
+    assert main(["validate", "--dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    bad, not_json, no_digest, passed = out.splitlines()
+    assert bad == "FAIL a_bad_scenario: line 3: duplicate node name 'a'"
+    assert not_json.startswith("FAIL b_not_json: b_not_json.expected.json is not valid JSON: ")
+    assert no_digest == "FAIL c_no_digest: c_no_digest.expected.json has no trace_sha256"
+    assert passed == f"PASS {good}"
+    assert err == ""
 
 
 def test_validate_empty_directory_fails(tmp_path, capsys):

@@ -190,6 +190,127 @@ def test_unknown_unit_and_option_errors():
         parse_scenario(base + "duplex-link a b bw=1Mb delay=0s queue=droptail buckets=4\n")
 
 
+TWO = "sim duration=1s\nnode a\nnode b\n"
+LINK = "duplex-link a b bw=1Mb delay=0s queue=droptail"
+FLOW = TWO + LINK + "\nudp f src=a sink=b fid=1\n"  # a generator goes on line 6
+CBR = "cbr agent=f size=1 interval=1ms start=0s stop=1s"
+EXP = "exp agent=f size=1 burst=1ms idle=1ms rate=1Mb start=0s stop=1s"
+
+# One bad scenario per message parse_scenario can raise, with its full text.
+# Where a line has several faults, the case pins which one is reported.
+ERROR_TEXTS = [
+    ("node a\n", "missing sim directive"),
+    ("sim duration=1s\nbogus x=1 x=2\n", "line 2: unknown directive 'bogus'"),
+    ("sim duration=2s\nsim bogus\n", "line 2: duplicate sim directive"),
+    ("sim duration=1s seed\n", "line 1: expected key=value, got 'seed'"),
+    ("sim duration=1s =1\n", "line 1: expected key=value, got '=1'"),
+    ("sim duration=1s duration=2s\n", "line 1: duplicate option 'duration'"),
+    ("sim seed=1\n", "line 1: missing option duration="),
+    ("sim frob=1\n", "line 1: missing option duration="),
+    ("sim duration=1s frob=1 abc=2\n", "line 1: unknown option(s) abc, frob"),
+    ("sim duration=1s seed=-1\n", "line 1: seed= wants a non-negative integer, got '-1'"),
+    ("sim duration=1s seed=18446744073709551616\n",
+     "line 1: seed: value exceeds the maximum 18446744073709551615"),
+    ("sim duration=1x\n",
+     "line 1: duration: unknown time unit in '1x' (expected s, ms, us or ns)"),
+    ("sim duration=1e5s\n", "line 1: duration: bad time value '1e5s'"),
+    ("sim duration=1.5ns\n",
+     "line 1: duration: time '1.5ns' is not a whole number of nanoseconds"),
+    (f"sim duration={MAX_VALUE + 1}ns\n",
+     f"line 1: duration: time in ns exceeds the maximum {MAX_VALUE}"),
+    ("sim duration=1s\nnode\n", "line 2: usage: node <name>"),
+    ("sim duration=1s\nnode a b\n", "line 2: usage: node <name>"),
+    ("sim duration=1s\nnode a\nnode a\n", "line 3: duplicate node name 'a'"),
+    ("sim duration=1s\nduplex-link a\n", "line 2: usage: duplex-link <a> <b> ..."),
+    (TWO + "duplex-link a zz bw=1Mb\n", "line 4: undeclared node 'zz'"),
+    (TWO + "duplex-link a a bw=1Mb\n", "line 4: self-link on 'a'"),
+    (TWO + LINK + "\nduplex-link b a frob\n", "line 5: duplicate link 'b' 'a'"),
+    (TWO + "duplex-link a b bw=1Mb delay=0s\n", "line 4: missing option queue="),
+    (TWO + "duplex-link a b bw=1Mb delay=0s queue=red frob=1\n",
+     "line 4: queue= must be droptail or sfq"),
+    (TWO + LINK + " limit=0\n", "line 4: queue limit must be >= 1"),
+    (TWO + LINK + " limit=x\n", "line 4: limit= wants a non-negative integer, got 'x'"),
+    (TWO + LINK + f" limit={MAX_VALUE + 1}\n",
+     f"line 4: limit: value exceeds the maximum {MAX_VALUE}"),
+    (TWO + LINK + " buckets=4\n", "line 4: buckets= only applies to sfq queues"),
+    (TWO + LINK.replace("droptail", "sfq") + " buckets=0\n",
+     "line 4: bucket count must be >= 1"),
+    (TWO + "duplex-link a b bw=1G delay=0s queue=droptail\n",
+     "line 4: bw: unknown bandwidth unit in '1G' (expected Mb, kb or b)"),
+    (TWO + "duplex-link a b bw=2.5Mb delay=0s queue=droptail\n",
+     "line 4: bw: bad bandwidth value '2.5Mb' (integer required)"),
+    (TWO + "duplex-link a b bw=0Mb delay=0s queue=droptail\n",
+     "line 4: bw: bandwidth '0Mb' must be positive"),
+    (TWO + f"duplex-link a b bw={'9' * 400}b delay=0s queue=droptail\n",
+     f"line 4: bw: bandwidth in b/s exceeds the maximum {MAX_VALUE}"),
+    (TWO + "duplex-link a b bw=1Mb delay=5 queue=droptail\n",
+     "line 4: delay: unknown time unit in '5' (expected s, ms, us or ns)"),
+    (TWO + LINK + " frob=1\n", "line 4: unknown option(s) frob"),
+    ("sim duration=1s\nudp\n", "line 2: usage: udp <name> ..."),
+    (FLOW + "udp f src=zz\n", "line 6: duplicate agent name 'f'"),
+    (TWO + "udp g src=zz fid=1\n", "line 4: missing option sink="),
+    (TWO + "udp g src=a sink=c fid=1\n", "line 4: undeclared node 'c'"),
+    (TWO + "udp g src=a sink=b fid=x\n", "line 4: fid= wants a non-negative integer, got 'x'"),
+    (TWO + "udp g src=a sink=b\n", "line 4: missing option fid="),
+    (TWO + "udp g src=a sink=b fid=1 colour=Green\n", "line 4: unknown option(s) colour"),
+    (FLOW + "cbr size=0\n", "line 6: missing option agent="),
+    (FLOW + "cbr agent=g size=x\n", "line 6: undeclared agent 'g'"),
+    (FLOW + CBR.replace("size=1", "size=x"),
+     "line 6: size= wants a non-negative integer, got 'x'"),
+    (FLOW + CBR.replace("interval=1ms", "interval=1"),
+     "line 6: interval: unknown time unit in '1' (expected s, ms, us or ns)"),
+    (FLOW + CBR.replace("stop=1s", "stop=1.0000000001s"),
+     "line 6: stop: time '1.0000000001s' is not a whole number of nanoseconds"),
+    (FLOW + CBR.replace("size=1", "size=0") + " frob=1\n", "line 6: unknown option(s) frob"),
+    (FLOW + CBR.replace("size=1", "size=0").replace("start=0s", "start=2s"),
+     "line 6: packet size must be >= 1 byte"),
+    (FLOW + CBR.replace("interval=1ms", "interval=0s").replace("start=0s", "start=2s"),
+     "line 6: interval must be positive"),
+    (FLOW + CBR.replace("start=0s", "start=2s"), "line 6: start exceeds stop"),
+    (FLOW + CBR.replace("stop=1s", "stop=2s"),
+     "line 6: generator stop exceeds simulation duration"),
+    (FLOW + EXP.replace("agent=f", "agent=g"), "line 6: undeclared agent 'g'"),
+    (FLOW + EXP.replace("rate=1Mb", "rate=1Gb"),
+     "line 6: rate: bad bandwidth value '1Gb' (integer required)"),
+    (FLOW + EXP.replace("idle=1ms", "idle=1e3ms"), "line 6: idle: bad time value '1e3ms'"),
+    (FLOW + EXP + " frob=1\n", "line 6: unknown option(s) frob"),
+    (FLOW + EXP.replace("size=1", "size=0").replace("rate=1Mb", "rate=100000Mb"),
+     "line 6: packet size must be >= 1 byte"),
+    (FLOW + EXP.replace("rate=1Mb", "rate=100000Mb").replace("burst=1ms", "burst=0s"),
+     "line 6: rate too high for size: zero gap between sends"),
+    (FLOW + EXP.replace("idle=1ms", "idle=0s").replace("start=0s", "start=2s"),
+     "line 6: burst and idle must be positive"),
+    (FLOW + EXP.replace("start=0s", "start=2s"), "line 6: start exceeds stop"),
+    (FLOW + EXP.replace("stop=1s", "stop=2s") + "\n" + CBR.replace("stop=1s", "stop=3s"),
+     "line 6: generator stop exceeds simulation duration"),
+    ("sim duration=1s\ntrace\n", "line 2: missing option file="),
+    ("sim duration=1s\ntrace file=a\ntrace file=b x\n", "line 3: duplicate trace directive"),
+    ("sim duration=1s\ntrace file=a x=1\n", "line 2: unknown option(s) x"),
+    (UNREACHABLE, "line 6: udp lonely: sink c is unreachable from src a"),
+    # The duration check comes before the reachability check.
+    (UNREACHABLE + "cbr agent=linked size=1 interval=1ms start=0s stop=2s\n",
+     "line 8: generator stop exceeds simulation duration"),
+]
+
+
+@pytest.mark.parametrize("text,message", ERROR_TEXTS, ids=[m for _, m in ERROR_TEXTS])
+def test_error_texts(text, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                  "\u2029"])
+def test_only_lf_cr_and_crlf_end_a_line(char):
+    # str.splitlines() breaks at these too; inside a line they are whitespace.
+    text = f"sim duration=1s{char}seed=2\n# a{char}b\r\nnode a{char}\rbogus\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == "line 4: unknown directive 'bogus'"
+    assert parse_scenario(text.replace("bogus", "")).seed == 2
+
+
 def test_generator_stop_must_fit_duration():
     text = MINIMAL.replace("stop=10s", "stop=11s")
     with pytest.raises(ScenarioError, match="duration"):
