@@ -12,12 +12,24 @@ at the far node after transmission time plus propagation delay. The far
 node either delivers to a bound receiver ('r') or forwards onward. No
 per-hop processing delay is modeled.
 
+As in ns-2's `LinkDelay::recv`, a hop's arrival is scheduled when its
+transmission starts, so it is one engine event. The end of the
+transmission has a key of its own, `(free_at, free_seq)`: the time the
+wire is free and a sequence number reserved when the transmission
+starts. The link is busy exactly while the event being dispatched comes
+before that key. A transmit-complete event that sends the next packet
+is pushed under the key only once a packet waits, so an uncontended hop
+costs one event and the busy/idle boundary does not depend on whether
+the event exists.
+
 The per-packet path makes no call that cannot change state. It reads
 the clock as the attribute `engine.now`, skips every trace record when
 `tracer` is None (no trace file), and dequeues only when a packet is
 waiting: a link's counters say so, since `enqueued - drops - dequeued`
 is what its queue holds (`qdisc.held()`). An idle link's queue is
 empty, so the packet enqueued on it is always accepted and sent at once.
+While the link is busy its queue only grows (a drop replaces the packet
+it makes room for), so a waiting packet still waits at `free_at`.
 """
 
 from __future__ import annotations
@@ -56,12 +68,16 @@ class SimplexLink:
     bandwidth: int  # bits/s
     delay: int  # propagation, ns
     qdisc: object
-    sending: Packet | None = field(default=None, repr=False)  # on the wire now
     enqueued: int = 0  # running event counters, mirror the trace
     dequeued: int = 0
     drops: int = 0
-    # Sent but not yet arrived, oldest first: the delay is constant, so
-    # arrivals fall due in transmit order.
+    # Key of the current transmission's end: busy while the event being
+    # dispatched comes before it.
+    free_at: int = -1
+    free_seq: int = 0
+    # Dequeued but not yet arrived, oldest first: transmissions end in
+    # the order they start and the delay is constant, so arrivals fall
+    # due in transmit order.
     in_flight: deque = field(default_factory=deque, repr=False)
     tx_done: Callable[[], None] | None = field(default=None, repr=False)
     arrive: Callable[[], None] | None = field(default=None, repr=False)
@@ -101,7 +117,7 @@ class Network:
                 link = SimplexLink(frm, to, bandwidth, delay, build_qdisc(qdisc_config))
                 # The link's engine actions, bound once instead of a
                 # closure per packet.
-                link.tx_done = partial(self._tx_complete, link)
+                link.tx_done = partial(self._start_tx, link)
                 link.arrive = partial(self._arrive, link)
                 self.links.append(link)
                 self._link_by_pair[(frm, to)] = link
@@ -151,7 +167,8 @@ class Network:
     def forward(self, node: int, pkt: Packet, via_link: SimplexLink | None = None) -> None:
         """Move `pkt` onward from `node`: deliver here, or queue on the
         outgoing link toward pkt.dst (starting transmission if idle)."""
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         tracer = self.tracer
         if node == pkt.dst:
             if tracer is not None:
@@ -176,26 +193,33 @@ class Network:
             if tracer is not None:
                 tracer.record("d", now, link.from_node, link.to_node, victim)
             link.drops += 1
-        if link.sending is None:
-            self._start_tx(link, now)
+        free_at = link.free_at
+        if now < free_at or (now == free_at and engine.seq < link.free_seq):
+            # busy: the transmit-complete event sends this packet, pushed
+            # now if it is the only one waiting
+            if victim is None and link.enqueued - link.drops == link.dequeued + 1:
+                engine.schedule(free_at, link.tx_done, link.free_seq)
+        else:
+            self._start_tx(link)
 
-    def _start_tx(self, link: SimplexLink, now: int) -> None:
-        """Send the next waiting packet; the caller knows one is waiting."""
-        pkt = link.sending = link.qdisc.dequeue()
+    def _start_tx(self, link: SimplexLink) -> None:
+        """Send the next waiting packet; the caller knows one is waiting.
+
+        Also the transmit-complete action, pushed only while one waits.
+        """
+        engine = self.engine
+        now = engine.now
+        pkt = link.qdisc.dequeue()
         if self.tracer is not None:
             self.tracer.record("-", now, link.from_node, link.to_node, pkt)
         link.dequeued += 1
         # tx_time(pkt.size, link.bandwidth), inline
-        self.engine.schedule(now + pkt.size * 8 * NS_PER_SEC // link.bandwidth, link.tx_done)
-
-    def _tx_complete(self, link: SimplexLink) -> None:
-        now = self.engine.now
-        link.in_flight.append(link.sending)
-        self.engine.schedule(now + link.delay, link.arrive)
+        free_at = link.free_at = now + pkt.size * 8 * NS_PER_SEC // link.bandwidth
+        free_seq = link.free_seq = engine.reserve()
+        link.in_flight.append(pkt)
+        engine.schedule(free_at + link.delay, link.arrive)
         if link.enqueued - link.drops > link.dequeued:  # qdisc.held() > 0
-            self._start_tx(link, now)  # next waiting packet, back to back
-        else:
-            link.sending = None
+            engine.schedule(free_at, link.tx_done, free_seq)  # back to back
 
     def _arrive(self, link: SimplexLink) -> None:
         self.forward(link.to_node, link.in_flight.popleft(), link)

@@ -28,18 +28,22 @@ class RunResult:
     bytes: int
     nlost: int
     utilization_pct: float  # bytes delivered at sink_node only
-    sink_node: int | None  # node whose counters the human block reports
+    sink_node: int | None  # first sink's node, whose link the utilization quotes
+    sink_nodes: int  # distinct nodes with a sink; npkts and bytes span them all
 
     def stats_block(self) -> str:
         """The printed statistics: human lines plus machine key=value."""
         tempo = format_time_short(self.duration)
-        node = self.sink_node if self.sink_node is not None else 0
+        if self.sink_nodes > 1:
+            where = f"em {self.sink_nodes} nodos"
+        else:
+            where = f"no nodo {self.sink_node if self.sink_node is not None else 0}"
         util = repr(self.utilization_pct)
         return (
             "Estatisticas:\n"
             f"Tempo Simulacao: {tempo} s\n"
-            f"Pacotes recebidos no nodo {node}: {self.npkts}\n"
-            f"Bytes recebidos no nodo {node}: {self.bytes}\n"
+            f"Pacotes recebidos {where}: {self.npkts}\n"
+            f"Bytes recebidos {where}: {self.bytes}\n"
             f"Utilizacao do link: {util}%\n"
             f"tempo_simulacao_s={tempo}\n"
             f"pacotes_recebidos={self.npkts}\n"
@@ -129,6 +133,7 @@ class Simulation:
             nlost=sum(s.nlost for s in self.sinks),
             utilization_pct=util,
             sink_node=sink_node,
+            sink_nodes=len({s.node for s in self.sinks}),
         )
 
 

@@ -6,7 +6,11 @@ path enumeration, and an event list scanned linearly for the minimum
 classes, no shared code with the simulator beyond arithmetic on ints.
 Creation order mirrors the simulator's documented FIFO tie-break: the
 initial injections first, then events in the order causality creates
-them (service completion, then arrival, then next service).
+them. Starting a service creates its completion and then, at completion
+plus the propagation delay, its arrival; a completion creates only the
+next service. The simulator pushes a completion only when a packet
+waits, but under the number it would have had, so always creating one
+here gives the same order.
 
 ReferenceSfq is SFQ the same way: one plain list per bucket and a
 linear scan for every service and every eviction.
@@ -61,7 +65,8 @@ def reference_outcome(scenario: MicroScenario):
         busy[pair] = True
         link = scenario.links[pair]
         done = now + size * 8 * 1_000_000_000 // link.bandwidth
-        pending.append([done, next(counter), "complete", pair, (uid, src, dst, size)])
+        pending.append([done, next(counter), "complete", pair, None])
+        pending.append([done + link.delay, next(counter), "arrive", pair, (uid, src, dst, size)])
 
     def handle_at(node, pkt, now):
         uid, src, dst, size = pkt
@@ -85,8 +90,6 @@ def reference_outcome(scenario: MicroScenario):
         if kind == "inject":
             handle_at(pkt[1], pkt, now)
         elif kind == "complete":
-            link = scenario.links[pair]
-            pending.append([now + link.delay, next(counter), "arrive", pair, pkt])
             busy[pair] = False
             if queues[pair]:
                 serve(pair, now)

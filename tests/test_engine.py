@@ -46,6 +46,37 @@ def test_scheduling_in_the_past_rejected():
     eng.schedule(100, lambda: None)  # at the current instant is fine
 
 
+def test_reserved_number_keeps_its_fifo_place_at_equal_times():
+    eng = EventEngine()
+    log = []
+    eng.schedule(500, recorder(log, "a"))
+    seq = eng.reserve()
+    eng.schedule(500, recorder(log, "b"))
+    eng.schedule(500, recorder(log, "reserved"), seq)  # pushed last, runs second
+    eng.reserve()  # a number never used leaves no gap in the order
+    eng.schedule(500, recorder(log, "c"))
+    eng.run_until(1000)
+    assert log == ["a", "reserved", "b", "c"]
+
+
+def test_reserved_key_must_come_after_the_dispatched_event():
+    eng = EventEngine()
+    outcomes = []
+    early = eng.reserve()
+
+    def at_100():
+        # the event being dispatched holds (100, eng.seq)
+        for seq in (early, eng.seq):
+            with pytest.raises(SimulationError):
+                eng.schedule(100, lambda: None, seq)
+        eng.schedule(101, recorder(outcomes, "later time"), early)
+        eng.schedule(100, recorder(outcomes, "later number"), eng.reserve())
+
+    eng.schedule(100, at_100)
+    eng.run_until(200)
+    assert outcomes == ["later number", "later time"]
+
+
 def test_run_until_empty_queue_leaves_clock_at_zero():
     eng = EventEngine()
     assert eng.run_until(seconds(500)) == 0

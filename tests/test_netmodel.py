@@ -187,6 +187,27 @@ def test_arrival_follows_dequeue_by_tx_plus_delay():
     assert r_t - minus_t == tx_time(250, 10_000_000) + seconds(0.010)
 
 
+def test_link_is_busy_until_its_transmit_complete_key():
+    # A transmission ends at 8 ms under a key reserved when it starts at
+    # 0 ms. An event due at 8 ms but scheduled before that start comes
+    # first, so the link is still busy for it: of its two packets the
+    # first queues and the second drops (limit=1), and only then does
+    # the transmit-complete event send the first.
+    eng = EventEngine()
+    tracer = ListTracer()
+    net = Network(eng, tracer, 2, [(0, 1, 1_000_000, 1_000_000, QdiscConfig("droptail", 1))])
+    deliveries = bind_collector(net, 1, eng)
+    burst = [make_packet(uid, src=0, dst=1) for uid in (1, 2)]
+    eng.schedule(8_000_000, lambda: [net.forward(0, pkt) for pkt in burst])
+    eng.schedule(0, lambda: net.forward(0, make_packet(0, src=0, dst=1)))
+    eng.run_until(seconds(1))
+    at_8ms = [(op, uid) for op, t, _, _, uid in tracer.events if t == 8_000_000]
+    assert at_8ms == [("+", 1), ("+", 2), ("d", 2), ("-", 1)]
+    assert deliveries == [(0, 9_000_000), (1, 17_000_000)]
+    link = net.link(0, 1)
+    assert (link.enqueued, link.dequeued, link.drops) == (3, 2, 1)
+
+
 def test_per_link_counters_obey_conservation():
     # slam 100 packets into a tight queue, then stop time mid-drain
     eng = EventEngine()

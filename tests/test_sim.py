@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+from minins import sim as sim_module
+from minins.engine import EventEngine
 from minins.golden import golden_dir
 from minins.scenario import parse_scenario
 from minins.sim import Simulation, run_scenario
@@ -45,6 +47,27 @@ def test_cbr_golden_stats_block_text(cbr_run):
         "bytes_recebidos=99600000\n"
         "utilizacao_link_pct=15.936\n"
     )
+
+
+def test_cbr_golden_costs_three_events_per_packet(monkeypatch):
+    # No packet waits anywhere in cbr_golden, so each of its 99,600
+    # packets costs its send and one arrival per hop (two hops), and no
+    # transmit-complete event is ever pushed; the one more event opens
+    # the generator's ON period. A per-hop event added back fails here.
+    class CountingEngine(EventEngine):
+        dispatched = 0
+
+        def schedule(self, time, action, *args):
+            def counted():
+                self.dispatched += 1
+                action()
+
+            super().schedule(time, counted, *args)
+
+    monkeypatch.setattr(sim_module, "EventEngine", CountingEngine)
+    sim = Simulation(parse_scenario((golden_dir() / "cbr_golden.scn").read_text()))
+    assert sim.run().npkts == 99_600
+    assert sim.engine.dispatched == 1 + 3 * 99_600
 
 
 def test_zero_duration_run_is_valid(tmp_path):
@@ -156,7 +179,8 @@ def test_utilization_uses_first_link_at_sink_node():
 def test_utilization_counts_only_the_reported_sink_node():
     # Flows end at b and c. The figure is quoted against b's first
     # declared link (a-b, 2 Mb), so only b's 200 bytes count: c's 10000
-    # bytes crossed other links. The packet and byte lines stay totals.
+    # bytes crossed other links. The packet and byte lines stay totals,
+    # labelled as received at both sink nodes, not at b.
     spec = parse_scenario(
         "sim duration=1s\nnode a\nnode b\nnode c\n"
         "duplex-link a b bw=2Mb delay=1ms queue=droptail\n"
@@ -170,7 +194,11 @@ def test_utilization_counts_only_the_reported_sink_node():
     result = run_scenario(spec)
     assert (result.sink_node, result.npkts, result.bytes) == (1, 12, 10_200)
     assert repr(result.utilization_pct) == "0.08"
-    assert "Utilizacao do link: 0.08%\n" in result.stats_block()
+    block = result.stats_block()
+    assert "Utilizacao do link: 0.08%\n" in block
+    assert "Pacotes recebidos em 2 nodos: 12\n" in block
+    assert "Bytes recebidos em 2 nodos: 10200\n" in block
+    assert "pacotes_recebidos=12\nbytes_recebidos=10200\n" in block
 
 
 def test_shared_fid_agents_number_packets_independently():
@@ -193,11 +221,13 @@ def test_shared_fid_agents_number_packets_independently():
 
 
 def test_same_instant_events_keep_schedule_order(tmp_path):
-    # At 13 ms flow 2's send (scheduled by its 3 ms send) and flow 1's
-    # far-end arrival (scheduled when its 8 ms transmission completed)
-    # fall due together; the earlier-scheduled send runs first. The
-    # golden digests do not pin this order: scheduling the arrival at
-    # dequeue time instead flips it and still passes all four.
+    # At 13 ms flow 1's far-end arrival and flow 2's send fall due
+    # together, and same-instant events run in the order they were
+    # scheduled. A hop's arrival is scheduled when its transmission
+    # starts (at 0 ms here, as ns-2's LinkDelay does), so it runs before
+    # the send that flow 2's 3 ms send scheduled. The golden digests do
+    # not pin this order: scheduling the arrival when the transmission
+    # ends flips it and still passes all four.
     spec = parse_scenario(
         "sim duration=50ms\nnode a\nnode b\n"
         "duplex-link a b bw=1Mb delay=5ms queue=droptail\n"
@@ -210,9 +240,9 @@ def test_same_instant_events_keep_schedule_order(tmp_path):
     run_scenario(spec, trace_path=str(trace))
     at_13ms = [line for line in trace.read_text().splitlines() if " 0.013000000 " in line]
     assert at_13ms == [
+        "r 0.013000000 0 1 cbr 1000 ------- 1 0.0 1.0 0 0",
         "+ 0.013000000 0 1 cbr 1 ------- 2 0.1 1.1 1 2",
         "- 0.013000000 0 1 cbr 1 ------- 2 0.1 1.1 1 2",
-        "r 0.013000000 0 1 cbr 1000 ------- 1 0.0 1.0 0 0",
     ]
 
 
