@@ -8,9 +8,8 @@ and link utilization from the trace alone.
 """
 
 from .analyze import analyze_trace, flow_stats, utilization
-from .engine import EventEngine, seconds
+from .engine import EventEngine
 from .errors import (
-    InternalError,
     MininsError,
     ScenarioError,
     SimulationError,

@@ -1,8 +1,7 @@
 """Command-line interface: run scenarios, analyze traces, validate goldens.
 
 Exit codes: 0 success, 1 usage or scenario error, 2 data error
-(malformed trace, lifecycle violations, I/O), 3 internal invariant
-violation.
+(malformed trace, lifecycle violations, I/O).
 """
 
 from __future__ import annotations

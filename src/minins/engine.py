@@ -23,12 +23,6 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from .errors import SimulationError
-from .units import NS_PER_SEC
-
-
-def seconds(x: float | int) -> int:
-    """Convert seconds to integer nanoseconds (convenience for tests/setup)."""
-    return round(x * NS_PER_SEC)
 
 
 class EventEngine:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the simulator.
 
 Each class carries the CLI exit code its category maps to:
-1 usage/spec error, 2 data error, 3 internal invariant violation.
+1 usage/spec error, 2 data error.
 """
 
 
@@ -16,8 +16,8 @@ class ScenarioError(MininsError):
 
 
 class SimulationError(MininsError):
-    """Simulator misuse: scheduling into the past, forwarding toward an
-    unroutable destination, a non-positive exponential mean (exit 1)."""
+    """Simulator misuse: scheduling an event before the one being
+    dispatched (exit 1)."""
 
     exit_code = 1
 
@@ -32,9 +32,3 @@ class TraceError(MininsError):
             message = f"line {lineno}: {message}"
         super().__init__(message)
         self.lineno = lineno
-
-
-class InternalError(MininsError):
-    """A simulator invariant broke; indicates a bug, not user error."""
-
-    exit_code = 3

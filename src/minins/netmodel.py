@@ -9,8 +9,14 @@ packet toward it.
 A link transmits one packet at a time: enqueue ('+' trace event, 'd' on
 drop), dequeue ('-') when the head of line wins the link, then arrival
 at the far node after transmission time plus propagation delay. The far
-node either delivers to a bound receiver ('r') or forwards onward. No
-per-hop processing delay is modeled.
+node either delivers to the packet's sink ('r') or forwards onward. No
+per-hop processing delay is modeled. A drop adds one to the `nlost` of
+the victim's sink.
+
+`parse_scenario` rejects a scenario whose sink is unreachable from its
+source, and every packet is addressed to a bound sink, so forwarding
+always finds a next hop and a delivery always finds its sink: neither is
+checked per packet.
 
 As in ns-2's `LinkDelay::recv`, a hop's arrival is scheduled when its
 transmission starts, so it is one engine event. The end of the
@@ -39,7 +45,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .errors import InternalError, SimulationError
 from .qdisc import build_qdisc
 from .units import NS_PER_SEC
 
@@ -106,8 +111,7 @@ class Network:
         self.tracer = tracer  # None: no trace file, so nothing is recorded
         self.node_count = node_count
         self.links: list[SimplexLink] = []
-        self._link_by_pair: dict[tuple[int, int], SimplexLink] = {}
-        self._receivers: dict[tuple[int, int], object] = {}
+        self._sinks: dict[tuple[int, int], object] = {}  # (node, port) -> SinkMonitor
         self._ports = [0] * node_count  # next free port per node
         # incoming links per node, in declaration order: a node's first is
         # from the first declared link touching it
@@ -120,13 +124,9 @@ class Network:
                 link.tx_done = partial(self._start_tx, link)
                 link.arrive = partial(self._arrive, link)
                 self.links.append(link)
-                self._link_by_pair[(frm, to)] = link
                 self.links_into[to].append(link)
         # next-hop column per destination, built on the first packet toward it
         self._routes: list[list[SimplexLink | None] | None] = [None] * node_count
-
-    def link(self, from_node: int, to_node: int) -> SimplexLink:
-        return self._link_by_pair[(from_node, to_node)]
 
     def allot_port(self, node: int) -> int:
         """Next unused port on `node`, in agent creation order from 0."""
@@ -134,8 +134,10 @@ class Network:
         self._ports[node] = port + 1
         return port
 
-    def bind_receiver(self, node: int, port: int, callback) -> None:
-        self._receivers[(node, port)] = callback
+    def bind_sink(self, sink) -> None:
+        """Deliver packets for (sink.node, sink.port) to `sink` and count
+        their drops in its `nlost`."""
+        self._sinks[(sink.node, sink.port)] = sink
 
     # -- routing ---------------------------------------------------------
 
@@ -174,17 +176,12 @@ class Network:
             if tracer is not None:
                 frm = via_link.from_node if via_link is not None else node
                 tracer.record("r", now, frm, node, pkt)
-            receiver = self._receivers.get((node, pkt.dport))
-            if receiver is None:
-                raise InternalError(f"no receiver bound at node {node} port {pkt.dport}")
-            receiver(pkt)
+            self._sinks[(node, pkt.dport)].on_receive(pkt)
             return
         column = self._routes[pkt.dst]
         if column is None:
             column = self._routes[pkt.dst] = self.compute_routes(pkt.dst)
         link = column[node]
-        if link is None:
-            raise SimulationError(f"no route from node {node} to node {pkt.dst}")
         if tracer is not None:
             tracer.record("+", now, link.from_node, link.to_node, pkt)
         link.enqueued += 1
@@ -193,6 +190,7 @@ class Network:
             if tracer is not None:
                 tracer.record("d", now, link.from_node, link.to_node, victim)
             link.drops += 1
+            self._sinks[(victim.dst, victim.dport)].nlost += 1
         free_at = link.free_at
         if now < free_at or (now == free_at and engine.seq < link.free_seq):
             # busy: the transmit-complete event sends this packet, pushed

@@ -4,7 +4,8 @@ DropTail is a bounded FIFO that discards the arriving packet when full.
 SFQ hashes flows into buckets served round-robin; on overflow it drops
 from the tail of the currently longest bucket (lowest bucket index on
 ties), which is the arriving packet whenever its own bucket is longest.
-Both count occupancy in packets, not bytes.
+Both count occupancy in packets, not bytes. A link dequeues only when
+`held()` says a packet waits, so `dequeue` never sees an empty queue.
 
 SFQ keeps only the buckets its flows have used, plus a sorted list of
 the non-empty ones, so its memory grows with the number of flows and
@@ -60,7 +61,7 @@ class DropTail:
         return EnqueueResult(dropped=pkt)
 
     def dequeue(self):
-        return self._q.popleft() if self._q else None
+        return self._q.popleft()
 
     def held(self) -> int:
         return len(self._q)
@@ -104,8 +105,6 @@ class Sfq:
 
     def dequeue(self):
         busy = self._busy
-        if not busy:
-            return None
         # The first busy bucket after the last-served one, wrapping
         # around to the lowest: the bucket a cyclic scan would reach.
         pos = bisect_right(busy, self._rr)

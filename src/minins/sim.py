@@ -89,7 +89,7 @@ class Simulation:
             src_port = self.network.allot_port(src)
             sink_node = node_id[agent_spec.sink]
             sink = SinkMonitor(sink_node, self.network.allot_port(sink_node))
-            self.network.bind_receiver(sink.node, sink.port, sink.on_receive)
+            self.network.bind_sink(sink)
             agent = UdpAgent(self.network, src, src_port, agent_spec.fid, next_uid,
                              sink.node, sink.port)
             self.agents[agent_spec.name] = agent

@@ -2,11 +2,11 @@
 
 A UdpAgent stamps outgoing packets with its flow id and its own
 sequence numbers (as in ns-2, agents sharing a flow id number their
-packets independently); a SinkMonitor counts arrivals and infers losses
-from sequence gaps. On top sit two generators: constant bit rate
-(fixed-size packets at a fixed interval) and exponential on-off
-(alternating exponentially distributed ON/OFF periods, sending at a
-fixed rate while ON, starting with ON).
+packets independently); a SinkMonitor counts the packets delivered to
+it and, as the network reports them, those dropped on the way. On top
+sit two generators: constant bit rate (fixed-size packets at a fixed
+interval) and exponential on-off (alternating exponentially distributed
+ON/OFF periods, sending at a fixed rate while ON, starting with ON).
 
 Randomness comes only from the on-off generator, which draws from its
 own splitmix64 substream in a fixed order (ON duration, then OFF
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 
-from .errors import InternalError, SimulationError
 from .netmodel import Packet, tx_time
 from .scenario import CbrSpec, ExpSpec
 
@@ -30,9 +29,8 @@ def exp_variate(mean: int, rng) -> int:
     """Exponential draw with the given mean (ns), floored to whole ns.
 
     Inverse transform: -mean * ln(1 - u) with u uniform in [0, 1).
+    `parse_scenario` accepts only positive means.
     """
-    if mean <= 0:
-        raise SimulationError(f"exponential mean must be positive, got {mean}")
     return int(-mean * math.log1p(-rng.uniform()))
 
 
@@ -61,12 +59,11 @@ class UdpAgent:
 
 
 class SinkMonitor:
-    """Terminal agent of one flow: counts packets/bytes, infers losses.
+    """Terminal agent of one flow: counts packets and bytes delivered.
 
-    Like ns-2's LossMonitor, `nlost` is inferred from sequence gaps:
-    highest seq received + 1 - packets received. It cannot see drops
-    after the last delivered packet; the analyzer's per-flow `dropped`
-    is the exact count.
+    `nlost` counts the flow's packets dropped on the way, wherever they
+    were dropped: the network adds each drop to the victim's sink, so
+    it equals the analyzer's per-flow `dropped`.
     """
 
     def __init__(self, node: int, port: int):
@@ -74,22 +71,11 @@ class SinkMonitor:
         self.port = port
         self.npkts = 0
         self.bytes = 0
-        self._highest_seq = -1
+        self.nlost = 0
 
     def on_receive(self, pkt: Packet) -> None:
-        if pkt.dst != self.node or pkt.dport != self.port:
-            raise InternalError(
-                f"misdelivery: packet for {pkt.dst}.{pkt.dport} "
-                f"reached sink {self.node}.{self.port}"
-            )
         self.npkts += 1
         self.bytes += pkt.size
-        if pkt.seq > self._highest_seq:
-            self._highest_seq = pkt.seq
-
-    @property
-    def nlost(self) -> int:
-        return self._highest_seq + 1 - self.npkts
 
 
 class _OnOffSender:

@@ -10,13 +10,14 @@ import shutil
 from concurrent.futures import ProcessPoolExecutor
 
 from minins.analyze import analyze_trace, flow_stats, utilization
-from minins.engine import EventEngine, seconds
+from minins.engine import EventEngine
 from minins.golden import golden_dir, run_validate
 from minins.netmodel import Network, Packet
 from minins.qdisc import QdiscConfig, sfq_bucket
 from minins.scenario import parse_scenario
 from minins.sim import Simulation, run_scenario
 
+from net_helpers import RecordingSink, link_between, seconds
 from reference_model import MicroLink, MicroScenario, reference_outcome
 
 EXP_BYTES_EXPECTED = 5e6 * (800 / 802) * 499 / 8  # duty-cycle analysis
@@ -56,7 +57,7 @@ def paper_seed_totals(seed):
     spec = parse_scenario((golden_dir() / "paper.scn").read_text())
     sim = Simulation(spec, seed=seed)  # trace-free: bands are about totals
     result = sim.run()
-    return sim.sinks[0].bytes, result.utilization_pct, sim.network.link(2, 3).drops
+    return sim.sinks[0].bytes, result.utilization_pct, link_between(sim.network, 2, 3).drops
 
 
 def test_criterion_3_paper_scenario_bands_over_ten_seeds():
@@ -168,13 +169,18 @@ def test_criterion_7_online_offline_equivalence(golden_runs):
         lines = run.trace_lines()
         node_id = {node: k for k, node in enumerate(run.spec.nodes)}
         dropped = 0
+        offline_lost = {}  # fid -> the analyzer's drops of that flow id
+        online_lost = {}  # fid -> sum of nlost over the sinks of that flow id
         # one sink per udp directive, in directive order
         for agent, sink in zip(run.spec.agents, run.sim.sinks, strict=True):
             offline = flow_stats(lines, agent.fid, node_id[agent.src], node_id[agent.sink])
             assert offline.received == sink.npkts, (name, agent.fid)
             assert offline.bytes_received == sink.bytes, (name, agent.fid)
             dropped += offline.dropped
+            offline_lost[agent.fid] = offline.dropped
+            online_lost[agent.fid] = online_lost.get(agent.fid, 0) + sink.nlost
         assert dropped == sum(link.drops for link in run.sim.network.links), name
+        assert online_lost == offline_lost, name
     print("PASS criterion 7: analyzer equals loss monitors and link drops on every golden run")
 
 
@@ -230,7 +236,7 @@ def _simulator_outcome(scenario: MicroScenario):
     net = Network(eng, watch, scenario.node_count, duplex_links)
     delivered = {}
     for node in range(scenario.node_count):
-        net.bind_receiver(node, 0, lambda pkt: delivered.__setitem__(pkt.uid, eng.now))
+        net.bind_sink(RecordingSink(node, 0, lambda pkt: delivered.__setitem__(pkt.uid, eng.now)))
     for time, uid, src, dst, size in scenario.injections:
         pkt = Packet(uid=uid, fid=uid, ptype="cbr", size=size, src=src, sport=0,
                      dst=dst, dport=0, seq=uid, birth=time)

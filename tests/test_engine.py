@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from minins.engine import EventEngine, seconds
+from minins.engine import EventEngine
 from minins.errors import SimulationError
+
+from net_helpers import seconds
 
 
 def recorder(log, label):

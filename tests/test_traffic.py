@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 
-from minins.engine import EventEngine, seconds
-from minins.errors import InternalError, ScenarioError, SimulationError
+from minins.engine import EventEngine
+from minins.errors import ScenarioError
+from minins.golden import golden_dir
 from minins.netmodel import Network, Packet
 from minins.qdisc import QdiscConfig
 from minins.rng import SplitMix64
@@ -15,6 +17,8 @@ from minins.traffic import (
     UdpAgent,
     exp_variate,
 )
+
+from net_helpers import link_between, seconds
 
 MS = 1_000_000
 
@@ -87,11 +91,6 @@ def test_exp_variate_identity_point():
     assert abs(draw - mean) <= 1
 
 
-def test_exp_variate_requires_positive_mean():
-    with pytest.raises(SimulationError):
-        exp_variate(0, FixedRng(0.5))
-
-
 def test_exp_variate_sample_mean_near_true_mean():
     mean = 800 * MS
     rng = SplitMix64(2024)
@@ -109,6 +108,58 @@ def test_duty_cycle_of_renewal_oracle():
         off += exp_variate(2 * MS, rng)
     duty = on / (on + off)
     assert abs(duty - 800 / 802) < 0.001
+
+
+class RecordingRng:
+    """Passes a stream's uniforms through and keeps each one."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.us = []
+
+    def uniform(self):
+        u = self.rng.uniform()
+        self.us.append(u)
+        return u
+
+
+def exp_draws(spec, seed):
+    """(mean, u, draw) of every draw of `spec`'s one exp generator at `seed`.
+
+    Replays ExpOnOffGenerator's ON/OFF loop on its substream without
+    the sends: from start, ON and OFF durations alternate, and the
+    generator stops drawing once a period ends at or past stop.
+    """
+    ((ordinal, gen),) = [(k, g) for k, g in enumerate(spec.generators)
+                         if isinstance(g, ExpSpec)]
+    rng = RecordingRng(SplitMix64.substream(seed, ordinal))
+    means = itertools.cycle((gen.burst, gen.idle))
+    draws = []
+    t = gen.start
+    while t < gen.stop:
+        mean = next(means)
+        draw = exp_variate(mean, rng)
+        draws.append((mean, rng.us[-1], draw))
+        t += draw
+    return draws
+
+
+def test_paper_exp_draws_keep_a_margin_from_integer_boundaries():
+    # A draw is int(-mean * log1p(-u)), and libm's log1p need not round
+    # correctly: a platform whose log1p is a few ulps off would floor a
+    # draw next to an integer differently and move the trace. Every draw
+    # of the paper scenario at its own seed and at seeds 1-10 (acceptance
+    # criterion 3) stays at least 4 ulps away from the nearest integer.
+    spec = parse_scenario((golden_dir() / "paper.scn").read_text())
+    for seed in (spec.seed, *range(1, 11)):
+        draws = exp_draws(spec, seed)
+        assert len(draws) > 1000, seed
+        for mean, u, draw in draws:
+            assert u * 2**53 == int(u * 2**53)  # u = k / 2**53
+            x = -mean * math.log1p(-u)
+            assert int(x) == draw
+            margin = min(x - math.floor(x), math.ceil(x) - x) / math.ulp(x)
+            assert margin >= 4, (seed, mean, u)
 
 
 # -- CBR ------------------------------------------------------------------------
@@ -253,9 +304,19 @@ def test_expoo_stop_cancels_everything():
 # -- sink monitor -------------------------------------------------------------------
 
 
-def rx_packet(seq, fid=1, size=1000, node=3, port=0):
-    return Packet(uid=seq, fid=fid, ptype="cbr", size=size, src=0, sport=0,
-                  dst=node, dport=port, seq=seq, birth=0)
+def rx_packet(seq):
+    return Packet(uid=seq, fid=1, ptype="cbr", size=1000, src=0, sport=0,
+                  dst=3, dport=0, seq=seq, birth=0)
+
+
+def sink_flow(net, src, sink_node):
+    """An agent on `src` sending flow 1 to a new sink on `sink_node`."""
+    sink = SinkMonitor(sink_node, net.allot_port(sink_node))
+    net.bind_sink(sink)
+    uid_counter = iter(range(10**9))
+    agent = UdpAgent(net, src, net.allot_port(src), 1, lambda: next(uid_counter),
+                     sink.node, sink.port)
+    return agent, sink
 
 
 def test_sink_counts_packets_and_bytes():
@@ -264,31 +325,34 @@ def test_sink_counts_packets_and_bytes():
     assert (sink.npkts, sink.bytes, sink.nlost) == (1, 1000, 0)
 
 
-def test_sink_infers_losses_from_sequence_gaps():
-    sink = SinkMonitor(3, 0)
-    for seq in (0, 1, 3):
-        sink.on_receive(rx_packet(seq))
-    assert sink.nlost == 1
+def test_sink_counts_every_drop_even_after_its_last_delivery():
+    # 1000 cbr packets, one per ms, into a 1 Mb/s link (8 ms per packet)
+    # with room for 2: most are dropped, the last few after the last
+    # one that gets through. nlost counts each drop, so it equals the
+    # 'd' lines.
+    eng = EventEngine()
+    drops = []
 
+    class DropTracer:
+        def record(self, op, time, from_node, to_node, pkt):
+            if op == "d":
+                drops.append(pkt.uid)
 
-def test_sink_cannot_see_losses_after_last_delivery():
-    sink = SinkMonitor(3, 0)
-    for seq in (0, 1):  # seqs 2.. were sent and dropped
-        sink.on_receive(rx_packet(seq))
-    assert sink.nlost == 0
+    net = Network(eng, DropTracer(), 2, [(0, 1, 1_000_000, MS, QdiscConfig("droptail", 2))])
+    agent, sink = sink_flow(net, 0, 1)
+    gen = CbrGenerator(eng, agent, CbrSpec("f", 1000, MS, 0, seconds(1)))
+    gen.install()
+    eng.run_until(seconds(2))
+    assert gen.emitted == 1000
+    assert sink.npkts == 127
+    assert sink.nlost == len(drops) == 873
+    assert max(drops) == 999  # the last packet sent was dropped
+    assert link_between(net, 0, 1).drops == 873
 
 
 def test_fresh_sink_reports_zeros():
     sink = SinkMonitor(3, 0)
     assert (sink.npkts, sink.bytes, sink.nlost) == (0, 0, 0)
-
-
-def test_misdelivery_is_an_internal_error():
-    sink = SinkMonitor(3, 0)
-    with pytest.raises(InternalError):
-        sink.on_receive(rx_packet(0, node=2))
-    with pytest.raises(InternalError):
-        sink.on_receive(rx_packet(0, port=5))
 
 
 # -- generator over a real network ------------------------------------------------
@@ -298,11 +362,7 @@ def test_exp_generator_drives_flow_over_network():
     eng = EventEngine()
     n0, n1 = 0, 1
     net = Network(eng, None, 2, [(n0, n1, 10_000_000, MS, QdiscConfig("droptail", 50))])
-    sink = SinkMonitor(n1, net.allot_port(n1))
-    net.bind_receiver(sink.node, sink.port, sink.on_receive)
-    uid_counter = iter(range(10**9))
-    agent = UdpAgent(net, n0, net.allot_port(n0), 1, lambda: next(uid_counter),
-                     sink.node, sink.port)
+    agent, sink = sink_flow(net, n0, n1)
     cfg = ExpSpec("f", 1000, 800 * MS, 2 * MS, 5_000_000, 0, seconds(2))
     gen = ExpOnOffGenerator(eng, agent, cfg, SplitMix64.substream(3, 0))
     gen.install()
