@@ -11,8 +11,7 @@ seven fields read here: op, time, from, to, size, fid and uid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 # parse_line is not called here, but the benchmark's parse micro-timing
 # (perfbench/worker.py) and its parse hook read it from this module.
@@ -20,8 +19,7 @@ from .trace import parse_event, parse_line  # noqa: F401
 from .units import NS_PER_SEC
 
 
-@dataclass
-class FlowStats:
+class FlowStats(NamedTuple):
     fid: int
     sent: int = 0
     received: int = 0
@@ -31,8 +29,7 @@ class FlowStats:
     max_delay: float | None = None
 
 
-@dataclass
-class TraceReport:
+class TraceReport(NamedTuple):
     flow: FlowStats | None  # None unless a flow was asked for
     series: list[tuple[float, float]]  # (bin start s, bits/s); [] unless bins were asked for
     violations: list[str]
@@ -144,10 +141,9 @@ def analyze_trace(
                 bytes_per_bin[k] = bytes_per_bin.get(k, 0) + size
     stats = None
     if flow is not None:
-        stats = FlowStats(fid, sent, received, dropped, bytes_received)
-        if received:
-            stats.mean_delay = delay_total / received / NS_PER_SEC
-            stats.max_delay = delay_max / NS_PER_SEC
+        stats = FlowStats(fid, sent, received, dropped, bytes_received,
+                          delay_total / received / NS_PER_SEC if received else None,
+                          delay_max / NS_PER_SEC if received else None)
     series = [] if bin_ns is None else [
         (k * bin_ns / NS_PER_SEC, bytes_per_bin.get(k, 0) * 8 / bin_seconds)
         for k in range(max(bytes_per_bin, default=-1) + 1)

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .analyze import analyze_trace, bin_width_ns
 from .errors import MininsError, ScenarioError
-from .golden import run_validate
 from .scenario import SEED_MAX, parse_integer, parse_scenario
 from .sim import run_scenario
 
@@ -104,6 +103,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # Imported here: run and analyze need none of golden's hashing and JSON.
+    from .golden import run_validate
+
     return 0 if run_validate(args.dir) else 1
 
 

@@ -41,51 +41,64 @@ it makes room for), so a waiting packet still waits at `free_at`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 from .qdisc import build_qdisc
 from .units import NS_PER_SEC
 
 
-@dataclass(slots=True)
 class Packet:
     """The unit that is routed, queued, traced, and counted."""
 
-    uid: int  # unique across the whole run
-    fid: int  # flow id / traffic class
-    ptype: str  # short label: "cbr", "exp", ...
-    size: int  # bytes, >= 1
-    src: int
-    sport: int
-    dst: int
-    dport: int
-    seq: int  # per-flow sequence number
-    birth: int  # ns
-    tail: str | None = field(default=None, repr=False, compare=False)  # TraceWriter's cache
+    __slots__ = ("uid", "fid", "ptype", "size", "src", "sport", "dst", "dport", "seq",
+                 "birth", "tail")
+
+    def __init__(self, uid: int, fid: int, ptype: str, size: int, src: int, sport: int,
+                 dst: int, dport: int, seq: int, birth: int):
+        self.uid = uid  # unique across the whole run
+        self.fid = fid  # flow id / traffic class
+        self.ptype = ptype  # short label: "cbr", "exp", ...
+        self.size = size  # bytes, >= 1
+        self.src = src
+        self.sport = sport
+        self.dst = dst
+        self.dport = dport
+        self.seq = seq  # per-flow sequence number
+        self.birth = birth  # ns
+        self.tail = None  # TraceWriter's cache: the line's formatted end
+
+    def __repr__(self) -> str:
+        return (f"Packet(uid={self.uid!r}, fid={self.fid!r}, ptype={self.ptype!r}, "
+                f"size={self.size!r}, src={self.src!r}, sport={self.sport!r}, "
+                f"dst={self.dst!r}, dport={self.dport!r}, seq={self.seq!r}, "
+                f"birth={self.birth!r})")
 
 
-@dataclass
 class SimplexLink:
-    from_node: int
-    to_node: int
-    bandwidth: int  # bits/s
-    delay: int  # propagation, ns
-    qdisc: object
-    enqueued: int = 0  # running event counters, mirror the trace
-    dequeued: int = 0
-    drops: int = 0
-    # Key of the current transmission's end: busy while the event being
-    # dispatched comes before it.
-    free_at: int = -1
-    free_seq: int = 0
-    # Dequeued but not yet arrived, oldest first: transmissions end in
-    # the order they start and the delay is constant, so arrivals fall
-    # due in transmit order.
-    in_flight: deque = field(default_factory=deque, repr=False)
-    tx_done: Callable[[], None] | None = field(default=None, repr=False)
-    arrive: Callable[[], None] | None = field(default=None, repr=False)
+    __slots__ = ("from_node", "to_node", "bandwidth", "delay", "qdisc", "enqueued",
+                 "dequeued", "drops", "free_at", "free_seq", "in_flight", "tx_done",
+                 "arrive")
+
+    def __init__(self, from_node: int, to_node: int, bandwidth: int, delay: int, qdisc):
+        self.from_node = from_node
+        self.to_node = to_node
+        self.bandwidth = bandwidth  # bits/s
+        self.delay = delay  # propagation, ns
+        self.qdisc = qdisc
+        self.enqueued = 0  # running event counters, mirror the trace
+        self.dequeued = 0
+        self.drops = 0
+        # Key of the current transmission's end: busy while the event being
+        # dispatched comes before it.
+        self.free_at = -1
+        self.free_seq = 0
+        # Dequeued but not yet arrived, oldest first: transmissions end in
+        # the order they start and the delay is constant, so arrivals fall
+        # due in transmit order.
+        self.in_flight = deque()
+        # Its engine actions, bound by Network.
+        self.tx_done = None
+        self.arrive = None
 
 
 def tx_time(size: int, bandwidth: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rng import mix64
 
@@ -25,15 +25,13 @@ SFQ_DEFAULT_LIMIT = 40
 SFQ_DEFAULT_BUCKETS = 16
 
 
-@dataclass(frozen=True)
-class QdiscConfig:
+class QdiscConfig(NamedTuple):
     kind: str  # "droptail" | "sfq"
     limit: int
     buckets: int = SFQ_DEFAULT_BUCKETS  # meaningful for sfq only
 
 
-@dataclass(frozen=True, slots=True)
-class EnqueueResult:
+class EnqueueResult(NamedTuple):
     dropped: object | None = None  # victim Packet, arriving or resident
 
 

@@ -16,7 +16,7 @@ embedded scripting. The color attribute is accepted and ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ScenarioError
 from .netmodel import tx_time
@@ -29,8 +29,7 @@ from .qdisc import (
 from .units import MAX_VALUE, bounded_int, parse_bandwidth, parse_time
 
 
-@dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(NamedTuple):
     a: str
     b: str
     bandwidth: int  # bits/s
@@ -38,8 +37,7 @@ class LinkSpec:
     qdisc: QdiscConfig
 
 
-@dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(NamedTuple):
     name: str
     src: str
     sink: str
@@ -47,8 +45,7 @@ class AgentSpec:
     color: str | None = None
 
 
-@dataclass(frozen=True)
-class CbrSpec:
+class CbrSpec(NamedTuple):
     agent: str
     size: int
     interval: int
@@ -58,8 +55,7 @@ class CbrSpec:
     kind = "cbr"
 
 
-@dataclass(frozen=True)
-class ExpSpec:
+class ExpSpec(NamedTuple):
     agent: str
     size: int
     burst: int
@@ -71,14 +67,13 @@ class ExpSpec:
     kind = "exp"
 
 
-@dataclass
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     duration: int  # ns
-    seed: int = 0
-    nodes: list[str] = field(default_factory=list)
-    links: list[LinkSpec] = field(default_factory=list)
-    agents: list[AgentSpec] = field(default_factory=list)
-    generators: list = field(default_factory=list)  # CbrSpec | ExpSpec, file order
+    seed: int
+    nodes: list[str]
+    links: list[LinkSpec]
+    agents: list[AgentSpec]
+    generators: list  # CbrSpec | ExpSpec, file order
     trace_path: str | None = None
 
 

@@ -9,7 +9,7 @@ adding a generator does not disturb the streams of earlier ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analyze import utilization
 from .engine import EventEngine
@@ -21,8 +21,7 @@ from .traffic import CbrGenerator, ExpOnOffGenerator, SinkMonitor, UdpAgent
 from .units import format_time_short
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     duration: int  # ns
     npkts: int  # received, all sinks
     bytes: int

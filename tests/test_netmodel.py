@@ -54,6 +54,12 @@ def bind_collector(net, node, engine):
     return deliveries
 
 
+def test_packet_repr_names_its_fields():
+    assert repr(make_packet(7, 0, 3, birth=5)) == (
+        "Packet(uid=7, fid=1, ptype='cbr', size=1000, src=0, sport=0, dst=3, dport=0, "
+        "seq=7, birth=5)")
+
+
 def test_duplex_link_is_two_simplex_links_with_own_qdiscs():
     net = Network(EventEngine(), ListTracer(), 2, [(0, 1, 10_000_000, seconds(0.010), DT)])
     fwd, rev = net.links

@@ -344,6 +344,23 @@ def test_render_round_trip_minimal():
     assert parse_scenario(render_scenario(spec)) == spec
 
 
+def test_specs_cannot_be_assigned():
+    spec = parse_scenario(MINIMAL)
+    link = spec.links[0]
+    for record, name in ((spec, "seed"), (spec, "nodes"), (link, "delay"),
+                         (link.qdisc, "limit"), (spec.agents[0], "fid"),
+                         (spec.generators[0], "size")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+
+
+def test_parsed_specs_share_no_list():
+    first, second = parse_scenario(MINIMAL), parse_scenario(MINIMAL)
+    lists = [value for spec in (first, second) for value in spec if isinstance(value, list)]
+    assert len(lists) == 8
+    assert len({id(value) for value in lists}) == 8
+
+
 positive_ns = st.integers(1, 10**12)
 
 

@@ -39,6 +39,11 @@ def test_cbr_golden_statistics(cbr_run):
     assert sink.npkts == 99_600 and sink.nlost == 0
 
 
+def test_run_result_cannot_be_assigned(cbr_run):
+    with pytest.raises(AttributeError):
+        cbr_run.result.npkts = 0
+
+
 def test_cbr_golden_stats_block_text(cbr_run):
     assert cbr_run.result.stats_block() == (
         "Estatisticas:\n"
