@@ -15,6 +15,14 @@ reached: a component that has to stop never schedules past its stop.
 The clock is the plain attribute `engine.now` and the key of the event
 being dispatched is `(engine.now, engine.seq)`, read without a call on
 the per-packet path; only the engine writes them.
+
+While `run_until(limit)` runs, `engine.limit` holds its limit; outside
+a run it is -1, which no event time reaches. A component may act at
+once on an outcome it knows is due within the limit instead of
+scheduling an event for it (the network credits an untraced run's
+deliveries this way), so `run_until` returns the time of the last
+event it dispatched, which can come before the last outcome it
+accounted for.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ class EventEngine:
     def __init__(self):
         self.now = 0  # time of the most recently dispatched event (0 before any)
         self.seq = -1  # its sequence number (-1 before any)
+        self.limit = -1  # the running run_until's limit; -1 outside a run
         self._heap: list[tuple] = []  # (time_ns, seq, action)
         self._next_seq = 0
 
@@ -70,11 +79,16 @@ class EventEngine:
 
         The clock advances to each event's time before its action runs;
         actions may schedule further events, which participate if they
-        fall within the limit. Returns the final clock value (unchanged
-        if nothing dispatched).
+        fall within the limit. `limit` is readable as `self.limit`
+        while the run lasts. Returns the final clock value, the time of
+        the last dispatched event (unchanged if nothing dispatched).
         """
         heap = self._heap
-        while heap and heap[0][0] <= limit:
-            self.now, self.seq, action = heappop(heap)
-            action()
+        self.limit = limit
+        try:
+            while heap and heap[0][0] <= limit:
+                self.now, self.seq, action = heappop(heap)
+                action()
+        finally:
+            self.limit = -1
         return self.now

@@ -64,6 +64,11 @@ class SinkMonitor:
     `nlost` counts the flow's packets dropped on the way, wherever they
     were dropped: the network adds each drop to the victim's sink, so
     it equals the analyzer's per-flow `dropped`.
+
+    `on_receive` only counts, so an untraced run may call it when the
+    last hop's transmission starts rather than at the arrival time (see
+    `netmodel`). A subclass that overrides it is always called at the
+    arrival, with `engine.now` equal to the delivery time.
     """
 
     def __init__(self, node: int, port: int):
@@ -92,6 +97,7 @@ class _OnOffSender:
         self.engine = engine
         self.agent = agent
         self.spec = spec
+        self.size = spec.size  # per send; a NamedTuple field read costs more
         self.gap = gap  # ns between sends while ON
         self.emitted = 0
         self._send_until = spec.stop
@@ -106,7 +112,7 @@ class _OnOffSender:
         self.engine.schedule(self.engine.now, self._send)
 
     def _send(self) -> None:
-        self.agent.send(self.spec.size, self.ptype)
+        self.agent.send(self.size, self.ptype)
         self.emitted += 1
         nxt = self.engine.now + self.gap
         if nxt < self._send_until:

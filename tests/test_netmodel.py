@@ -306,3 +306,122 @@ def test_links_conserve_packets_in_counters_and_trace(case):
         sink = sinks[dst]
         assert injected[dst] == sink.npkts + sink.nlost + pending[dst]
         assert (sink.npkts, sink.nlost) == (bare_sinks[dst].npkts, bare_sinks[dst].nlost)
+
+
+def one_hop_untraced(sink):
+    """An untraced 1 Mb/s, 1 ms link 0 -> 1 delivering to `sink`: a
+    1000-byte packet sent at t arrives at t + 9 ms."""
+    eng = EventEngine()
+    net = Network(eng, None, 2, [(0, 1, 1_000_000, 1_000_000, DT)])
+    net.bind_sink(sink)
+    return eng, net, link_between(net, 0, 1)
+
+
+class TaggedSink(SinkMonitor):
+    """A SinkMonitor subclass that keeps its `on_receive`: it only counts."""
+
+
+@pytest.mark.parametrize("sink_cls,limit,credited", [
+    (SinkMonitor, 9_000_000, 1), (TaggedSink, 9_000_000, 1), (SinkMonitor, 8_999_999, 0),
+])
+def test_untraced_delivery_due_by_the_limit_is_credited_when_the_last_hop_starts(
+        sink_cls, limit, credited):
+    sink = sink_cls(1, 0)
+    eng, net, link = one_hop_untraced(sink)
+    seen = []
+
+    def send():
+        net.forward(0, make_packet(0, src=0, dst=1))
+        seen.append((sink.npkts, sink.bytes, len(link.in_flight)))
+
+    eng.schedule(0, send)
+    # The send is the only event dispatched: a credited delivery has no
+    # arrival event, so the clock stops at 0 though it is due at 9 ms.
+    assert eng.run_until(limit) == 0
+    assert seen == [(credited, 1000 * credited, 1 - credited)]
+    eng.run_until(seconds(1))
+    assert (sink.npkts, len(link.in_flight)) == (1, 0)
+
+
+def test_packet_sent_between_runs_is_not_counted_before_the_next_run():
+    sink = SinkMonitor(1, 0)
+    eng, net, link = one_hop_untraced(sink)
+    eng.run_until(0)
+    net.forward(0, make_packet(0, src=0, dst=1))  # outside a run: no limit
+    assert eng.limit == -1
+    assert (sink.npkts, len(link.in_flight)) == (0, 1)
+    eng.run_until(8_999_999)
+    assert sink.npkts == 0
+    eng.run_until(9_000_000)
+    assert (sink.npkts, len(link.in_flight)) == (1, 0)
+
+
+def test_overriding_sink_sees_the_arrival_time_in_an_untraced_run():
+    eng = EventEngine()
+    net = Network(eng, None, 3, [
+        (0, 1, 1_000_000, 1_000_000, DT), (1, 2, 1_000_000, 1_000_000, DT),
+    ])
+    deliveries = bind_collector(net, 2, eng)
+    for uid in range(2):
+        pkt = make_packet(uid, src=0, dst=2)
+        eng.schedule(0, partial(net.forward, 0, pkt))
+    eng.run_until(seconds(1))
+    # 0 leaves node 0 at 8 ms, node 1 at 17 ms; 1 waits 8 ms at each hop
+    assert deliveries == [(0, 18_000_000), (1, 26_000_000)]
+
+
+def line_run(make_sink, cuts):
+    """Untraced packets from node 0 to nodes 1 and 2 over the line
+    0 - 1 - 2, so link 0 -> 1 carries terminating and transit packets,
+    run to each of `cuts` in turn. Returns the counters after each cut:
+    every sink's (npkts, bytes) and every link's counters."""
+    eng = EventEngine()
+    net = Network(eng, None, 3, [
+        (0, 1, 1_000_000, seconds(0.005), DT), (1, 2, 1_000_000, seconds(0.005), DT),
+    ])
+    sinks = [make_sink(node, eng) for node in (1, 2)]
+    for sink in sinks:
+        net.bind_sink(sink)
+    for uid in range(12):
+        pkt = make_packet(uid, src=0, dst=1 + uid % 2, size=200 + 100 * uid,
+                          birth=uid * 3_000_000)
+        eng.schedule(pkt.birth, partial(net.forward, 0, pkt))
+    snapshots = []
+    for cut in cuts:
+        eng.run_until(cut)
+        snapshots.append(([(s.npkts, s.bytes) for s in sinks],
+                          [(link.enqueued, link.dequeued, link.drops, link.qdisc.held())
+                           for link in net.links]))
+    return snapshots
+
+
+def test_untraced_runs_cut_anywhere_credit_the_deliveries_due_by_the_cut():
+    # A RecordingSink keeps every arrival event, so it delivers at the
+    # true arrival time. Untraced plain sinks are credited when the last
+    # hop starts; cut at every 0.5 ms, often while a last hop is in
+    # flight, they still count exactly the deliveries due by the cut,
+    # and a run cut once and resumed ends as one uncut run does.
+    deliveries = []  # (node, size, time)
+
+    def recording(node, eng):
+        return RecordingSink(node, 0, lambda pkt: deliveries.append((node, pkt.size, eng.now)))
+
+    line_run(recording, [seconds(1)])
+    assert len(deliveries) == 12
+
+    def due_by(cut):
+        return [(sum(1 for n, _, t in deliveries if n == node and t <= cut),
+                 sum(size for n, size, t in deliveries if n == node and t <= cut))
+                for node in (1, 2)]
+
+    def plain(node, eng):
+        return SinkMonitor(node, 0)
+
+    stop = seconds(0.060)
+    assert 0 < sum(npkts for npkts, _ in due_by(stop)) < 12  # some still on the way
+    (whole,) = line_run(plain, [stop])
+    assert whole[0] == due_by(stop)
+    for cut in range(0, stop + 1, 500_000):
+        first, second = line_run(plain, [cut, stop])
+        assert first[0] == due_by(cut)
+        assert second == whole

@@ -58,25 +58,43 @@ def test_cbr_golden_stats_block_text(cbr_run):
     )
 
 
-def test_cbr_golden_costs_three_events_per_packet(monkeypatch):
-    # No packet waits anywhere in cbr_golden, so each of its 99,600
-    # packets costs its send and one arrival per hop (two hops), and no
-    # transmit-complete event is ever pushed; the one more event opens
-    # the generator's ON period. A per-hop event added back fails here.
-    class CountingEngine(EventEngine):
-        dispatched = 0
+class CountingEngine(EventEngine):
+    """An EventEngine that counts the events it dispatches."""
 
-        def schedule(self, time, action, *args):
-            def counted():
-                self.dispatched += 1
-                action()
+    dispatched = 0
 
-            super().schedule(time, counted, *args)
+    def schedule(self, time, action, *args):
+        def counted():
+            self.dispatched += 1
+            action()
 
+        super().schedule(time, counted, *args)
+
+
+def run_counted_cbr_golden(monkeypatch, trace_path=None):
+    """Run cbr_golden on a CountingEngine; its events dispatched."""
     monkeypatch.setattr(sim_module, "EventEngine", CountingEngine)
-    sim = Simulation(parse_scenario((golden_dir() / "cbr_golden.scn").read_text()))
+    text = (golden_dir() / "cbr_golden.scn").read_text()
+    sim = Simulation(parse_scenario(text), trace_path=trace_path)
     assert sim.run().npkts == 99_600
-    assert sim.engine.dispatched == 1 + 3 * 99_600
+    return sim.engine.dispatched
+
+
+def test_cbr_golden_untraced_costs_two_events_per_packet(monkeypatch):
+    # No packet waits anywhere in cbr_golden, so no transmit-complete
+    # event is ever pushed. Untraced, each of its 99,600 packets costs
+    # its send and the arrival at the middle node; the delivery is
+    # credited when the last hop's transmission starts. The one more
+    # event opens the generator's ON period. An event added back to the
+    # per-packet path fails here.
+    assert run_counted_cbr_golden(monkeypatch) == 1 + 2 * 99_600
+
+
+def test_cbr_golden_traced_costs_three_events_per_packet(monkeypatch, tmp_path):
+    # Traced, the last hop keeps its arrival event, which writes the
+    # 'r' line: a send and one arrival per hop (two hops) per packet.
+    trace = tmp_path / "cbr.tr"
+    assert run_counted_cbr_golden(monkeypatch, str(trace)) == 1 + 3 * 99_600
 
 
 def test_zero_duration_run_is_valid(tmp_path):
