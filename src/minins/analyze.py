@@ -3,9 +3,9 @@
 `analyze_trace` reads a trace in one streaming pass, parsing each line
 once, with bounded per-packet state (a packet's state is retired when
 it is received or dropped), so results do not depend on how the input
-is chunked. Each line goes through `trace.parse_event`, which checks
-the whole line as strictly as `trace.parse_line` but converts only the
-seven fields read here: op, time, from, to, size, fid and uid.
+is chunked. Each line goes through `trace.parse_line`, which checks
+the whole line and returns the seven fields read here: op, time, from,
+to, size, fid and uid.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-# parse_line is not called here, but the benchmark's parse micro-timing
-# (perfbench/worker.py) and its parse hook read it from this module.
-from .trace import parse_event, parse_line  # noqa: F401
+from .trace import parse_line
 from .units import NS_PER_SEC
 
 
@@ -91,7 +89,7 @@ def analyze_trace(
     for lineno, line in enumerate(lines, start=1):
         if not line.strip() and line.isascii():
             continue
-        op, time, frm, to, size, rec_fid, uid = parse_event(line, lineno)
+        op, time, frm, to, size, rec_fid, uid = parse_line(line, lineno)
         if time < last_time:
             violations.append(f"line {lineno}: time goes backwards")
         else:

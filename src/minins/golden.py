@@ -40,7 +40,7 @@ def file_sha256(path) -> str:
 
 def check_golden(scn_path: Path, fixture: dict, workdir: Path) -> list[str]:
     """Run one golden scenario; return a list of mismatch descriptions."""
-    spec = parse_scenario(scn_path.read_text())
+    spec = parse_scenario(scn_path.read_text(encoding="utf-8"))
     trace_path = workdir / (scn_path.stem + ".tr")
     result = run_scenario(spec, trace_path=str(trace_path))
     values = result_values(result)
@@ -62,7 +62,7 @@ def _load_fixture(path: Path) -> dict:
     if not path.exists():
         raise MininsError(f"missing fixture {path.name}")
     try:
-        fixture = json.loads(path.read_text())
+        fixture = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # also undecodable bytes
         raise MininsError(f"{path.name} is not valid JSON: {exc}") from None
     if not isinstance(fixture, dict):

@@ -28,18 +28,17 @@ is pushed under the key only once a packet waits, so an uncontended hop
 costs one event and the busy/idle boundary does not depend on whether
 the event exists.
 
-An untraced run credits a delivery when the last hop's transmission
+Every sink is a `SinkMonitor`, whose `on_receive` only counts: it
+reads no clock and changes nothing but the sink's own counters. So an
+untraced run credits a delivery when the last hop's transmission
 starts, not in an arrival event, if the arrival falls within the
-running `run_until` limit (`engine.limit`) and the sink only counts:
-its class does not override `SinkMonitor.on_receive`, so the call
-reads no clock and changes nothing but the sink's own counters. The
-hop then has no arrival event and no `in_flight` entry. Removing an
-event changes no other state, and sequence numbers stay monotone, so
-the remaining events keep their order; when `run_until(L)` returns,
-exactly the deliveries at times <= L are credited, as with arrival
-events. A packet sent outside a run, a sink that does more than count
-(one that reads `engine.now`, say) and every traced run keep the
-arrival event.
+running `run_until` limit (`engine.limit`). The hop then has no
+arrival event and no `in_flight` entry. Removing an event changes no
+other state, and sequence numbers stay monotone, so the remaining
+events keep their order; when `run_until(L)` returns, exactly the
+deliveries at times <= L are credited, as with arrival events. A
+packet sent outside a run and every traced run keep the arrival event,
+so a trace's `r` lines carry the true delivery times.
 
 The per-packet path makes no call that cannot change state. It reads
 the clock as the attribute `engine.now`, skips every trace record when
@@ -138,8 +137,6 @@ class Network:
         self.node_count = node_count
         self.links: list[SimplexLink] = []
         self._sinks: dict[tuple[int, int], object] = {}  # (node, port) -> SinkMonitor
-        # the bound sinks that only count, credited early in untraced runs
-        self._counting_sinks: dict[tuple[int, int], object] = {}
         self._ports = [0] * node_count  # next free port per node
         # incoming links per node, in declaration order: a node's first is
         # from the first declared link touching it
@@ -165,12 +162,7 @@ class Network:
     def bind_sink(self, sink) -> None:
         """Deliver packets for (sink.node, sink.port) to `sink` and count
         their drops in its `nlost`."""
-        from .traffic import SinkMonitor  # traffic imports this module
-
-        key = (sink.node, sink.port)
-        self._sinks[key] = sink
-        if type(sink).on_receive is SinkMonitor.on_receive:
-            self._counting_sinks[key] = sink
+        self._sinks[(sink.node, sink.port)] = sink
 
     # -- routing ---------------------------------------------------------
 
@@ -249,9 +241,8 @@ class Network:
         free_at = link.free_at = now + pkt.size * 8 * NS_PER_SEC // link.bandwidth
         free_seq = link.free_seq = engine.reserve()
         arrive_at = free_at + link.delay
-        if (tracer is None and pkt.dst == link.to_node and arrive_at <= engine.limit
-                and (sink := self._counting_sinks.get((pkt.dst, pkt.dport))) is not None):
-            sink.on_receive(pkt)  # delivered by the limit: credit it now
+        if tracer is None and pkt.dst == link.to_node and arrive_at <= engine.limit:
+            self._sinks[(pkt.dst, pkt.dport)].on_receive(pkt)  # due by the limit: credit it now
         else:
             link.in_flight.append(pkt)
             engine.schedule(arrive_at, link.arrive)

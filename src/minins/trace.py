@@ -12,11 +12,11 @@ runs produce byte-identical files. Addresses are node.port. The flags
 field is reserved and always "-------".
 
 This module is the only one that knows the format: `TraceWriter`
-writes it, and `parse_line` reads it back with every check and all 14
-fields. `parse_event` is the analyzer's reader: one compiled pattern
-that accepts exactly the lines `parse_line` accepts and converts only
-the seven fields the analyzer reads. On a miss it falls back to
-`parse_line`, so a bad line raises the same `TraceError`.
+writes it, and `parse_line` reads it back: it checks every field but
+converts only the seven the analyzer reads. A short line is matched by
+one compiled pattern; a long one, or one the pattern misses, goes
+through field-by-field checks, which accept the same lines and name
+what is wrong with the others.
 """
 
 from __future__ import annotations
@@ -62,22 +62,42 @@ class TraceWriter:
             self._file.close()
 
 
-def _parse_addr(field: str, lineno, what: str) -> tuple[int, int]:
+# The fields parse_line returns: op, time (whole and fraction), from, to,
+# size, fid and uid. ptype, flags, addresses and seq are only checked.
+_EVENT = re.compile(
+    r"([-+rd]) ([0-9]+)\.([0-9]{9}) ([0-9]+) ([0-9]+) [!-~]+ ([0-9]+) [!-~]{7} ([0-9]+)"
+    r" [0-9]+\.[0-9]+ [0-9]+\.[0-9]+ [0-9]+ ([0-9]+)\n?",
+    re.ASCII,
+)
+# Shorter lines hold no number int() can refuse: 640 is the lowest digit
+# limit it can be set to (sys.int_info.str_digits_check_threshold).
+_FAST_LEN = 640
+
+
+def _check_addr(field: str, lineno, what: str) -> None:
     node, dot, port = field.partition(".")
     if not dot or not node.isdigit() or not port.isdigit():
         raise TraceError(f"bad {what} address {field!r}", lineno)
-    return int(node), int(port)
+    int(node)  # ValueError if too long for int(), as for every number field
+    int(port)
 
 
 def parse_line(text: str, lineno: int | None = None) -> tuple:
     """Strict parse of one 12-field trace line, as `TraceWriter` writes it:
     single spaces between fields and at most one trailing LF.
 
-    Returns the 14-tuple (op, time_ns, from_node, to_node, ptype, size,
-    flags, fid, src_node, src_port, dst_node, dst_port, seq, uid) in
-    written order. Anything else, non-ASCII text included, raises
-    TraceError naming `lineno`.
+    Returns (op, time_ns, from_node, to_node, size, fid, uid); ptype,
+    flags, addresses and seq are checked but not returned. Anything
+    else, non-ASCII text included, raises TraceError naming `lineno`.
+    A line shorter than `_FAST_LEN` that `_EVENT` matches is converted
+    from its groups; every other line goes through the field checks,
+    which raise the error. On short lines they accept exactly what
+    `_EVENT` matches.
     """
+    match = _EVENT.fullmatch(text) if len(text) < _FAST_LEN else None
+    if match is not None:
+        op, whole, frac, frm, to, size, fid, uid = match.groups()
+        return op, int(whole + frac), int(frm), int(to), int(size), int(fid), int(uid)
     if not text.isascii():
         raise TraceError("non-ASCII character", lineno)
     line = text.removesuffix("\n")
@@ -101,37 +121,10 @@ def parse_line(text: str, lineno: int | None = None) -> tuple:
         if not value.isdigit():
             raise TraceError(f"bad {name} field {value!r}", lineno)
     try:
-        src_node, src_port = _parse_addr(src, lineno, "source")
-        dst_node, dst_port = _parse_addr(dst, lineno, "destination")
-        return (op, int(whole) * NS_PER_SEC + int(frac), int(frm), int(to), ptype,
-                int(size), flags, int(fid), src_node, src_port, dst_node, dst_port,
-                int(seq), int(uid))
+        _check_addr(src, lineno, "source")
+        _check_addr(dst, lineno, "destination")
+        int(seq)
+        return (op, int(whole) * NS_PER_SEC + int(frac), int(frm), int(to), int(size),
+                int(fid), int(uid))
     except ValueError:  # more digits than int() will convert
         raise TraceError("number too long", lineno) from None
-
-
-# The fields parse_event returns: op, time (whole and fraction), from, to,
-# size, fid and uid. ptype, flags, addresses and seq are only checked.
-_EVENT = re.compile(
-    r"([-+rd]) ([0-9]+)\.([0-9]{9}) ([0-9]+) ([0-9]+) [!-~]+ ([0-9]+) [!-~]{7} ([0-9]+)"
-    r" [0-9]+\.[0-9]+ [0-9]+\.[0-9]+ [0-9]+ ([0-9]+)\n?",
-    re.ASCII,
-)
-# Shorter lines hold no number int() can refuse: 640 is the lowest digit
-# limit it can be set to (sys.int_info.str_digits_check_threshold).
-_FAST_LEN = 640
-
-
-def parse_event(text: str, lineno: int | None = None) -> tuple:
-    """The analyzer's parse: (op, time_ns, from_node, to_node, size, fid, uid).
-
-    Accepts and rejects exactly what `parse_line` does: a line the
-    pattern does not match, or one long enough to hold a number `int()`
-    may refuse, goes through `parse_line`, which raises its TraceError.
-    """
-    match = _EVENT.fullmatch(text) if len(text) < _FAST_LEN else None
-    if match is None:
-        fields = parse_line(text, lineno)
-        return fields[0], fields[1], fields[2], fields[3], fields[5], fields[7], fields[13]
-    op, whole, frac, frm, to, size, fid, uid = match.groups()
-    return op, int(whole + frac), int(frm), int(to), int(size), int(fid), int(uid)

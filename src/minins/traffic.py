@@ -65,10 +65,10 @@ class SinkMonitor:
     were dropped: the network adds each drop to the victim's sink, so
     it equals the analyzer's per-flow `dropped`.
 
-    `on_receive` only counts, so an untraced run may call it when the
-    last hop's transmission starts rather than at the arrival time (see
-    `netmodel`). A subclass that overrides it is always called at the
-    arrival, with `engine.now` equal to the delivery time.
+    `on_receive` only counts: it reads no clock and changes nothing
+    else. An untraced run may call it when the last hop's transmission
+    starts rather than at the arrival time (see `netmodel`), so it must
+    stay that way; the delivery times are the trace's `r` lines.
     """
 
     def __init__(self, node: int, port: int):

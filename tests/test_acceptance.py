@@ -16,8 +16,9 @@ from minins.netmodel import Network, Packet
 from minins.qdisc import QdiscConfig, sfq_bucket
 from minins.scenario import parse_scenario
 from minins.sim import Simulation, run_scenario
+from minins.traffic import SinkMonitor
 
-from net_helpers import RecordingSink, link_between, seconds
+from net_helpers import link_between, seconds
 from reference_model import MicroLink, MicroScenario, reference_outcome
 
 EXP_BYTES_EXPECTED = 5e6 * (800 / 802) * 499 / 8  # duty-cycle analysis
@@ -212,14 +213,18 @@ def _random_micro_scenario(rng: random.Random) -> MicroScenario:
     return MicroScenario(node_count=3, links=links, injections=injections)
 
 
-class _DropWatch:
-    """Tracer that only remembers which uids got dropped."""
+class _OutcomeWatch:
+    """Tracer that only remembers each uid's delivery time and which
+    uids got dropped."""
 
     def __init__(self):
+        self.delivered = {}
         self.dropped = set()
 
     def record(self, op, time, frm, to, pkt):
-        if op == "d":
+        if op == "r":
+            self.delivered[pkt.uid] = time
+        elif op == "d":
             self.dropped.add(pkt.uid)
 
     def close_flush(self):
@@ -228,21 +233,20 @@ class _DropWatch:
 
 def _simulator_outcome(scenario: MicroScenario):
     eng = EventEngine()
-    watch = _DropWatch()
+    watch = _OutcomeWatch()
     duplex_links = [
         (a, b, link.bandwidth, link.delay, QdiscConfig("droptail", link.limit))
         for (a, b), link in scenario.links.items() if a < b
     ]
     net = Network(eng, watch, scenario.node_count, duplex_links)
-    delivered = {}
     for node in range(scenario.node_count):
-        net.bind_sink(RecordingSink(node, 0, lambda pkt: delivered.__setitem__(pkt.uid, eng.now)))
+        net.bind_sink(SinkMonitor(node, 0))
     for time, uid, src, dst, size in scenario.injections:
         pkt = Packet(uid=uid, fid=uid, ptype="cbr", size=size, src=src, sport=0,
                      dst=dst, dport=0, seq=uid, birth=time)
         eng.schedule(time, lambda s=src, p=pkt: net.forward(s, p))
     eng.run_until(10 ** 15)
-    return delivered, watch.dropped
+    return watch.delivered, watch.dropped
 
 
 def test_criterion_8_micro_oracle_equivalence():

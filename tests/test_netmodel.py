@@ -11,7 +11,7 @@ from minins.netmodel import Network, Packet, tx_time
 from minins.qdisc import QdiscConfig
 from minins.traffic import SinkMonitor
 
-from net_helpers import RecordingSink, link_between, seconds
+from net_helpers import link_between, seconds
 from reference_model import MicroLink, MicroScenario, next_hop
 
 DT = QdiscConfig("droptail", 50)
@@ -30,6 +30,10 @@ class ListTracer:
     def ops(self, op):
         return [e for e in self.events if e[0] == op]
 
+    def deliveries(self, node):
+        """(uid, time) of every 'r' at `node`, in delivery order."""
+        return [(uid, time) for op, time, _, to, uid in self.events if op == "r" and to == node]
+
 
 def make_packet(uid, src, dst, size=1000, fid=1, birth=0):
     return Packet(uid=uid, fid=fid, ptype="cbr", size=size, src=src, sport=0,
@@ -46,12 +50,6 @@ def star_network():
         (2, 3, 10_000_000, seconds(0.010), DT),
     ])
     return eng, tracer, net
-
-
-def bind_collector(net, node, engine):
-    deliveries = []
-    net.bind_sink(RecordingSink(node, 0, lambda pkt: deliveries.append((pkt.uid, engine.now))))
-    return deliveries
 
 
 def test_packet_repr_names_its_fields():
@@ -133,21 +131,21 @@ def test_tx_time_exact(size, bw, expected):
 
 
 def test_single_packet_two_hops_takes_21_6_ms():
-    eng, _, net = star_network()
-    deliveries = bind_collector(net, 3, eng)
+    eng, tracer, net = star_network()
+    net.bind_sink(SinkMonitor(3, 0))
     pkt = make_packet(0, src=0, dst=3)
     eng.schedule(0, lambda: net.forward(0, pkt))
     eng.run_until(seconds(1))
-    assert deliveries == [(0, 21_600_000)]  # 2 * (0.8 ms + 10 ms)
+    assert tracer.deliveries(3) == [(0, 21_600_000)]  # 2 * (0.8 ms + 10 ms)
 
 
 def test_delivery_at_own_node_has_no_link_events():
     eng, tracer, net = star_network()
-    deliveries = bind_collector(net, 2, eng)
+    net.bind_sink(SinkMonitor(2, 0))
     pkt = make_packet(0, src=2, dst=2)
     eng.schedule(0, lambda: net.forward(2, pkt))
     eng.run_until(seconds(1))
-    assert deliveries == [(0, 0)]
+    assert tracer.deliveries(2) == [(0, 0)]
     assert [e[0] for e in tracer.events] == ["r"]
 
 
@@ -155,7 +153,7 @@ def test_link_transmits_one_packet_at_a_time():
     # Burst of 5 packets lands at once; '-' events must be spaced by the
     # 0.8 ms transmission time.
     eng, tracer, net = star_network()
-    bind_collector(net, 3, eng)
+    net.bind_sink(SinkMonitor(3, 0))
     for uid in range(5):
         pkt = make_packet(uid, src=0, dst=3)
         eng.schedule(0, lambda pkt=pkt: net.forward(0, pkt))
@@ -168,18 +166,18 @@ def test_link_transmits_one_packet_at_a_time():
 
 def test_fifo_per_link_preserves_receive_order():
     eng, tracer, net = star_network()
-    deliveries = bind_collector(net, 3, eng)
+    net.bind_sink(SinkMonitor(3, 0))
     for uid in range(10):
         pkt = make_packet(uid, src=1, dst=3, size=500 + 100 * uid)
         eng.schedule(uid * 1000, lambda pkt=pkt: net.forward(1, pkt))
     eng.run_until(seconds(1))
     enqueue_order = [uid for op, t, f, to, uid in tracer.events if op == "+" and (f, to) == (1, 2)]
-    assert [uid for uid, _ in deliveries] == enqueue_order
+    assert [uid for uid, _ in tracer.deliveries(3)] == enqueue_order
 
 
 def test_arrival_follows_dequeue_by_tx_plus_delay():
     eng, tracer, net = star_network()
-    bind_collector(net, 3, eng)
+    net.bind_sink(SinkMonitor(3, 0))
     pkt = make_packet(0, src=2, dst=3, size=250)
     eng.schedule(7, lambda: net.forward(2, pkt))
     eng.run_until(seconds(1))
@@ -197,14 +195,14 @@ def test_link_is_busy_until_its_transmit_complete_key():
     eng = EventEngine()
     tracer = ListTracer()
     net = Network(eng, tracer, 2, [(0, 1, 1_000_000, 1_000_000, QdiscConfig("droptail", 1))])
-    deliveries = bind_collector(net, 1, eng)
+    net.bind_sink(SinkMonitor(1, 0))
     burst = [make_packet(uid, src=0, dst=1) for uid in (1, 2)]
     eng.schedule(8_000_000, lambda: [net.forward(0, pkt) for pkt in burst])
     eng.schedule(0, lambda: net.forward(0, make_packet(0, src=0, dst=1)))
     eng.run_until(seconds(1))
     at_8ms = [(op, uid) for op, t, _, _, uid in tracer.events if t == 8_000_000]
     assert at_8ms == [("+", 1), ("+", 2), ("d", 2), ("-", 1)]
-    assert deliveries == [(0, 9_000_000), (1, 17_000_000)]
+    assert tracer.deliveries(1) == [(0, 9_000_000), (1, 17_000_000)]
     link = link_between(net, 0, 1)
     assert (link.enqueued, link.dequeued, link.drops) == (3, 2, 1)
 
@@ -317,30 +315,23 @@ def one_hop_untraced(sink):
     return eng, net, link_between(net, 0, 1)
 
 
-class TaggedSink(SinkMonitor):
-    """A SinkMonitor subclass that keeps its `on_receive`: it only counts."""
+def test_untraced_delivery_due_by_the_limit_is_credited_when_the_last_hop_starts():
+    for limit, credited in ((9_000_000, 1), (8_999_999, 0)):
+        sink = SinkMonitor(1, 0)
+        eng, net, link = one_hop_untraced(sink)
+        seen = []
 
+        def send():
+            net.forward(0, make_packet(0, src=0, dst=1))
+            seen.append((sink.npkts, sink.bytes, len(link.in_flight)))
 
-@pytest.mark.parametrize("sink_cls,limit,credited", [
-    (SinkMonitor, 9_000_000, 1), (TaggedSink, 9_000_000, 1), (SinkMonitor, 8_999_999, 0),
-])
-def test_untraced_delivery_due_by_the_limit_is_credited_when_the_last_hop_starts(
-        sink_cls, limit, credited):
-    sink = sink_cls(1, 0)
-    eng, net, link = one_hop_untraced(sink)
-    seen = []
-
-    def send():
-        net.forward(0, make_packet(0, src=0, dst=1))
-        seen.append((sink.npkts, sink.bytes, len(link.in_flight)))
-
-    eng.schedule(0, send)
-    # The send is the only event dispatched: a credited delivery has no
-    # arrival event, so the clock stops at 0 though it is due at 9 ms.
-    assert eng.run_until(limit) == 0
-    assert seen == [(credited, 1000 * credited, 1 - credited)]
-    eng.run_until(seconds(1))
-    assert (sink.npkts, len(link.in_flight)) == (1, 0)
+        eng.schedule(0, send)
+        # The send is the only event dispatched: a credited delivery has
+        # no arrival event, so the clock stops at 0 though it is due at 9 ms.
+        assert eng.run_until(limit) == 0
+        assert seen == [(credited, 1000 * credited, 1 - credited)]
+        eng.run_until(seconds(1))
+        assert (sink.npkts, len(link.in_flight)) == (1, 0)
 
 
 def test_packet_sent_between_runs_is_not_counted_before_the_next_run():
@@ -356,35 +347,25 @@ def test_packet_sent_between_runs_is_not_counted_before_the_next_run():
     assert (sink.npkts, len(link.in_flight)) == (1, 0)
 
 
-def test_overriding_sink_sees_the_arrival_time_in_an_untraced_run():
-    eng = EventEngine()
-    net = Network(eng, None, 3, [
-        (0, 1, 1_000_000, 1_000_000, DT), (1, 2, 1_000_000, 1_000_000, DT),
-    ])
-    deliveries = bind_collector(net, 2, eng)
-    for uid in range(2):
-        pkt = make_packet(uid, src=0, dst=2)
-        eng.schedule(0, partial(net.forward, 0, pkt))
-    eng.run_until(seconds(1))
-    # 0 leaves node 0 at 8 ms, node 1 at 17 ms; 1 waits 8 ms at each hop
-    assert deliveries == [(0, 18_000_000), (1, 26_000_000)]
+def line_packet(uid):
+    """Packet `uid` of `line_run`: from node 0 to node 1 or 2, 200 + 100 * uid bytes."""
+    return make_packet(uid, src=0, dst=1 + uid % 2, size=200 + 100 * uid, birth=uid * 3_000_000)
 
 
-def line_run(make_sink, cuts):
-    """Untraced packets from node 0 to nodes 1 and 2 over the line
-    0 - 1 - 2, so link 0 -> 1 carries terminating and transit packets,
-    run to each of `cuts` in turn. Returns the counters after each cut:
-    every sink's (npkts, bytes) and every link's counters."""
+def line_run(cuts, tracer=None):
+    """Packets from node 0 to nodes 1 and 2 over the line 0 - 1 - 2, so
+    link 0 -> 1 carries terminating and transit packets, run to each of
+    `cuts` in turn. Returns the counters after each cut: every sink's
+    (npkts, bytes) and every link's counters."""
     eng = EventEngine()
-    net = Network(eng, None, 3, [
+    net = Network(eng, tracer, 3, [
         (0, 1, 1_000_000, seconds(0.005), DT), (1, 2, 1_000_000, seconds(0.005), DT),
     ])
-    sinks = [make_sink(node, eng) for node in (1, 2)]
+    sinks = [SinkMonitor(node, 0) for node in (1, 2)]
     for sink in sinks:
         net.bind_sink(sink)
     for uid in range(12):
-        pkt = make_packet(uid, src=0, dst=1 + uid % 2, size=200 + 100 * uid,
-                          birth=uid * 3_000_000)
+        pkt = line_packet(uid)
         eng.schedule(pkt.birth, partial(net.forward, 0, pkt))
     snapshots = []
     for cut in cuts:
@@ -396,17 +377,14 @@ def line_run(make_sink, cuts):
 
 
 def test_untraced_runs_cut_anywhere_credit_the_deliveries_due_by_the_cut():
-    # A RecordingSink keeps every arrival event, so it delivers at the
-    # true arrival time. Untraced plain sinks are credited when the last
-    # hop starts; cut at every 0.5 ms, often while a last hop is in
-    # flight, they still count exactly the deliveries due by the cut,
-    # and a run cut once and resumed ends as one uncut run does.
-    deliveries = []  # (node, size, time)
-
-    def recording(node, eng):
-        return RecordingSink(node, 0, lambda pkt: deliveries.append((node, pkt.size, eng.now)))
-
-    line_run(recording, [seconds(1)])
+    # A traced run keeps every arrival event, so its 'r' records hold the
+    # true arrival times. Untraced sinks are credited when the last hop
+    # starts; cut at every 0.5 ms, often while a last hop is in flight,
+    # they still count exactly the deliveries due by the cut, and a run
+    # cut once and resumed ends as one uncut run does.
+    tracer = ListTracer()
+    line_run([seconds(1)], tracer)
+    deliveries = [(to, line_packet(uid).size, time) for op, time, _, to, uid in tracer.ops("r")]
     assert len(deliveries) == 12
 
     def due_by(cut):
@@ -414,14 +392,11 @@ def test_untraced_runs_cut_anywhere_credit_the_deliveries_due_by_the_cut():
                  sum(size for n, size, t in deliveries if n == node and t <= cut))
                 for node in (1, 2)]
 
-    def plain(node, eng):
-        return SinkMonitor(node, 0)
-
     stop = seconds(0.060)
     assert 0 < sum(npkts for npkts, _ in due_by(stop)) < 12  # some still on the way
-    (whole,) = line_run(plain, [stop])
+    (whole,) = line_run([stop])
     assert whole[0] == due_by(stop)
     for cut in range(0, stop + 1, 500_000):
-        first, second = line_run(plain, [cut, stop])
+        first, second = line_run([cut, stop])
         assert first[0] == due_by(cut)
         assert second == whole

@@ -1,12 +1,14 @@
-import pytest
+from unittest import mock
+
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from minins import trace
 from minins.engine import EventEngine
 from minins.errors import TraceError
 from minins.netmodel import Network, Packet
 from minins.qdisc import QdiscConfig
-from minins.trace import FLAGS, TraceWriter, parse_event, parse_line
+from minins.trace import FLAGS, TraceWriter, parse_line
 from minins.traffic import SinkMonitor
 from minins.units import format_time_fixed
 
@@ -80,8 +82,10 @@ def test_writer_lines_parse_back(tmp_path_factory, op, time, from_node, to_node,
     pkt = Packet(uid=uid, fid=fid, ptype=ptype, size=size, src=src, sport=sport,
                  dst=dst, dport=dport, seq=seq, birth=0)
     [line] = written_lines(tmp_path_factory.mktemp("rt"), (op, time, from_node, to_node, pkt))
-    assert parse_line(line, 1) == (op, time, from_node, to_node, ptype, size, FLAGS,
-                                   fid, src, sport, dst, dport, seq, uid)
+    assert parse_line(line, 1) == (op, time, from_node, to_node, size, fid, uid)
+    # the fields parse_line only checks, as written
+    assert line.split(" ")[4:] == [ptype, str(size), FLAGS, str(fid), f"{src}.{sport}",
+                                   f"{dst}.{dport}", str(seq), f"{uid}\n"]
 
 
 VALID_FIELDS = "+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7".split()
@@ -98,7 +102,7 @@ def test_parse_line_returns_tuple_or_trace_error(text):
     except TraceError as err:
         assert err.lineno == 9
     else:
-        assert isinstance(fields, tuple) and len(fields) == 14
+        assert isinstance(fields, tuple) and len(fields) == 7
         assert text.isascii()
 
 
@@ -110,19 +114,23 @@ records = st.tuples(st.sampled_from("+-rd"), naturals, naturals, naturals, packe
 
 @given(st.one_of(odd_text, one_field_off, records))
 @example(" ".join(VALID_FIELDS[:10] + ["9" * 5000] + VALID_FIELDS[11:]))  # a seq int() refuses
-def test_parse_event_agrees_with_parse_line(tmp_path_factory, source):
+def test_fast_path_agrees_with_field_checks(tmp_path_factory, source):
+    # parse_line as is, and with _FAST_LEN at 0 so the field checks serve
+    # every line: the same fields, or the same error on the same line.
     if isinstance(source, tuple):  # a record, so the line TraceWriter writes for it
         [text] = written_lines(tmp_path_factory.mktemp("ev"), source)
     else:
         text = source
-    try:
-        fields = parse_line(text, 9)
-    except TraceError as err:
-        with pytest.raises(TraceError) as fast_err:
-            parse_event(text, 9)
-        assert (str(fast_err.value), fast_err.value.lineno) == (str(err), err.lineno)
-    else:
-        assert parse_event(text, 9) == tuple(fields[i] for i in (0, 1, 2, 3, 5, 7, 13))
+
+    def outcome():
+        try:
+            return parse_line(text, 9)
+        except TraceError as err:
+            return "error", str(err), err.lineno
+
+    as_is = outcome()
+    with mock.patch.object(trace, "_FAST_LEN", 0):
+        assert outcome() == as_is
 
 
 def test_writer_appends_one_line_per_record(tmp_path):

@@ -39,7 +39,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for scn_path in sorted(base.glob("*.scn")):
             name = scn_path.stem
-            spec = parse_scenario(scn_path.read_text())
+            spec = parse_scenario(scn_path.read_text(encoding="utf-8"))
             trace_path = Path(tmp) / f"{name}.tr"
             result = run_scenario(spec, trace_path=str(trace_path))
             values = result_values(result)
@@ -51,14 +51,14 @@ def main():
             if bands:
                 fixture["bands"] = bands
             out = scn_path.with_suffix(".expected.json")
-            out.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n")
+            out.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n", encoding="utf-8")
             print(f"wrote {out.name}: {values}")
 
     # sanity: a fresh validate pass must succeed against what we just wrote
     with tempfile.TemporaryDirectory() as tmp:
         for scn_path in sorted(base.glob("*.scn")):
-            fixture = json.loads(scn_path.with_suffix(".expected.json").read_text())
-            problems = check_golden(scn_path, fixture, Path(tmp))
+            fixture_text = scn_path.with_suffix(".expected.json").read_text(encoding="utf-8")
+            problems = check_golden(scn_path, json.loads(fixture_text), Path(tmp))
             assert not problems, f"{scn_path.stem}: {problems}"
     print("self-check ok")
 
