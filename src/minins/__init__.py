@@ -19,7 +19,7 @@ from .netmodel import Network, Packet, SimplexLink, tx_time
 from .qdisc import DropTail, QdiscConfig, Sfq, sfq_bucket
 from .rng import SplitMix64
 from .scenario import ScenarioSpec, parse_scenario
-from .sim import RunResult, Simulation, run_scenario
+from .sim import RunResult, Simulation
 from .traffic import (
     CbrGenerator,
     ExpOnOffGenerator,

@@ -13,7 +13,7 @@ from pathlib import Path
 from .analyze import analyze_trace, bin_width_ns
 from .errors import MininsError, ScenarioError
 from .scenario import SEED_MAX, parse_integer, parse_scenario
-from .sim import run_scenario
+from .sim import Simulation
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +63,11 @@ def _cmd_run(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
     spec = parse_scenario(text)
-    result = run_scenario(spec, trace_path=args.trace, seed=seed)
+    if seed is not None:
+        spec = spec._replace(seed=seed)
+    if args.trace is not None:
+        spec = spec._replace(trace_path=args.trace)
+    result = Simulation(spec).run()
     sys.stdout.write(result.stats_block())
     return 0
 
@@ -72,8 +76,8 @@ def _cmd_analyze(args) -> int:
     wants_flow = args.fid is not None or args.src is not None or args.sink is not None
     if wants_flow and None in (args.fid, args.src, args.sink):
         raise ScenarioError("flow statistics need --fid, --src and --sink together")
-    if args.bin is not None and None in (args.fid, args.sink):
-        raise ScenarioError("--bin needs --fid and --sink")
+    if args.bin is not None and not wants_flow:
+        raise ScenarioError("--bin needs --fid, --src and --sink")
     if not wants_flow and not args.check:
         raise ScenarioError("nothing to do: pass --fid/--src/--sink and/or --check")
 

@@ -17,33 +17,34 @@ from pathlib import Path
 
 from .errors import MininsError
 from .scenario import parse_scenario
-from .sim import RunResult, run_scenario
+from .sim import Simulation
 
 
 def golden_dir() -> Path:
     return Path(resources.files("minins") / "golden")
 
 
-def result_values(result: RunResult) -> dict:
-    """The comparable view of a run: the machine-readable stats keys."""
-    return {
+def run_golden(scn_path: Path, workdir: Path) -> tuple[dict, str]:
+    """Run one golden scenario traced into `workdir`.
+
+    Returns the run's machine-readable stats keys, which fixtures
+    compare, and the sha256 of its trace file.
+    """
+    spec = parse_scenario(scn_path.read_text(encoding="utf-8"))
+    trace_path = workdir / (scn_path.stem + ".tr")
+    result = Simulation(spec._replace(trace_path=str(trace_path))).run()
+    values = {
         "tempo_simulacao_s": result.duration / 1e9,
         "pacotes_recebidos": result.npkts,
         "bytes_recebidos": result.bytes,
         "utilizacao_link_pct": result.utilization_pct,
     }
-
-
-def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return values, hashlib.sha256(trace_path.read_bytes()).hexdigest()
 
 
 def check_golden(scn_path: Path, fixture: dict, workdir: Path) -> list[str]:
     """Run one golden scenario; return a list of mismatch descriptions."""
-    spec = parse_scenario(scn_path.read_text(encoding="utf-8"))
-    trace_path = workdir / (scn_path.stem + ".tr")
-    result = run_scenario(spec, trace_path=str(trace_path))
-    values = result_values(result)
+    values, digest = run_golden(scn_path, workdir)
     problems = []
     for key, expected in fixture.get("exact", {}).items():
         if values[key] != expected:
@@ -51,7 +52,6 @@ def check_golden(scn_path: Path, fixture: dict, workdir: Path) -> list[str]:
     for key, (lo, hi) in fixture.get("bands", {}).items():
         if not lo <= values[key] <= hi:
             problems.append(f"{key}: {values[key]!r} outside [{lo}, {hi}]")
-    digest = file_sha256(trace_path)
     if digest != fixture["trace_sha256"]:
         problems.append(f"trace digest {digest[:12]}.. != expected {fixture['trace_sha256'][:12]}..")
     return problems
@@ -72,12 +72,12 @@ def _load_fixture(path: Path) -> dict:
     return fixture
 
 
-def run_validate(scenario_dir: Path | None = None, write=print) -> bool:
+def run_validate(scenario_dir: Path | None = None) -> bool:
     """Validate every golden scenario; prints PASS/FAIL per scenario."""
     base = Path(scenario_dir) if scenario_dir is not None else golden_dir()
     scn_paths = sorted(base.glob("*.scn"))
     if not scn_paths:
-        write(f"FAIL no golden scenarios found in {base}")
+        print(f"FAIL no golden scenarios found in {base}")
         return False
     all_pass = True
     with tempfile.TemporaryDirectory(prefix="minins-validate-") as tmp:
@@ -89,7 +89,7 @@ def run_validate(scenario_dir: Path | None = None, write=print) -> bool:
                 problems = [str(exc)]
             if problems:
                 all_pass = False
-                write(f"FAIL {scn_path.stem}: " + "; ".join(problems))
+                print(f"FAIL {scn_path.stem}: " + "; ".join(problems))
             else:
-                write(f"PASS {scn_path.stem}")
+                print(f"PASS {scn_path.stem}")
     return all_pass

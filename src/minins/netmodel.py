@@ -3,8 +3,8 @@
 Nodes are dense integer ids in creation order. A duplex link is two
 independent simplex links with identical parameters, each with its own
 queue discipline instance. Forwarding is hop-count shortest path with a
-smallest-next-hop tie-break, computed per destination, on the first
-packet toward it.
+smallest-next-hop tie-break, computed per destination when its first
+sink is bound, so the routes are fixed once the network is built.
 
 A link transmits one packet at a time: enqueue ('+' trace event, 'd' on
 drop), dequeue ('-') when the head of line wins the link, then arrival
@@ -150,7 +150,7 @@ class Network:
                 link.arrive = partial(self._arrive, link)
                 self.links.append(link)
                 self.links_into[to].append(link)
-        # next-hop column per destination, built on the first packet toward it
+        # next-hop column per destination, built when its first sink is bound
         self._routes: list[list[SimplexLink | None] | None] = [None] * node_count
 
     def allot_port(self, node: int) -> int:
@@ -161,8 +161,11 @@ class Network:
 
     def bind_sink(self, sink) -> None:
         """Deliver packets for (sink.node, sink.port) to `sink` and count
-        their drops in its `nlost`."""
+        their drops in its `nlost`; computes the routes toward its node
+        unless an earlier sink there did."""
         self._sinks[(sink.node, sink.port)] = sink
+        if self._routes[sink.node] is None:
+            self._routes[sink.node] = self.compute_routes(sink.node)
 
     # -- routing ---------------------------------------------------------
 
@@ -203,10 +206,7 @@ class Network:
                 tracer.record("r", now, frm, node, pkt)
             self._sinks[(node, pkt.dport)].on_receive(pkt)
             return
-        column = self._routes[pkt.dst]
-        if column is None:
-            column = self._routes[pkt.dst] = self.compute_routes(pkt.dst)
-        link = column[node]
+        link = self._routes[pkt.dst][node]
         if tracer is not None:
             tracer.record("+", now, link.from_node, link.to_node, pkt)
         link.enqueued += 1

@@ -1,9 +1,12 @@
 """Scenario execution: build the model, run it, collect statistics.
 
-A run is a pure function of (scenario, seed): same inputs give byte
-identical trace files and statistics blocks. Each traffic generator
-draws from its own substream keyed by its position in the scenario, so
-adding a generator does not disturb the streams of earlier ones.
+A run's only input is its parsed `ScenarioSpec`, which also holds the
+seed and the trace path (`minins run --seed/--trace` replace them with
+`spec._replace` before the build). A run is a pure function of its
+spec: equal specs give byte identical trace files and statistics
+blocks. Each traffic generator draws from its own substream keyed by
+its position in the scenario, so adding a generator does not disturb
+the streams of earlier ones.
 """
 
 from __future__ import annotations
@@ -54,27 +57,21 @@ class RunResult(NamedTuple):
 class Simulation:
     """One scenario wired onto one event engine, ready to run."""
 
-    def __init__(self, spec: ScenarioSpec, trace_path: str | None = None,
-                 seed: int | None = None):
+    def __init__(self, spec: ScenarioSpec):
         self.spec = spec
-        self.seed = spec.seed if seed is None else seed
-        self.trace_path = spec.trace_path if trace_path is None else trace_path
         self.engine = EventEngine()
+        self.tracer = TraceWriter(spec.trace_path) if spec.trace_path else None
         self.sinks: list[SinkMonitor] = []
         self.agents: dict[str, UdpAgent] = {}
         self.generators: list = []
         self._build()
-        # Opened only after a successful build: a scenario that fails to
-        # build leaves no trace file behind.
-        self.tracer = TraceWriter(self.trace_path) if self.trace_path else None
-        self.network.tracer = self.tracer
 
     # -- construction ------------------------------------------------------
 
     def _build(self) -> None:
         spec = self.spec
         node_id = {name: k for k, name in enumerate(spec.nodes)}
-        self.network = Network(self.engine, None, len(spec.nodes), [
+        self.network = Network(self.engine, self.tracer, len(spec.nodes), [
             (node_id[link.a], node_id[link.b], link.bandwidth, link.delay, link.qdisc)
             for link in spec.links
         ])
@@ -99,7 +96,7 @@ class Simulation:
             if gen_spec.kind == "cbr":
                 gen = CbrGenerator(self.engine, agent, gen_spec)
             else:
-                rng = SplitMix64.substream(self.seed, ordinal)
+                rng = SplitMix64.substream(spec.seed, ordinal)
                 gen = ExpOnOffGenerator(self.engine, agent, gen_spec, rng)
             gen.install()
             self.generators.append(gen)
@@ -135,8 +132,3 @@ class Simulation:
             sink_nodes=len({s.node for s in self.sinks}),
         )
 
-
-def run_scenario(spec: ScenarioSpec, trace_path: str | None = None,
-                 seed: int | None = None) -> RunResult:
-    """Build the scenario, run to its configured duration, return stats."""
-    return Simulation(spec, trace_path=trace_path, seed=seed).run()

@@ -12,7 +12,7 @@ class GoldenRun:
         self.name = name
         self.spec = parse_scenario((golden_dir() / f"{name}.scn").read_text())
         self.trace_path = tmp_dir / f"{name}.tr"
-        self.sim = Simulation(self.spec, trace_path=str(self.trace_path))
+        self.sim = Simulation(self.spec._replace(trace_path=str(self.trace_path)))
         self.result = self.sim.run()
 
     def trace_lines(self):

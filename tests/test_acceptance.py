@@ -15,7 +15,7 @@ from minins.golden import golden_dir, run_validate
 from minins.netmodel import Network, Packet
 from minins.qdisc import QdiscConfig, sfq_bucket
 from minins.scenario import parse_scenario
-from minins.sim import Simulation, run_scenario
+from minins.sim import Simulation
 from minins.traffic import SinkMonitor
 
 from net_helpers import link_between, seconds
@@ -56,7 +56,7 @@ def test_criterion_2_deterministic_cbr_golden(cbr_run):
 def paper_seed_totals(seed):
     """(exp sink bytes, utilization %, bottleneck drops) of one paper.scn seed."""
     spec = parse_scenario((golden_dir() / "paper.scn").read_text())
-    sim = Simulation(spec, seed=seed)  # trace-free: bands are about totals
+    sim = Simulation(spec._replace(seed=seed))  # trace-free: bands are about totals
     result = sim.run()
     return sim.sinks[0].bytes, result.utilization_pct, link_between(sim.network, 2, 3).drops
 
@@ -75,7 +75,7 @@ def test_criterion_3_paper_scenario_bands_over_ten_seeds():
 def test_criterion_4_equal_seed_runs_byte_identical(cbr_run, paper_run, tmp_path):
     for prior in (cbr_run, paper_run):
         again = tmp_path / f"{prior.name}.tr"
-        result = run_scenario(prior.spec, trace_path=str(again))
+        result = Simulation(prior.spec._replace(trace_path=str(again))).run()
         assert again.read_bytes() == prior.trace_path.read_bytes()
         assert result.stats_block() == prior.result.stats_block()
     print("PASS criterion 4: reruns byte-identical (trace and statistics)")
@@ -100,7 +100,7 @@ def test_criterion_5_conservation(cbr_run, paper_run, tmp_path):
             f"cbr agent=f size={size} interval={interval}ns start=0s stop=3s\n"
         )
         trace = tmp_path / f"overload{trial}.tr"
-        sim = Simulation(parse_scenario(text), trace_path=str(trace))
+        sim = Simulation(parse_scenario(text)._replace(trace_path=str(trace)))
         sim.run()
         lines = trace.read_text().splitlines()
         assert analyze_trace(lines).violations == []
@@ -143,7 +143,8 @@ def test_criterion_6_sfq_fairness_vs_droptail_fifo(tmp_path):
     assert got1 + got2 >= 0.97 * 10e6 * 99 / 8
 
     trace = tmp_path / "droptail_pair.tr"
-    Simulation(parse_scenario(_fair_pair_scenario("droptail")), trace_path=str(trace)).run()
+    spec = parse_scenario(_fair_pair_scenario("droptail"))
+    Simulation(spec._replace(trace_path=str(trace))).run()
     plus, minus, received, dropped = [], [], [], set()
     for line in trace.read_text().splitlines():
         fields = line.split()
@@ -285,8 +286,8 @@ def test_zero_transmit_time_arrivals_match_the_brute_force_model():
 
 
 def test_criterion_9_validate_passes_clean_and_fails_perturbed(tmp_path, capsys):
-    messages = []
-    assert run_validate(write=messages.append) is True
+    assert run_validate() is True
+    messages = capsys.readouterr().out.splitlines()
     assert len(messages) == 4 and all(m.startswith("PASS") for m in messages)
 
     perturbations = [
@@ -300,7 +301,6 @@ def test_criterion_9_validate_passes_clean_and_fails_perturbed(tmp_path, capsys)
         assert old in text
         (workdir / f"{name}.scn").write_text(text.replace(old, new))
         shutil.copy(golden_dir() / f"{name}.expected.json", workdir)
-        outcome = []
-        assert run_validate(workdir, write=outcome.append) is False
-        assert any(m.startswith("FAIL") for m in outcome)
+        assert run_validate(workdir) is False
+        assert any(m.startswith("FAIL") for m in capsys.readouterr().out.splitlines())
     print("PASS criterion 9: validate green when pristine, red when perturbed")

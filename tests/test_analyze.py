@@ -176,6 +176,26 @@ def test_flow_stats_counts_drop_mid_path():
     assert (stats.sent, stats.received, stats.dropped) == (2, 1, 1)
 
 
+def test_flow_stats_counts_a_packet_sent_once_when_it_leaves_its_source_again():
+    # uid 7 leaves node 1, is routed back to it, leaves again and is
+    # received: one packet sent, its delay timed from the first '+'.
+    lines = trace(
+        "+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7",
+        "- 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7",
+        "+ 1.010800000 2 1 cbr 1000 ------- 2 1.0 3.1 0 7",
+        "- 1.010800000 2 1 cbr 1000 ------- 2 1.0 3.1 0 7",
+        "+ 1.021600000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7",
+        "- 1.021600000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7",
+        "+ 1.032400000 2 3 cbr 1000 ------- 2 1.0 3.1 0 7",
+        "- 1.032400000 2 3 cbr 1000 ------- 2 1.0 3.1 0 7",
+        "r 1.043200000 2 3 cbr 1000 ------- 2 1.0 3.1 0 7",
+    )
+    report = analyze_trace(lines, (2, 1, 3))
+    assert report.violations == []
+    assert (report.flow.sent, report.flow.received, report.flow.dropped) == (1, 1, 0)
+    assert report.flow.max_delay == pytest.approx(0.0432)
+
+
 def test_flow_stats_ignores_other_flows():
     other = [l.replace(" 2 1.0", " 9 1.0") for l in GOOD]
     stats = flow_stats(GOOD + other, fid=2, source=1, sink=3)

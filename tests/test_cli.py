@@ -60,6 +60,48 @@ def test_run_seed_follows_the_scenario_seed_rule(tiny_scn, tmp_path, capsys, see
                  "--seed", "0018446744073709551615"]) == 0
 
 
+EXP_TINY = """\
+sim duration=5s seed={seed}
+node a
+node b
+duplex-link a b bw=1Mb delay=1ms queue=droptail
+udp f src=a sink=b fid=1
+exp agent=f size=125 burst=50ms idle=50ms rate=500kb start=0s stop=5s
+"""
+
+
+def _run_output(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_run_seed_override_equals_seed_in_file(tmp_path, capsys):
+    own = tmp_path / "own.scn"
+    own.write_text(EXP_TINY.format(seed=5))
+    seeded = tmp_path / "seeded.scn"
+    seeded.write_text(EXP_TINY.format(seed=9))
+    runs = {}
+    for name, argv in (("own", [str(own)]), ("override", [str(own), "--seed", "9"]),
+                       ("in_file", [str(seeded)])):
+        trace = tmp_path / f"{name}.tr"
+        out = _run_output(capsys, ["run", *argv, "--trace", str(trace)])
+        runs[name] = (out, trace.read_bytes())
+    assert runs["override"] == runs["in_file"]
+    # stats and trace both move with the seed, so the override is applied
+    assert all(own != other for own, other in zip(runs["own"], runs["override"]))
+
+
+def test_run_trace_override_replaces_the_scenario_trace(tmp_path, capsys):
+    in_file = tmp_path / "in_file.tr"
+    scn = tmp_path / "traced.scn"
+    scn.write_text(TINY + f"trace file={in_file}\n")
+    override = tmp_path / "override.tr"
+    overridden = _run_output(capsys, ["run", str(scn), "--trace", str(override)])
+    assert override.exists() and not in_file.exists()
+    assert _run_output(capsys, ["run", str(scn)]) == overridden
+    assert in_file.read_bytes() == override.read_bytes()
+
+
 def test_run_rejects_bad_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("sim duration=1s\nnode a\nnode a\n")
@@ -144,6 +186,24 @@ def test_analyze_requires_complete_flow_selector(tiny_scn, tmp_path, capsys):
     main(["run", str(tiny_scn), "--trace", str(trace)])
     assert main(["analyze", str(trace), "--fid", "1"]) == 1
     assert main(["analyze", str(trace)]) == 1
+
+
+BIN_NEEDS_FLOW = "--bin needs --fid, --src and --sink"
+INCOMPLETE_FLOW = "flow statistics need --fid, --src and --sink together"
+
+
+@pytest.mark.parametrize("extra,message", [
+    ([], BIN_NEEDS_FLOW),
+    (["--check"], BIN_NEEDS_FLOW),
+    (["--fid", "1", "--sink", "1"], INCOMPLETE_FLOW),
+])
+def test_analyze_bin_without_a_flow_names_every_flow_flag(tiny_scn, tmp_path, capsys,
+                                                          extra, message):
+    trace = tmp_path / "tiny.tr"
+    main(["run", str(tiny_scn), "--trace", str(trace)])
+    capsys.readouterr()
+    assert main(["analyze", str(trace), "--bin", "1", *extra]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_analyze_corrupted_trace_exits_2(tmp_path, capsys):

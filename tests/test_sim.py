@@ -10,7 +10,7 @@ from minins.engine import EventEngine
 from minins.errors import ScenarioError
 from minins.golden import golden_dir
 from minins.scenario import parse_scenario
-from minins.sim import Simulation, run_scenario
+from minins.sim import Simulation
 
 SHORT_PAPER = """\
 sim duration=20s seed=77
@@ -75,7 +75,7 @@ def run_counted_cbr_golden(monkeypatch, trace_path=None):
     """Run cbr_golden on a CountingEngine; its events dispatched."""
     monkeypatch.setattr(sim_module, "EventEngine", CountingEngine)
     text = (golden_dir() / "cbr_golden.scn").read_text()
-    sim = Simulation(parse_scenario(text), trace_path=trace_path)
+    sim = Simulation(parse_scenario(text)._replace(trace_path=trace_path))
     assert sim.run().npkts == 99_600
     return sim.engine.dispatched
 
@@ -105,7 +105,7 @@ def test_zero_duration_run_is_valid(tmp_path):
         "cbr agent=f size=100 interval=1ms start=0s stop=0s\n"
     )
     trace = tmp_path / "zero.tr"
-    result = run_scenario(spec, trace_path=str(trace))
+    result = Simulation(spec._replace(trace_path=str(trace))).run()
     assert trace.exists() and trace.read_text() == ""
     assert result.npkts == result.bytes == 0
     assert result.duration == 0
@@ -118,7 +118,7 @@ def test_repeat_runs_byte_identical(tmp_path):
     blocks, texts = [], []
     for i in range(2):
         path = tmp_path / f"run{i}.tr"
-        result = run_scenario(spec, trace_path=str(path))
+        result = Simulation(spec._replace(trace_path=str(path))).run()
         blocks.append(result.stats_block())
         texts.append(path.read_bytes())
     assert texts[0] == texts[1]
@@ -127,8 +127,8 @@ def test_repeat_runs_byte_identical(tmp_path):
 
 def test_different_seed_changes_exponential_flow(tmp_path):
     spec = parse_scenario(SHORT_PAPER)
-    a = Simulation(spec, trace_path=str(tmp_path / "a.tr"), seed=1)
-    b = Simulation(spec, trace_path=str(tmp_path / "b.tr"), seed=2)
+    a = Simulation(spec._replace(trace_path=str(tmp_path / "a.tr"), seed=1))
+    b = Simulation(spec._replace(trace_path=str(tmp_path / "b.tr"), seed=2))
     a.run()
     b.run()
     assert a.sinks[0].npkts != b.sinks[0].npkts  # exp flow differs
@@ -172,23 +172,6 @@ def test_paper_scenario_port_allocation(paper_run):
     assert [s.port for s in sim.sinks] == [0, 1]  # both sinks on node 3
 
 
-def test_trace_path_precedence(tmp_path):
-    text = (
-        "sim duration=1s\nnode a\nnode b\n"
-        "duplex-link a b bw=1Mb delay=1ms queue=droptail\n"
-        "udp f src=a sink=b fid=1\n"
-        "cbr agent=f size=100 interval=100ms start=0s stop=1s\n"
-        f"trace file={tmp_path / 'from_spec.tr'}\n"
-    )
-    spec = parse_scenario(text)
-    run_scenario(spec)
-    assert (tmp_path / "from_spec.tr").exists()
-
-    override = tmp_path / "override.tr"
-    run_scenario(spec, trace_path=str(override))
-    assert override.exists()
-
-
 def test_utilization_uses_first_link_at_sink_node():
     # sink sits on node b; its only link is the 2 Mb one, so 100 bytes
     # over 1 s is 100*8/2e6*100 = 0.04 percent.
@@ -198,7 +181,7 @@ def test_utilization_uses_first_link_at_sink_node():
         "udp f src=a sink=b fid=1\n"
         "cbr agent=f size=100 interval=500ms start=0s stop=600ms\n"
     )
-    result = run_scenario(spec)
+    result = Simulation(spec).run()
     assert result.npkts == 2
     assert result.utilization_pct == 200 * 8.0 / (2e6 * 1.0) * 100.0
 
@@ -218,7 +201,7 @@ def test_utilization_counts_only_the_reported_sink_node():
         "cbr agent=f1 size=100 interval=500ms start=0s stop=600ms\n"
         "cbr agent=f2 size=1000 interval=100ms start=0s stop=1s\n"
     )
-    result = run_scenario(spec)
+    result = Simulation(spec).run()
     assert (result.sink_node, result.npkts, result.bytes) == (1, 12, 10_200)
     assert repr(result.utilization_pct) == "0.08"
     block = result.stats_block()
@@ -241,7 +224,7 @@ def test_shared_fid_agents_number_packets_independently(tmp_path):
         "cbr agent=f2 size=100 interval=10ms start=0s stop=1s\n"
     )
     trace = tmp_path / "fid.tr"
-    sim = Simulation(spec, trace_path=str(trace))
+    sim = Simulation(spec._replace(trace_path=str(trace)))
     result = sim.run()
     assert result.npkts == 200
     assert result.nlost == 0
@@ -309,7 +292,7 @@ def test_same_instant_events_keep_schedule_order(tmp_path):
         "cbr agent=f2 size=1 interval=10ms start=3ms stop=50ms\n"
     )
     trace = tmp_path / "tie.tr"
-    run_scenario(spec, trace_path=str(trace))
+    Simulation(spec._replace(trace_path=str(trace))).run()
     at_13ms = [line for line in trace.read_text().splitlines() if " 0.013000000 " in line]
     assert at_13ms == [
         "r 0.013000000 0 1 cbr 1000 ------- 1 0.0 1.0 0 0",

@@ -301,6 +301,39 @@ def test_expoo_stop_cancels_everything():
     assert eng.now < stop
 
 
+U_MEAN = 1 - math.exp(-1)  # every draw comes out at its mean, floored
+
+
+def run_exp_past_stop(burst, idle, stop):
+    """Run an exp generator drawing U_MEAN each time until far past
+    `stop`; (engine, number of uniforms drawn)."""
+    eng = EventEngine()
+    rng = RecordingRng(FixedRng(U_MEAN))
+    cfg = ExpSpec("f", 1000, burst, idle, 8_000_000, 0, stop)
+    ExpOnOffGenerator(eng, TimedAgent(eng), cfg, rng).install()
+    eng.run_until(10 * stop)
+    return eng, len(rng.us)
+
+
+def test_expoo_on_period_ending_at_stop_opens_no_off_period():
+    # The first ON period ends exactly at stop: no OFF period follows,
+    # so nothing runs at stop and the OFF length is never drawn.
+    burst = 10 * MS
+    stop = exp_variate(burst, FixedRng(U_MEAN))
+    eng, draws = run_exp_past_stop(burst, 4 * MS, stop)
+    assert eng.now < stop
+    assert draws == 1
+
+
+def test_expoo_off_period_ending_at_stop_opens_no_on_period():
+    # ON then OFF end exactly at stop: no second ON period opens there.
+    burst, idle = 10 * MS, 4 * MS
+    stop = exp_variate(burst, FixedRng(U_MEAN)) + exp_variate(idle, FixedRng(U_MEAN))
+    eng, draws = run_exp_past_stop(burst, idle, stop)
+    assert eng.now < stop
+    assert draws == 2
+
+
 # -- sink monitor -------------------------------------------------------------------
 
 

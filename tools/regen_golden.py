@@ -11,9 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from minins.golden import check_golden, file_sha256, golden_dir, result_values
-from minins.scenario import parse_scenario
-from minins.sim import run_scenario
+from minins.golden import check_golden, golden_dir, run_golden
 
 # exp flow expectation: rate * burst/(burst+idle) * active_time / 8, +-5 pct
 EXP_BYTES = 5e6 * (800 / 802) * 499 / 8
@@ -38,15 +36,11 @@ def main():
     base = golden_dir()
     with tempfile.TemporaryDirectory() as tmp:
         for scn_path in sorted(base.glob("*.scn")):
-            name = scn_path.stem
-            spec = parse_scenario(scn_path.read_text(encoding="utf-8"))
-            trace_path = Path(tmp) / f"{name}.tr"
-            result = run_scenario(spec, trace_path=str(trace_path))
-            values = result_values(result)
-            bands = BANDS.get(name, {})
+            values, digest = run_golden(scn_path, Path(tmp))
+            bands = BANDS.get(scn_path.stem, {})
             fixture = {
                 "exact": {k: v for k, v in values.items() if k not in bands},
-                "trace_sha256": file_sha256(trace_path),
+                "trace_sha256": digest,
             }
             if bands:
                 fixture["bands"] = bands
