@@ -2,9 +2,10 @@
 
 Scenario files describe a topology (nodes, duplex links with DropTail or
 SFQ output queues), UDP flows driven by CBR or exponential on-off
-generators, and a schedule. Runs produce an event trace plus loss
-monitor statistics; the analyze tools recover throughput, loss, delay
-and link utilization from the trace alone.
+generators, and a schedule. Runs produce an event trace plus a
+statistics block (duration, packets and bytes received, last-hop
+utilization); the analyze tools recover throughput, loss, delay and
+link utilization from the trace alone.
 """
 
 from .analyze import analyze_trace, flow_stats, utilization

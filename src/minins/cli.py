@@ -58,6 +58,8 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     seed = None if args.seed is None else parse_integer("--seed", args.seed, SEED_MAX)
+    if args.trace == "":
+        raise ScenarioError("--trace needs a file path")
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -1,10 +1,10 @@
 """Golden-scenario regression: rerun bundled scenarios, compare fixtures.
 
-Each bundled `<name>.scn` has a `<name>.expected.json` holding the
-statistics it must reproduce and the sha256 of its trace file. Stats
-listed under "exact" must match to the byte; stats under "bands" (used
-for the stochastic scenario) must fall inside [lo, hi]. Scenarios run
-independently, so a failure in one never hides another.
+Each bundled `<name>.scn` has a `<name>.expected.json` holding two
+things its traced run must reproduce exactly: `stats`, the statistics
+block `minins run` prints, as a list of lines, and `trace_sha256`, the
+sha256 of its trace file. Scenarios run independently, so a failure in
+one never hides another.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import hashlib
 import json
 import tempfile
 from importlib import resources
+from itertools import zip_longest
 from pathlib import Path
 
 from .errors import MininsError
@@ -24,34 +25,27 @@ def golden_dir() -> Path:
     return Path(resources.files("minins") / "golden")
 
 
-def run_golden(scn_path: Path, workdir: Path) -> tuple[dict, str]:
+def run_golden(scn_path: Path, workdir: Path) -> tuple[list[str], str]:
     """Run one golden scenario traced into `workdir`.
 
-    Returns the run's machine-readable stats keys, which fixtures
-    compare, and the sha256 of its trace file.
+    Returns the lines of its printed statistics block and the sha256 of
+    its trace file.
     """
     spec = parse_scenario(scn_path.read_text(encoding="utf-8"))
     trace_path = workdir / (scn_path.stem + ".tr")
     result = Simulation(spec._replace(trace_path=str(trace_path))).run()
-    values = {
-        "tempo_simulacao_s": result.duration / 1e9,
-        "pacotes_recebidos": result.npkts,
-        "bytes_recebidos": result.bytes,
-        "utilizacao_link_pct": result.utilization_pct,
-    }
-    return values, hashlib.sha256(trace_path.read_bytes()).hexdigest()
+    digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+    return result.stats_block().splitlines(), digest
 
 
 def check_golden(scn_path: Path, fixture: dict, workdir: Path) -> list[str]:
     """Run one golden scenario; return a list of mismatch descriptions."""
-    values, digest = run_golden(scn_path, workdir)
-    problems = []
-    for key, expected in fixture.get("exact", {}).items():
-        if values[key] != expected:
-            problems.append(f"{key}: expected {expected!r}, got {values[key]!r}")
-    for key, (lo, hi) in fixture.get("bands", {}).items():
-        if not lo <= values[key] <= hi:
-            problems.append(f"{key}: {values[key]!r} outside [{lo}, {hi}]")
+    stats, digest = run_golden(scn_path, workdir)
+    problems = [
+        f"stats line {n}: expected {want!r}, got {got!r}"
+        for n, (want, got) in enumerate(zip_longest(fixture["stats"], stats), 1)
+        if want != got
+    ]
     if digest != fixture["trace_sha256"]:
         problems.append(f"trace digest {digest[:12]}.. != expected {fixture['trace_sha256'][:12]}..")
     return problems
@@ -69,6 +63,11 @@ def _load_fixture(path: Path) -> dict:
         raise MininsError(f"{path.name} is not a JSON object")
     if "trace_sha256" not in fixture:
         raise MininsError(f"{path.name} has no trace_sha256")
+    if not isinstance(fixture["trace_sha256"], str):
+        raise MininsError(f"{path.name}: trace_sha256 must be a string")
+    stats = fixture.get("stats")
+    if not isinstance(stats, list) or not all(isinstance(line, str) for line in stats):
+        raise MininsError(f"{path.name}: stats must be a list of strings")
     return fixture
 
 

@@ -60,7 +60,7 @@ class Simulation:
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.engine = EventEngine()
-        self.tracer = TraceWriter(spec.trace_path) if spec.trace_path else None
+        self.tracer = TraceWriter(spec.trace_path) if spec.trace_path is not None else None
         self.sinks: list[SinkMonitor] = []
         self.agents: dict[str, UdpAgent] = {}
         self.generators: list = []

@@ -102,6 +102,16 @@ def test_run_trace_override_replaces_the_scenario_trace(tmp_path, capsys):
     assert in_file.read_bytes() == override.read_bytes()
 
 
+def test_run_rejects_an_empty_trace_path(tmp_path, capsys, monkeypatch):
+    scn = tmp_path / "traced.scn"
+    scn.write_text(TINY + f"trace file={tmp_path / 'in_file.tr'}\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(scn), "--trace", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --trace needs a file path\n"
+    assert list(tmp_path.iterdir()) == [scn]
+
+
 def test_run_rejects_bad_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("sim duration=1s\nnode a\nnode a\n")
@@ -288,22 +298,52 @@ def test_validate_missing_fixture_fails(tmp_path, capsys):
 
 def test_validate_reports_every_broken_scenario_and_goes_on(tmp_path, capsys):
     good = "overload_droptail"
-    for name in ("a_bad_scenario", "b_not_json", "c_no_digest", good):
+    fixture = json.loads((golden_dir() / f"{good}.expected.json").read_text())
+    broken_fixtures = {
+        "c_no_digest": {"stats": fixture["stats"]},
+        "d_digest_not_string": {**fixture, "trace_sha256": 1},
+        "e_no_stats": {"trace_sha256": fixture["trace_sha256"]},
+        "f_stats_not_list": {**fixture, "stats": "\n".join(fixture["stats"])},
+        "g_stats_line_not_string": {**fixture, "stats": fixture["stats"][:-1] + [90.8]},
+    }
+    for name in ("a_bad_scenario", "b_not_json", *broken_fixtures, good):
         shutil.copy(golden_dir() / f"{good}.scn", tmp_path / f"{name}.scn")
         shutil.copy(golden_dir() / f"{good}.expected.json", tmp_path / f"{name}.expected.json")
     (tmp_path / "a_bad_scenario.scn").write_text("sim duration=1s\nnode a\nnode a\n")
     (tmp_path / "b_not_json.expected.json").write_text("{not json")
-    fixture = json.loads((tmp_path / "c_no_digest.expected.json").read_text())
-    del fixture["trace_sha256"]
-    (tmp_path / "c_no_digest.expected.json").write_text(json.dumps(fixture))
+    for name, broken in broken_fixtures.items():
+        (tmp_path / f"{name}.expected.json").write_text(json.dumps(broken))
     assert main(["validate", "--dir", str(tmp_path)]) == 1
     out, err = capsys.readouterr()
-    bad, not_json, no_digest, passed = out.splitlines()
-    assert bad == "FAIL a_bad_scenario: line 3: duplicate node name 'a'"
-    assert not_json.startswith("FAIL b_not_json: b_not_json.expected.json is not valid JSON: ")
-    assert no_digest == "FAIL c_no_digest: c_no_digest.expected.json has no trace_sha256"
-    assert passed == f"PASS {good}"
+    lines = out.splitlines()
+    assert lines[0] == "FAIL a_bad_scenario: line 3: duplicate node name 'a'"
+    assert lines[1].startswith("FAIL b_not_json: b_not_json.expected.json is not valid JSON: ")
+    assert lines[2:] == [
+        "FAIL c_no_digest: c_no_digest.expected.json has no trace_sha256",
+        "FAIL d_digest_not_string: d_digest_not_string.expected.json: "
+        "trace_sha256 must be a string",
+        "FAIL e_no_stats: e_no_stats.expected.json: stats must be a list of strings",
+        "FAIL f_stats_not_list: f_stats_not_list.expected.json: "
+        "stats must be a list of strings",
+        "FAIL g_stats_line_not_string: g_stats_line_not_string.expected.json: "
+        "stats must be a list of strings",
+        f"PASS {good}",
+    ]
     assert err == ""
+
+
+def test_validate_quotes_the_expected_and_actual_stats_line(tmp_path, capsys):
+    name = "overload_droptail"
+    shutil.copy(golden_dir() / f"{name}.scn", tmp_path)
+    fixture = json.loads((golden_dir() / f"{name}.expected.json").read_text())
+    row = fixture["stats"].index("pacotes_recebidos=1135")
+    fixture["stats"][row] = "pacotes_recebidos=1136"
+    (tmp_path / f"{name}.expected.json").write_text(json.dumps(fixture))
+    assert main(["validate", "--dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL {name}: stats line {row + 1}: "
+        "expected 'pacotes_recebidos=1136', got 'pacotes_recebidos=1135'\n"
+    )
 
 
 def test_validate_empty_directory_fails(tmp_path, capsys):

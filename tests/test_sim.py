@@ -113,6 +113,13 @@ def test_zero_duration_run_is_valid(tmp_path):
     assert "tempo_simulacao_s=0\n" in result.stats_block()
 
 
+def test_empty_trace_path_is_an_os_error():
+    # Only None means untraced: an empty path must not drop the trace silently.
+    spec = parse_scenario((golden_dir() / "cbr_golden.scn").read_text())
+    with pytest.raises(OSError):
+        Simulation(spec._replace(trace_path=""))
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     spec = parse_scenario(SHORT_PAPER)
     blocks, texts = [], []
