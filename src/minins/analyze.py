@@ -4,8 +4,11 @@
 once, with bounded per-packet state (a packet's state is retired when
 it is received or dropped), so results do not depend on how the input
 is chunked. Each line goes through `trace.parse_line`, which checks
-the whole line and returns the seven fields read here: op, time, from,
-to, size, fid and uid.
+the whole line and returns the seven fields read here as text: op,
+time, from, to, size, fid and uid. Numbers in a trace are canonical
+decimal, so from, to, fid and uid are compared as text; the time is
+converted when it differs from the previous line's, and the size only
+for a delivery that is counted.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from .trace import parse_line
-from .units import NS_PER_SEC
+from .units import NS_PER_SEC, parse_time_fixed
 
 
 class FlowStats(NamedTuple):
@@ -74,22 +77,30 @@ def analyze_trace(
     (first-hop transmission included). With `bin_seconds`, the report
     also holds the received bits/s at the sink per time bin, anchored at
     t=0, for every bin from 0 through the one holding the last delivery.
-    Blank lines are skipped; a malformed line raises TraceError.
+    Blank lines (empty, or only spaces before an optional LF) are
+    skipped; a malformed line raises TraceError.
     """
     if bin_seconds is not None and flow is None:
         raise ValueError("throughput bins need a flow")
     bin_ns = None if bin_seconds is None else bin_width_ns(bin_seconds)
-    fid, source, sink = flow if flow is not None else (None, None, None)
+    # The flow's numbers as trace text: trace numbers are canonical, so
+    # equal text is equal value. Without a flow no line's fid matches.
+    fid_text, source_text, sink_text = (None, None, None) if flow is None else map(str, flow)
     violations: list[str] = []
-    state: dict[int, tuple] = {}  # uid -> (op of its last link event, from, to)
+    state: dict[str, tuple] = {}  # uid -> (op of its last link event, from, to)
+    time_text = None  # the previous line's, and `time` converted from it
     last_time = 0
-    sent_at: dict[int, int] = {}  # uid -> first '+' time at source
+    sent_at: dict[str, int] = {}  # uid -> first '+' time at source
     sent = received = dropped = bytes_received = delay_total = delay_max = 0
     bytes_per_bin: dict[int, int] = {}
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip() and line.isascii():
-            continue
-        op, time, frm, to, size, rec_fid, uid = parse_line(line, lineno)
+        if line.isspace() or not line:  # ordinary lines skip the strip
+            if not line.removesuffix("\n").strip(" "):
+                continue
+        op, text, frm, to, size, rec_fid, uid = parse_line(line, lineno)
+        if text != time_text:
+            time_text = text
+            time = parse_time_fixed(text)
         if time < last_time:
             violations.append(f"line {lineno}: time goes backwards")
         else:
@@ -116,16 +127,17 @@ def analyze_trace(
             if cur != ("-", frm, to) and not (frm == to and cur is None):
                 violations.append(f"line {lineno}: 'r' for uid {uid} without upstream '-'")
             state.pop(uid, None)
-        if rec_fid != fid:
+        if rec_fid != fid_text:
             continue
         if op == "+":
-            if frm == source and uid not in sent_at:
+            if frm == source_text and uid not in sent_at:
                 sent_at[uid] = time
                 sent += 1
         elif op == "d":
             dropped += 1
             sent_at.pop(uid, None)
-        elif op == "r" and to == sink:
+        elif op == "r" and to == sink_text:
+            size = int(size)
             received += 1
             bytes_received += size
             birth = sent_at.pop(uid, None)
@@ -139,7 +151,7 @@ def analyze_trace(
                 bytes_per_bin[k] = bytes_per_bin.get(k, 0) + size
     stats = None
     if flow is not None:
-        stats = FlowStats(fid, sent, received, dropped, bytes_received,
+        stats = FlowStats(flow[0], sent, received, dropped, bytes_received,
                           delay_total / received / NS_PER_SEC if received else None,
                           delay_max / NS_PER_SEC if received else None)
     series = [] if bin_ns is None else [

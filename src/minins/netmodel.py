@@ -89,7 +89,7 @@ class Packet:
 class SimplexLink:
     __slots__ = ("from_node", "to_node", "bandwidth", "delay", "qdisc", "enqueued",
                  "dequeued", "drops", "free_at", "free_seq", "in_flight", "tx_done",
-                 "arrive")
+                 "arrive", "ends")
 
     def __init__(self, from_node: int, to_node: int, bandwidth: int, delay: int, qdisc):
         self.from_node = from_node
@@ -111,6 +111,7 @@ class SimplexLink:
         # Its engine actions, bound by Network.
         self.tx_done = None
         self.arrive = None
+        self.ends = None  # TraceWriter's cache: the line's formatted from and to
 
 
 def tx_time(size: int, bandwidth: int) -> int:
@@ -202,18 +203,17 @@ class Network:
         tracer = self.tracer
         if node == pkt.dst:
             if tracer is not None:
-                frm = via_link.from_node if via_link is not None else node
-                tracer.record("r", now, frm, node, pkt)
+                tracer.record("r", now, via_link, pkt)
             self._sinks[(node, pkt.dport)].on_receive(pkt)
             return
         link = self._routes[pkt.dst][node]
         if tracer is not None:
-            tracer.record("+", now, link.from_node, link.to_node, pkt)
+            tracer.record("+", now, link, pkt)
         link.enqueued += 1
         victim = link.qdisc.enqueue(pkt).dropped
         if victim is not None:
             if tracer is not None:
-                tracer.record("d", now, link.from_node, link.to_node, victim)
+                tracer.record("d", now, link, victim)
             link.drops += 1
             self._sinks[(victim.dst, victim.dport)].nlost += 1
         free_at = link.free_at
@@ -235,7 +235,7 @@ class Network:
         tracer = self.tracer
         pkt = link.qdisc.dequeue()
         if tracer is not None:
-            tracer.record("-", now, link.from_node, link.to_node, pkt)
+            tracer.record("-", now, link, pkt)
         link.dequeued += 1
         # tx_time(pkt.size, link.bandwidth), inline
         free_at = link.free_at = now + pkt.size * 8 * NS_PER_SEC // link.bandwidth

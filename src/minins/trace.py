@@ -9,14 +9,17 @@ op is one of + (enqueue), - (dequeue), r (receive), d (drop); +/-/d are
 link events (from = queueing node, to = next hop) and r is delivery at
 `to`. Time is decimal seconds with exactly 9 fractional digits so equal
 runs produce byte-identical files. Addresses are node.port. The flags
-field is reserved and always "-------".
+field is reserved and always "-------". Every number is canonical
+decimal: 0, or digits with no leading zero, so equal text is equal
+value.
 
 This module is the only one that knows the format: `TraceWriter`
-writes it, and `parse_line` reads it back: it checks every field but
-converts only the seven the analyzer reads. A short line is matched by
-one compiled pattern; a long one, or one the pattern misses, goes
-through field-by-field checks, which accept the same lines and name
-what is wrong with the others.
+writes it, and `parse_line` reads it back: it checks every field and
+returns the seven the analyzer reads as the text it checked, which the
+analyzer compares as text and converts only where it needs a number. A
+short line is matched by one compiled pattern; a long one, or one the
+pattern misses, goes through field-by-field checks, which accept the
+same lines and name what is wrong with the others.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import re
 
 from .errors import TraceError
-from .units import NS_PER_SEC, format_time_fixed
+from .units import format_time_fixed
 
 FLAGS = "-------"
 OPS = ("+", "-", "r", "d")
@@ -35,7 +38,8 @@ class TraceWriter:
 
     The last eight fields never change during a packet's life, so they
     are formatted once, on the packet's first line, into `pkt.tail`.
-    The time field is formatted once per instant.
+    A link's " from to" fields are formatted once, on its first line,
+    into `link.ends`. The time field is formatted once per instant.
     """
 
     def __init__(self, path):
@@ -44,16 +48,24 @@ class TraceWriter:
         self._time = -1  # no valid time, so the first record formats its own
         self._time_text = ""
 
-    def record(self, op: str, time: int, from_node: int, to_node: int, pkt) -> None:
+    def record(self, op: str, time: int, link, pkt) -> None:
+        """One line for `pkt` on `link`; for 'r', the link it arrived on,
+        or None for a delivery at its own node (from and to are pkt.dst)."""
         tail = pkt.tail
         if tail is None:
             tail = pkt.tail = (
                 f" {pkt.ptype} {pkt.size} {FLAGS} {pkt.fid} {pkt.src}.{pkt.sport}"
                 f" {pkt.dst}.{pkt.dport} {pkt.seq} {pkt.uid}\n")
+        if link is None:
+            ends = f" {pkt.dst} {pkt.dst}"
+        else:
+            ends = link.ends
+            if ends is None:
+                ends = link.ends = f" {link.from_node} {link.to_node}"
         if time != self._time:
             self._time = time
             self._time_text = format_time_fixed(time)
-        self._file.write(f"{op} {self._time_text} {from_node} {to_node}{tail}")
+        self._file.write(f"{op} {self._time_text}{ends}{tail}")
 
     def close_flush(self) -> None:
         """Flush and close; idempotent. Recording afterwards is an error."""
@@ -62,11 +74,13 @@ class TraceWriter:
             self._file.close()
 
 
-# The fields parse_line returns: op, time (whole and fraction), from, to,
-# size, fid and uid. ptype, flags, addresses and seq are only checked.
+# Canonical decimal: 0, or digits with no leading zero.
+_NUM = "(?:[1-9][0-9]*|0)"
+# The fields parse_line returns: op, time, from, to, size, fid and uid.
+# ptype, flags, addresses and seq are only checked.
 _EVENT = re.compile(
-    r"([-+rd]) ([0-9]+)\.([0-9]{9}) ([0-9]+) ([0-9]+) [!-~]+ ([0-9]+) [!-~]{7} ([0-9]+)"
-    r" [0-9]+\.[0-9]+ [0-9]+\.[0-9]+ [0-9]+ ([0-9]+)\n?",
+    rf"([-+rd]) ({_NUM}\.[0-9]{{9}}) ({_NUM}) ({_NUM}) [!-~]+ ({_NUM}) [!-~]{{7}} ({_NUM})"
+    rf" {_NUM}\.{_NUM} {_NUM}\.{_NUM} {_NUM} ({_NUM})\n?",
     re.ASCII,
 )
 # Shorter lines hold no number int() can refuse: 640 is the lowest digit
@@ -74,30 +88,37 @@ _EVENT = re.compile(
 _FAST_LEN = 640
 
 
+def _is_number(text: str) -> bool:
+    """Whether ASCII `text` is canonical decimal, as `_NUM` matches."""
+    return text.isdigit() and (text[0] != "0" or text == "0")
+
+
 def _check_addr(field: str, lineno, what: str) -> None:
     node, dot, port = field.partition(".")
-    if not dot or not node.isdigit() or not port.isdigit():
+    if not dot or not _is_number(node) or not _is_number(port):
         raise TraceError(f"bad {what} address {field!r}", lineno)
     int(node)  # ValueError if too long for int(), as for every number field
     int(port)
 
 
-def parse_line(text: str, lineno: int | None = None) -> tuple:
+def parse_line(text: str, lineno: int | None = None) -> tuple[str, ...]:
     """Strict parse of one 12-field trace line, as `TraceWriter` writes it:
-    single spaces between fields and at most one trailing LF.
+    single spaces between fields, canonical decimal numbers and at most
+    one trailing LF.
 
-    Returns (op, time_ns, from_node, to_node, size, fid, uid); ptype,
-    flags, addresses and seq are checked but not returned. Anything
-    else, non-ASCII text included, raises TraceError naming `lineno`.
-    A line shorter than `_FAST_LEN` that `_EVENT` matches is converted
-    from its groups; every other line goes through the field checks,
-    which raise the error. On short lines they accept exactly what
-    `_EVENT` matches.
+    Returns (op, time, from, to, size, fid, uid) as the text checked,
+    all str: time as written ('1.000000000', see
+    `units.parse_time_fixed`), the rest as canonical decimal, which
+    `int()` converts. ptype, flags, addresses and seq are checked but not
+    returned. Anything else, non-ASCII text included, raises TraceError
+    naming `lineno`. A line shorter than `_FAST_LEN` that `_EVENT`
+    matches returns its groups; every other line goes through the field
+    checks, which raise the error. On short lines they accept exactly
+    what `_EVENT` matches.
     """
     match = _EVENT.fullmatch(text) if len(text) < _FAST_LEN else None
     if match is not None:
-        op, whole, frac, frm, to, size, fid, uid = match.groups()
-        return op, int(whole + frac), int(frm), int(to), int(size), int(fid), int(uid)
+        return match.groups()
     if not text.isascii():
         raise TraceError("non-ASCII character", lineno)
     line = text.removesuffix("\n")
@@ -112,19 +133,20 @@ def parse_line(text: str, lineno: int | None = None) -> tuple:
     if not ptype:
         raise TraceError("empty ptype field", lineno)
     whole, dot, frac = time_s.partition(".")
-    if not dot or len(frac) != 9 or not whole.isdigit() or not frac.isdigit():
-        raise TraceError(f"bad timestamp {time_s!r} (want 9 fractional digits)", lineno)
+    if not dot or len(frac) != 9 or not _is_number(whole) or not frac.isdigit():
+        raise TraceError(f"bad timestamp {time_s!r} (want canonical seconds and 9 fractional"
+                         " digits)", lineno)
     if len(flags) != 7:
         raise TraceError(f"bad flags field {flags!r}", lineno)
     for name, value in (("from", frm), ("to", to), ("size", size),
                         ("fid", fid), ("seq", seq), ("uid", uid)):
-        if not value.isdigit():
+        if not _is_number(value):
             raise TraceError(f"bad {name} field {value!r}", lineno)
     try:
         _check_addr(src, lineno, "source")
         _check_addr(dst, lineno, "destination")
-        int(seq)
-        return (op, int(whole) * NS_PER_SEC + int(frac), int(frm), int(to), int(size),
-                int(fid), int(uid))
+        for value in (whole + frac, frm, to, size, fid, seq, uid):
+            int(value)
     except ValueError:  # more digits than int() will convert
         raise TraceError("number too long", lineno) from None
+    return op, time_s, frm, to, size, fid, uid

@@ -222,7 +222,7 @@ class _OutcomeWatch:
         self.delivered = {}
         self.dropped = set()
 
-    def record(self, op, time, frm, to, pkt):
+    def record(self, op, time, link, pkt):
         if op == "r":
             self.delivered[pkt.uid] = time
         elif op == "d":

@@ -59,7 +59,7 @@ def test_parse_rejects_non_ascii():
 
 def test_parse_rejects_whitespace_the_writer_never_writes():
     good = "+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7"
-    assert parse_line(good + "\n", lineno=5)[-1] == 7
+    assert parse_line(good + "\n", lineno=5)[-1] == "7"
     for bad in (
         good.replace(" ", "\x1c", 1),  # ASCII file separator
         good.replace(" ", "\t", 1),
@@ -72,6 +72,20 @@ def test_parse_rejects_whitespace_the_writer_never_writes():
         with pytest.raises(TraceError) as err:
             parse_line(bad, lineno=5)
         assert err.value.lineno == 5 and str(err.value).startswith("line 5: ")
+
+
+def test_parse_rejects_leading_zeros():
+    good = "+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7"
+    assert parse_line(good.replace(" 1 2 ", " 0 2 "), lineno=6)[2] == "0"  # zero itself
+    for bad in (
+        good.replace(" 1 2 ", " 01 2 "),  # from
+        good.replace(" 0 7", " 0 007"),  # uid
+        good.replace(" 1.000000000 ", " 01.000000000 "),  # the time's whole part
+        good.replace(" 1.000000000 ", " 00.000000000 "),
+    ):
+        with pytest.raises(TraceError) as err:
+            parse_line(bad, lineno=6)
+        assert err.value.lineno == 6 and str(err.value).startswith("line 6: ")
 
 
 def test_parse_rejects_numbers_too_long_to_convert():
@@ -90,6 +104,18 @@ def test_analyze_trace_rejects_non_ascii_blank_line():
     with pytest.raises(TraceError) as err:
         analyze_trace(GOOD[:1] + ["\n", "\u3000\n"] + GOOD[1:])
     assert err.value.lineno == 3
+
+
+def test_analyze_trace_skips_only_lines_of_spaces():
+    report = analyze_trace(GOOD[:1] + ["\n", "   \n", "  ", ""] + GOOD[1:], (2, 1, 3))
+    assert report.violations == [] and report.flow.received == 1
+    # whitespace to str.isspace(), but a tab or other control character
+    # makes a line malformed: a blank CRLF line is one
+    for blank in ("\t\n", "\r\n", "\x0b\n", "\x0c\n", "\x1c\n", "\x1d\n", "\x1e\n",
+                  "\x1f\n", " \t \n", "\r"):
+        with pytest.raises(TraceError) as err:
+            analyze_trace(GOOD[:1] + ["\n", blank] + GOOD[1:])
+        assert err.value.lineno == 3 and str(err.value).startswith("line 3: "), repr(blank)
 
 
 def test_analyze_trace_parses_each_line_once(monkeypatch):
@@ -233,6 +259,21 @@ def test_conservation_catches_backwards_time():
     swapped = [GOOD[0], GOOD[2], GOOD[1], GOOD[3], GOOD[4]]
     # times no longer sorted and '-' precedes its '+' on link 1->2
     assert violations_of(swapped)
+
+
+def test_conservation_catches_each_line_that_stays_at_an_earlier_instant():
+    # back from 1.0108 s to 1.0 s for two lines that share one time text,
+    # then 1.005 s: each of the three is behind 1.0108 s
+    def enqueue(time, uid):
+        return f"+ {time} 1 2 cbr 1000 ------- 2 1.0 3.1 0 {uid}\n"
+
+    lines = GOOD[:3] + [enqueue("1.000000000", 8), enqueue("1.000000000", 9),
+                        enqueue("1.005000000", 10)]
+    assert violations_of(lines) == [
+        "line 4: time goes backwards",
+        "line 5: time goes backwards",
+        "line 6: time goes backwards",
+    ]
 
 
 def test_conservation_accepts_unfinished_packets():

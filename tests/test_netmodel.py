@@ -21,8 +21,10 @@ class ListTracer:
     def __init__(self):
         self.events = []  # (op, time, from, to, uid)
 
-    def record(self, op, time, from_node, to_node, pkt):
-        self.events.append((op, time, from_node, to_node, pkt.uid))
+    def record(self, op, time, link, pkt):
+        # link None: a delivery at the packet's own node
+        ends = (pkt.dst, pkt.dst) if link is None else (link.from_node, link.to_node)
+        self.events.append((op, time, *ends, pkt.uid))
 
     def close_flush(self):
         pass

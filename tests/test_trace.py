@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from minins import trace
 from minins.engine import EventEngine
 from minins.errors import TraceError
-from minins.netmodel import Network, Packet
+from minins.netmodel import Network, Packet, SimplexLink
 from minins.qdisc import QdiscConfig
 from minins.trace import FLAGS, TraceWriter, parse_line
 from minins.traffic import SinkMonitor
-from minins.units import format_time_fixed
+from minins.units import NS_PER_SEC, format_time_fixed, parse_time_fixed
 
 from net_helpers import seconds
 
@@ -22,8 +22,17 @@ def sample_packet(**overrides):
     return Packet(**fields)
 
 
+def link(from_node, to_node):
+    return SimplexLink(from_node, to_node, 1, 0, None)
+
+
+def link_ends(via, pkt):
+    """A line's from and to: the link's, or the packet's own node twice."""
+    return (pkt.dst, pkt.dst) if via is None else (via.from_node, via.to_node)
+
+
 def written_lines(tmp_path, *records):
-    """Lines a TraceWriter writes for (op, time, from, to, pkt) records."""
+    """Lines a TraceWriter writes for (op, time, link, pkt) records."""
     path = tmp_path / "out.tr"
     writer = TraceWriter(str(path))
     for record in records:
@@ -33,11 +42,12 @@ def written_lines(tmp_path, *records):
 
 
 def test_writer_matches_fixed_layout(tmp_path):
-    lines = written_lines(tmp_path, ("+", seconds(1), 1, 2, sample_packet()))
+    lines = written_lines(tmp_path, ("+", seconds(1), link(1, 2), sample_packet()))
     assert lines == ["+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7\n"]
 
 
-def fixed_layout(op, time, from_node, to_node, pkt):
+def fixed_layout(op, time, via, pkt):
+    from_node, to_node = link_ends(via, pkt)
     return (f"{op} {format_time_fixed(time)} {from_node} {to_node} {pkt.ptype} {pkt.size}"
             f" {FLAGS} {pkt.fid} {pkt.src}.{pkt.sport} {pkt.dst}.{pkt.dport} {pkt.seq} {pkt.uid}\n")
 
@@ -45,17 +55,21 @@ def fixed_layout(op, time, from_node, to_node, pkt):
 def test_writer_formats_tail_per_packet_and_time_per_instant(tmp_path):
     a = sample_packet()
     b = sample_packet(uid=8, fid=3, ptype="exp", size=40, src=4, sport=1, dst=5, dport=2, seq=9)
+    c = sample_packet(uid=9, src=5, dst=5)
+    l12, l42, l23 = link(1, 2), link(4, 2), link(2, 3)
     records = [
-        ("+", 0, 1, 2, a),  # first record at time 0
-        ("-", 0, 1, 2, a),  # same packet, same instant
-        ("+", 0, 4, 2, b),  # a second packet, interleaved with the first
-        ("+", 800_000, 2, 3, a),  # a later instant
-        ("-", 800_000, 4, 2, b),
-        ("-", 800_000, 2, 3, a),
-        ("r", 1_600_000, 2, 3, a),
-        ("d", seconds(2) + 1, 4, 2, b),
+        ("+", 0, l12, a),  # first record at time 0
+        ("-", 0, l12, a),  # same packet, same instant, same link
+        ("+", 0, l42, b),  # a second packet, interleaved with the first
+        ("+", 800_000, l23, a),  # a later instant
+        ("-", 800_000, l42, b),
+        ("-", 800_000, l23, a),
+        ("r", 1_600_000, l23, a),
+        ("r", 1_600_000, None, c),  # delivered at its own node: no link
+        ("d", seconds(2) + 1, l42, b),
     ]
     assert written_lines(tmp_path, *records) == [fixed_layout(*r) for r in records]
+    assert (l12.ends, l42.ends, l23.ends) == (" 1 2", " 4 2", " 2 3")
 
 
 def test_time_renders_with_nine_fractional_digits():
@@ -63,33 +77,54 @@ def test_time_renders_with_nine_fractional_digits():
     assert format_time_fixed(0) == "0.000000000"
     assert format_time_fixed(seconds(500)) == "500.000000000"
     assert format_time_fixed(1) == "0.000000001"
-
-
-def test_every_line_has_twelve_fields(tmp_path):
-    records = [(op, seconds(1), 1, 2, sample_packet()) for op in "+-rd"]
-    for line in written_lines(tmp_path, *records):
-        assert len(line.split()) == 12
+    assert format_time_fixed(NS_PER_SEC - 1) == "0.999999999"
+    assert format_time_fixed(NS_PER_SEC) == "1.000000000"
 
 
 naturals = st.integers(min_value=0, max_value=2**64)
 
 
-@given(op=st.sampled_from("+-rd"), time=naturals, from_node=naturals, to_node=naturals,
+@given(naturals)
+def test_time_text_parses_back(ns):
+    assert parse_time_fixed(format_time_fixed(ns)) == ns
+
+
+@given(naturals)
+def test_time_text_matches_divmod_layout(ns):
+    assert format_time_fixed(ns) == f"{ns // NS_PER_SEC}.{ns % NS_PER_SEC:09d}"
+
+
+def test_every_line_has_twelve_fields(tmp_path):
+    records = [(op, seconds(1), link(1, 2), sample_packet()) for op in "+-rd"]
+    for line in written_lines(tmp_path, *records):
+        assert len(line.split()) == 12
+
+
+links = st.builds(link, naturals, naturals)
+
+
+@given(op=st.sampled_from("+-rd"), time=naturals, via=st.one_of(st.none(), links),
        ptype=st.sampled_from(["cbr", "exp"]), size=naturals, fid=naturals, src=naturals,
        sport=naturals, dst=naturals, dport=naturals, seq=naturals, uid=naturals)
-def test_writer_lines_parse_back(tmp_path_factory, op, time, from_node, to_node, ptype,
+def test_writer_lines_parse_back(tmp_path_factory, op, time, via, ptype,
                                  size, fid, src, sport, dst, dport, seq, uid):
     pkt = Packet(uid=uid, fid=fid, ptype=ptype, size=size, src=src, sport=sport,
                  dst=dst, dport=dport, seq=seq, birth=0)
-    [line] = written_lines(tmp_path_factory.mktemp("rt"), (op, time, from_node, to_node, pkt))
-    assert parse_line(line, 1) == (op, time, from_node, to_node, size, fid, uid)
+    [line] = written_lines(tmp_path_factory.mktemp("rt"), (op, time, via, pkt))
+    from_node, to_node = link_ends(via, pkt)
+    fields = parse_line(line, 1)
+    # every field as the text it was written from: canonical decimal numbers
+    assert fields == (op, format_time_fixed(time), str(from_node), str(to_node),
+                      str(size), str(fid), str(uid))
+    assert parse_time_fixed(fields[1]) == time
     # the fields parse_line only checks, as written
     assert line.split(" ")[4:] == [ptype, str(size), FLAGS, str(fid), f"{src}.{sport}",
                                    f"{dst}.{dport}", str(seq), f"{uid}\n"]
 
 
 VALID_FIELDS = "+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7".split()
-odd_text = st.one_of(st.text(), st.sampled_from(["０", "²", "\udcff", "9" * 5000, "1.", ".1"]))
+odd_text = st.one_of(st.text(), st.sampled_from(["０", "²", "\udcff", "9" * 5000, "1.", ".1",
+                                                 "01", "007", "00"]))
 # A valid line with one field replaced, so the checks behind the field count run too.
 one_field_off = st.builds(lambda i, text: " ".join(VALID_FIELDS[:i] + [text] + VALID_FIELDS[i + 1:]),
                           st.integers(0, 11), odd_text)
@@ -103,13 +138,14 @@ def test_parse_line_returns_tuple_or_trace_error(text):
         assert err.lineno == 9
     else:
         assert isinstance(fields, tuple) and len(fields) == 7
+        assert all(isinstance(field, str) for field in fields)
         assert text.isascii()
 
 
 packets = st.builds(Packet, uid=naturals, fid=naturals, ptype=st.sampled_from(["cbr", "exp"]),
                     size=naturals, src=naturals, sport=naturals, dst=naturals,
                     dport=naturals, seq=naturals, birth=st.just(0))
-records = st.tuples(st.sampled_from("+-rd"), naturals, naturals, naturals, packets)
+records = st.tuples(st.sampled_from("+-rd"), naturals, st.one_of(st.none(), links), packets)
 
 
 @given(st.one_of(odd_text, one_field_off, records))
@@ -138,9 +174,10 @@ def test_writer_appends_one_line_per_record(tmp_path):
     writer = TraceWriter(str(path))
     pkt = Packet(uid=0, fid=1, ptype="cbr", size=500, src=0, sport=0,
                  dst=1, dport=0, seq=0, birth=0)
-    writer.record("+", 0, 0, 1, pkt)
-    writer.record("-", 0, 0, 1, pkt)
-    writer.record("r", 5_000_000, 0, 1, pkt)
+    l01 = link(0, 1)
+    writer.record("+", 0, l01, pkt)
+    writer.record("-", 0, l01, pkt)
+    writer.record("r", 5_000_000, l01, pkt)
     writer.close_flush()
     lines = path.read_text().splitlines()
     assert len(lines) == 3
@@ -168,6 +205,7 @@ def test_trace_lines_follow_dispatch_order(tmp_path):
         eng.schedule(uid * 300, lambda pkt=pkt: net.forward(0, pkt))
     eng.run_until(seconds(1))
     writer.close_flush()
-    times = [parse_line(l, i)[1] for i, l in enumerate(path.read_text().splitlines(), 1)]
+    times = [parse_time_fixed(parse_line(l, i)[1])
+             for i, l in enumerate(path.read_text().splitlines(), 1)]
     assert times == sorted(times)
     assert len(times) == 15  # +, -, r per packet

@@ -367,7 +367,7 @@ def test_sink_counts_every_drop_even_after_its_last_delivery():
     drops = []
 
     class DropTracer:
-        def record(self, op, time, from_node, to_node, pkt):
+        def record(self, op, time, link, pkt):
             if op == "d":
                 drops.append(pkt.uid)
 
