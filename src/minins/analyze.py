@@ -1,4 +1,4 @@
-"""Offline trace analytics: throughput, loss, delay, utilization.
+"""Offline trace analytics: per-flow counts, delay and throughput; lifecycle checks.
 
 `analyze_trace` reads a trace in one streaming pass, parsing each line
 once, with bounded per-packet state (a packet's state is retired when
@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .trace import parse_line
-from .units import NS_PER_SEC, parse_time_fixed
+from .trace import parse_line, parse_time_fixed
+from .units import NS_PER_SEC
 
 
 class FlowStats(NamedTuple):
@@ -72,13 +72,14 @@ def analyze_trace(
     again as a fresh '+' is not detected.
 
     `flow` is (fid, source, sink). sent counts a packet's first enqueue
-    at the source node; received counts deliveries at the sink node;
-    delay for a received packet runs from that first enqueue to delivery
-    (first-hop transmission included). With `bin_seconds`, the report
-    also holds the received bits/s at the sink per time bin, anchored at
-    t=0, for every bin from 0 through the one holding the last delivery.
-    Blank lines (empty, or only spaces before an optional LF) are
-    skipped; a malformed line raises TraceError.
+    at the source node, or its delivery there ('r' from and to the
+    source), which has no link events; received counts deliveries at the
+    sink node; delay runs from that first enqueue to delivery (first-hop
+    transmission included), and is 0 for a delivery at the source. With
+    `bin_seconds`, the report also holds the received bits/s at the sink
+    per time bin, anchored at t=0, for every bin from 0 through the one
+    holding the last delivery. Blank lines are skipped; a malformed line
+    raises TraceError.
     """
     if bin_seconds is not None and flow is None:
         raise ValueError("throughput bins need a flow")
@@ -94,10 +95,10 @@ def analyze_trace(
     sent = received = dropped = bytes_received = delay_total = delay_max = 0
     bytes_per_bin: dict[int, int] = {}
     for lineno, line in enumerate(lines, start=1):
-        if line.isspace() or not line:  # ordinary lines skip the strip
-            if not line.removesuffix("\n").strip(" "):
-                continue
-        op, text, frm, to, size, rec_fid, uid = parse_line(line, lineno)
+        fields = parse_line(line, lineno)
+        if fields is None:  # a blank line
+            continue
+        op, text, frm, to, size, rec_fid, uid = fields
         if text != time_text:
             time_text = text
             time = parse_time_fixed(text)
@@ -136,19 +137,22 @@ def analyze_trace(
         elif op == "d":
             dropped += 1
             sent_at.pop(uid, None)
-        elif op == "r" and to == sink_text:
-            size = int(size)
-            received += 1
-            bytes_received += size
-            birth = sent_at.pop(uid, None)
-            if birth is not None:
-                delay = time - birth
-                delay_total += delay
-                if delay > delay_max:
-                    delay_max = delay
-            if bin_ns is not None:
-                k = time // bin_ns
-                bytes_per_bin[k] = bytes_per_bin.get(k, 0) + size
+        elif op == "r":
+            if frm == to == source_text:  # delivered at its own source: no '+', delay 0
+                sent += 1
+            if to == sink_text:
+                size = int(size)
+                received += 1
+                bytes_received += size
+                birth = sent_at.pop(uid, None)
+                if birth is not None:
+                    delay = time - birth
+                    delay_total += delay
+                    if delay > delay_max:
+                        delay_max = delay
+                if bin_ns is not None:
+                    k = time // bin_ns
+                    bytes_per_bin[k] = bytes_per_bin.get(k, 0) + size
     stats = None
     if flow is not None:
         stats = FlowStats(flow[0], sent, received, dropped, bytes_received,

@@ -10,16 +10,18 @@ link events (from = queueing node, to = next hop) and r is delivery at
 `to`. Time is decimal seconds with exactly 9 fractional digits so equal
 runs produce byte-identical files. Addresses are node.port. The flags
 field is reserved and always "-------". Every number is canonical
-decimal: 0, or digits with no leading zero, so equal text is equal
-value.
+decimal: 0, or at most 20 digits with no leading zero, so equal text is
+equal value. 2**64 - 1 has 20 digits, and no number that short reaches
+a digit limit of `int()`.
 
 This module is the only one that knows the format: `TraceWriter`
-writes it, and `parse_line` reads it back: it checks every field and
-returns the seven the analyzer reads as the text it checked, which the
-analyzer compares as text and converts only where it needs a number. A
-short line is matched by one compiled pattern; a long one, or one the
-pattern misses, goes through field-by-field checks, which accept the
-same lines and name what is wrong with the others.
+writes it, `format_time_fixed` and `parse_time_fixed` are its time
+text, and `parse_line` reads a line back. One compiled pattern is the
+only acceptor of a line, whatever its length. `parse_line` returns the
+seven fields the analyzer reads as the text it checked, which the
+analyzer compares as text and converts only where it needs a number.
+Field-by-field checks only name what is wrong with a line the pattern
+rejects.
 """
 
 from __future__ import annotations
@@ -27,10 +29,25 @@ from __future__ import annotations
 import re
 
 from .errors import TraceError
-from .units import format_time_fixed
 
 FLAGS = "-------"
 OPS = ("+", "-", "r", "d")
+
+
+def format_time_fixed(ns: int) -> str:
+    """Non-negative nanoseconds as decimal seconds with exactly 9
+    fractional digits: '0.000000001', '500.000000000'."""
+    digits = str(ns).zfill(10)
+    return f"{digits[:-9]}.{digits[-9:]}"
+
+
+def parse_time_fixed(text: str) -> int:
+    """Nanoseconds from `format_time_fixed`'s text; its inverse.
+
+    Does not check the text: `parse_line` has checked every time it
+    returns.
+    """
+    return int(text.replace(".", ""))
 
 
 class TraceWriter:
@@ -74,8 +91,9 @@ class TraceWriter:
             self._file.close()
 
 
-# Canonical decimal: 0, or digits with no leading zero.
-_NUM = "(?:[1-9][0-9]*|0)"
+# Canonical decimal: 0, or at most _MAX_DIGITS digits with no leading zero.
+_MAX_DIGITS = 20
+_NUM = f"(?:[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}|0)"
 # The fields parse_line returns: op, time, from, to, size, fid and uid.
 # ptype, flags, addresses and seq are only checked.
 _EVENT = re.compile(
@@ -83,70 +101,60 @@ _EVENT = re.compile(
     rf" {_NUM}\.{_NUM} {_NUM}\.{_NUM} {_NUM} ({_NUM})\n?",
     re.ASCII,
 )
-# Shorter lines hold no number int() can refuse: 640 is the lowest digit
-# limit it can be set to (sys.int_info.str_digits_check_threshold).
-_FAST_LEN = 640
 
 
 def _is_number(text: str) -> bool:
-    """Whether ASCII `text` is canonical decimal, as `_NUM` matches."""
-    return text.isdigit() and (text[0] != "0" or text == "0")
+    """Whether ASCII `text` is a number as `_NUM` matches it."""
+    return text.isdigit() and (text[0] != "0" or text == "0") and len(text) <= _MAX_DIGITS
 
 
-def _check_addr(field: str, lineno, what: str) -> None:
-    node, dot, port = field.partition(".")
-    if not dot or not _is_number(node) or not _is_number(port):
-        raise TraceError(f"bad {what} address {field!r}", lineno)
-    int(node)  # ValueError if too long for int(), as for every number field
-    int(port)
-
-
-def parse_line(text: str, lineno: int | None = None) -> tuple[str, ...]:
-    """Strict parse of one 12-field trace line, as `TraceWriter` writes it:
-    single spaces between fields, canonical decimal numbers and at most
-    one trailing LF.
-
-    Returns (op, time, from, to, size, fid, uid) as the text checked,
-    all str: time as written ('1.000000000', see
-    `units.parse_time_fixed`), the rest as canonical decimal, which
-    `int()` converts. ptype, flags, addresses and seq are checked but not
-    returned. Anything else, non-ASCII text included, raises TraceError
-    naming `lineno`. A line shorter than `_FAST_LEN` that `_EVENT`
-    matches returns its groups; every other line goes through the field
-    checks, which raise the error. On short lines they accept exactly
-    what `_EVENT` matches.
-    """
-    match = _EVENT.fullmatch(text) if len(text) < _FAST_LEN else None
-    if match is not None:
-        return match.groups()
+def _fault(text: str) -> str:
+    """What is wrong with a line `_EVENT` rejects: the first field check
+    it fails, or 'malformed line' if it fails none."""
     if not text.isascii():
-        raise TraceError("non-ASCII character", lineno)
+        return "non-ASCII character"
     line = text.removesuffix("\n")
     if not line.isprintable():  # tabs, CR and other control characters
-        raise TraceError("non-printable character", lineno)
+        return "non-printable character"
     fields = line.split(" ")
     if len(fields) != 12:
-        raise TraceError(f"expected 12 fields, got {len(fields)}", lineno)
+        return f"expected 12 fields, got {len(fields)}"
     op, time_s, frm, to, ptype, size, flags, fid, src, dst, seq, uid = fields
     if op not in OPS:
-        raise TraceError(f"unknown event type {op!r}", lineno)
+        return f"unknown event type {op!r}"
     if not ptype:
-        raise TraceError("empty ptype field", lineno)
+        return "empty ptype field"
     whole, dot, frac = time_s.partition(".")
     if not dot or len(frac) != 9 or not _is_number(whole) or not frac.isdigit():
-        raise TraceError(f"bad timestamp {time_s!r} (want canonical seconds and 9 fractional"
-                         " digits)", lineno)
+        return f"bad timestamp {time_s!r} (want canonical seconds and 9 fractional digits)"
     if len(flags) != 7:
-        raise TraceError(f"bad flags field {flags!r}", lineno)
+        return f"bad flags field {flags!r}"
     for name, value in (("from", frm), ("to", to), ("size", size),
                         ("fid", fid), ("seq", seq), ("uid", uid)):
         if not _is_number(value):
-            raise TraceError(f"bad {name} field {value!r}", lineno)
-    try:
-        _check_addr(src, lineno, "source")
-        _check_addr(dst, lineno, "destination")
-        for value in (whole + frac, frm, to, size, fid, seq, uid):
-            int(value)
-    except ValueError:  # more digits than int() will convert
-        raise TraceError("number too long", lineno) from None
-    return op, time_s, frm, to, size, fid, uid
+            return f"bad {name} field {value!r}"
+    for what, addr in (("source", src), ("destination", dst)):
+        node, dot, port = addr.partition(".")
+        if not dot or not _is_number(node) or not _is_number(port):
+            return f"bad {what} address {addr!r}"
+    return "malformed line"
+
+
+def parse_line(text: str, lineno: int | None = None) -> tuple[str, ...] | None:
+    """Strict parse of one 12-field trace line, as `TraceWriter` writes it:
+    single spaces between fields, canonical decimal numbers of at most 20
+    digits and at most one trailing LF.
+
+    Returns (op, time, from, to, size, fid, uid) as the text checked,
+    all str: time as written ('1.000000000', see `parse_time_fixed`),
+    the rest as canonical decimal, which `int()` converts. ptype, flags,
+    addresses and seq are checked but not returned. Returns None for a
+    blank line: empty, or only spaces before an optional LF. Anything
+    else, non-ASCII text included, raises TraceError naming `lineno`.
+    """
+    match = _EVENT.fullmatch(text)
+    if match is not None:
+        return match.groups()
+    if text.removesuffix("\n").strip(" "):
+        raise TraceError(_fault(text), lineno)
+    return None

@@ -65,22 +65,6 @@ def parse_bandwidth(text: str) -> int:
     raise ScenarioError(f"unknown bandwidth unit in {text!r} (expected Mb, kb or b)")
 
 
-def format_time_fixed(ns: int) -> str:
-    """Non-negative nanoseconds as decimal seconds with exactly 9
-    fractional digits: '0.000000001', '500.000000000'."""
-    digits = str(ns).zfill(10)
-    return f"{digits[:-9]}.{digits[-9:]}"
-
-
-def parse_time_fixed(text: str) -> int:
-    """Nanoseconds from `format_time_fixed`'s text; its inverse.
-
-    Does not check the text: `trace.parse_line` has checked every time
-    it returns.
-    """
-    return int(text.replace(".", ""))
-
-
 def format_time_short(ns: int) -> str:
     """Nanoseconds as decimal seconds, trailing zeros trimmed ('500', '0.5')."""
     whole, frac = divmod(ns, NS_PER_SEC)

@@ -5,6 +5,8 @@ import pytest
 import minins.analyze
 from minins.analyze import analyze_trace, flow_stats, utilization
 from minins.errors import TraceError
+from minins.scenario import parse_scenario
+from minins.sim import Simulation
 from minins.trace import parse_line
 
 
@@ -93,6 +95,15 @@ def test_parse_rejects_numbers_too_long_to_convert():
         parse_line("+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 " + "9" * 5000)
 
 
+def test_parse_line_returns_none_only_for_lines_of_spaces():
+    for blank in ("", " ", "  \n"):
+        assert parse_line(blank, lineno=8) is None
+    for bad in ("\t\n", "\r\n", "\x0c\n"):
+        with pytest.raises(TraceError) as err:
+            parse_line(bad, lineno=8)
+        assert err.value.lineno == 8
+
+
 def test_analyze_trace_reports_first_bad_line():
     lines = GOOD[:2] + ["garbage\n"] + GOOD[2:]
     with pytest.raises(TraceError) as err:
@@ -128,7 +139,7 @@ def test_analyze_trace_parses_each_line_once(monkeypatch):
     # the module global analyze_trace calls, which perfbench's parse hook patches
     monkeypatch.setattr(minins.analyze, "parse_line", counting_parse)
     report = analyze_trace(GOOD[:2] + ["\n"] + GOOD[2:], (2, 1, 3), 1.0)
-    assert calls == [1, 2, 4, 5, 6]
+    assert calls == [1, 2, 3, 4, 5, 6]
     assert report.flow.received == 1 and report.series and report.violations == []
 
 
@@ -220,6 +231,41 @@ def test_flow_stats_counts_a_packet_sent_once_when_it_leaves_its_source_again():
     assert report.violations == []
     assert (report.flow.sent, report.flow.received, report.flow.dropped) == (1, 1, 0)
     assert report.flow.max_delay == pytest.approx(0.0432)
+
+
+def test_flow_stats_counts_a_packet_delivered_at_its_own_source_as_sent():
+    # uid 7 is delivered at node 1, its source, so its only line is 'r 1 1'
+    lines = trace(
+        "r 1.000000000 1 1 cbr 1000 ------- 2 1.0 1.1 0 7",
+        "r 1.000000000 3 3 cbr 1000 ------- 2 3.0 3.1 0 8",  # at another node
+    )
+    report = analyze_trace(lines, (2, 1, 1))
+    assert report.violations == []
+    assert (report.flow.sent, report.flow.received, report.flow.dropped) == (1, 1, 0)
+    assert report.flow.mean_delay == report.flow.max_delay == 0.0
+    # sent at its source, but not received at a sink elsewhere
+    assert flow_stats(lines, fid=2, source=1, sink=3).sent == 1
+
+
+def test_flow_stats_match_the_run_for_own_source_and_multi_hop_flows(tmp_path):
+    path = tmp_path / "own.tr"
+    spec = parse_scenario(
+        "sim duration=1s\nnode a\nnode b\nnode c\n"
+        "duplex-link a b bw=1Mb delay=1ms queue=droptail\n"
+        "duplex-link b c bw=1Mb delay=1ms queue=droptail\n"
+        "udp self src=a sink=a fid=1\nudp far src=a sink=c fid=2\n"
+        "cbr agent=self size=100 interval=100ms start=0s stop=1s\n"
+        "cbr agent=far size=100 interval=100ms start=0s stop=1s\n")
+    sim = Simulation(spec._replace(trace_path=str(path)))
+    sim.run()
+    lines = path.read_text().splitlines()
+    node_id = {node: k for k, node in enumerate(spec.nodes)}
+    for agent, gen, sink in zip(spec.agents, sim.generators, sim.sinks, strict=True):
+        stats = flow_stats(lines, agent.fid, node_id[agent.src], node_id[agent.sink])
+        assert (stats.sent, stats.received, stats.dropped, stats.bytes_received) == (
+            gen.emitted, sink.npkts, sink.nlost, sink.bytes)
+        assert stats.sent == 10
+    assert flow_stats(lines, 1, 0, 0).max_delay == 0.0
 
 
 def test_flow_stats_ignores_other_flows():

@@ -1,5 +1,4 @@
-from unittest import mock
-
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -8,9 +7,9 @@ from minins.engine import EventEngine
 from minins.errors import TraceError
 from minins.netmodel import Network, Packet, SimplexLink
 from minins.qdisc import QdiscConfig
-from minins.trace import FLAGS, TraceWriter, parse_line
+from minins.trace import FLAGS, TraceWriter, format_time_fixed, parse_line, parse_time_fixed
 from minins.traffic import SinkMonitor
-from minins.units import NS_PER_SEC, format_time_fixed, parse_time_fixed
+from minins.units import NS_PER_SEC
 
 from net_helpers import seconds
 
@@ -130,13 +129,21 @@ one_field_off = st.builds(lambda i, text: " ".join(VALID_FIELDS[:i] + [text] + V
                           st.integers(0, 11), odd_text)
 
 
-@given(st.one_of(st.text(), one_field_off))
+def is_blank(text):
+    """Empty, or only spaces before an optional LF."""
+    return set(text.removesuffix("\n")) <= {" "}
+
+
+@given(st.one_of(st.text(), st.text(" \n"), one_field_off))
 def test_parse_line_returns_tuple_or_trace_error(text):
     try:
         fields = parse_line(text, 9)
     except TraceError as err:
         assert err.lineno == 9
     else:
+        if fields is None:
+            assert is_blank(text)
+            return
         assert isinstance(fields, tuple) and len(fields) == 7
         assert all(isinstance(field, str) for field in fields)
         assert text.isascii()
@@ -146,27 +153,62 @@ packets = st.builds(Packet, uid=naturals, fid=naturals, ptype=st.sampled_from(["
                     size=naturals, src=naturals, sport=naturals, dst=naturals,
                     dport=naturals, seq=naturals, birth=st.just(0))
 records = st.tuples(st.sampled_from("+-rd"), naturals, st.one_of(st.none(), links), packets)
+# Each number of a line: its field index, and for an address or the time
+# the part before (0) or after (1) the dot.
+NUMBERS = {"time": (1, 0), "from": (2, None), "to": (3, None), "size": (5, None),
+           "fid": (7, None), "src node": (8, 0), "src port": (8, 1),
+           "dst node": (9, 0), "dst port": (9, 1), "seq": (10, None), "uid": (11, None)}
 
 
-@given(st.one_of(odd_text, one_field_off, records))
-@example(" ".join(VALID_FIELDS[:10] + ["9" * 5000] + VALID_FIELDS[11:]))  # a seq int() refuses
-def test_fast_path_agrees_with_field_checks(tmp_path_factory, source):
-    # parse_line as is, and with _FAST_LEN at 0 so the field checks serve
-    # every line: the same fields, or the same error on the same line.
+def with_number(name, digits):
+    """The valid line with the number `name` written as `digits`."""
+    fields = list(VALID_FIELDS)
+    index, part = NUMBERS[name]
+    if part is None:
+        fields[index] = digits
+    else:
+        parts = fields[index].split(".")
+        parts[part] = digits
+        fields[index] = ".".join(parts)
+    return " ".join(fields) + "\n"
+
+
+too_wide = st.builds(with_number, st.sampled_from(sorted(NUMBERS)),
+                     st.integers(10**20, 10**30).map(str))
+
+
+@given(st.one_of(odd_text, one_field_off, records, too_wide))
+@example(" ".join(VALID_FIELDS[:10] + ["9" * 5000] + VALID_FIELDS[11:]))  # a 5000-digit seq
+def test_field_checks_name_what_the_pattern_rejects(tmp_path_factory, source):
+    # The pattern is the only acceptor; a line it rejects that is not
+    # blank raises on its line, with a reason a field check gives.
     if isinstance(source, tuple):  # a record, so the line TraceWriter writes for it
         [text] = written_lines(tmp_path_factory.mktemp("ev"), source)
     else:
         text = source
+    match = trace._EVENT.fullmatch(text)
+    try:
+        fields = parse_line(text, 9)
+    except TraceError as err:
+        assert match is None and not is_blank(text)
+        assert err.lineno == 9 and str(err).startswith("line 9: ")
+        assert str(err) != "line 9: malformed line"
+    else:
+        assert fields == (None if match is None else match.groups())
+        assert (fields is None) == is_blank(text)
 
-    def outcome():
-        try:
-            return parse_line(text, 9)
-        except TraceError as err:
-            return "error", str(err), err.lineno
 
-    as_is = outcome()
-    with mock.patch.object(trace, "_FAST_LEN", 0):
-        assert outcome() == as_is
+@pytest.mark.parametrize("name", NUMBERS)
+def test_numbers_are_bounded_to_20_digits(name):
+    widest = "9" * 20  # more than 2**64 - 1, which has 20 digits
+    fields = parse_line(with_number(name, widest), 3)
+    returned = {"time": parse_time_fixed(fields[1]) // NS_PER_SEC, "from": int(fields[2]),
+                "to": int(fields[3]), "size": int(fields[4]), "fid": int(fields[5]),
+                "uid": int(fields[6])}
+    assert returned.get(name, int(widest)) == int(widest)
+    with pytest.raises(TraceError) as err:
+        parse_line(with_number(name, "1" + "0" * 20), 3)
+    assert err.value.lineno == 3 and str(err.value) != "line 3: malformed line"
 
 
 def test_writer_appends_one_line_per_record(tmp_path):
