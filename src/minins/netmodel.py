@@ -45,9 +45,20 @@ the clock as the attribute `engine.now`, skips every trace record when
 `tracer` is None (no trace file), and dequeues only when a packet is
 waiting: a link's counters say so, since `enqueued - drops - dequeued`
 is what its queue holds (`qdisc.held()`). An idle link's queue is
-empty, so the packet enqueued on it is always accepted and sent at once.
+empty, and `parse_scenario` enforces `limit >= 1`, so every queue
+accepts the packet that finds its link idle, which is sent at once.
 While the link is busy its queue only grows (a drop replaces the packet
 it makes room for), so a waiting packet still waits at `free_at`.
+
+So an untraced run sends a packet that finds its link idle without
+queueing it: `qdisc.serve(pkt)` leaves the state that `enqueue(pkt)`
+and then `dequeue()` would leave on the empty queue (for SFQ, the
+packet's bucket becomes the last served), and the link still counts
+the packet as enqueued and dequeued. A traced run makes both calls, in
+the order its '+' and '-' lines record them: it is the reference path,
+which the golden trace digests pin and `perfbench`'s hook self-test
+checks (one `enqueue` per '+' line, one `dequeue` per '-' line), and
+its time goes to writing the lines, not to the queue calls.
 """
 
 from __future__ import annotations
@@ -197,7 +208,16 @@ class Network:
 
     def forward(self, node: int, pkt: Packet, via_link: SimplexLink | None = None) -> None:
         """Move `pkt` onward from `node`: deliver here, or queue on the
-        outgoing link toward pkt.dst (starting transmission if idle)."""
+        outgoing link toward pkt.dst (starting transmission if idle).
+
+        An untraced packet that finds its link idle skips the queue
+        discipline and goes straight onto the wire. The idle link's
+        queue is empty and its limit at least 1, so enqueue would accept
+        the packet and dequeue return it at once; `qdisc.serve` leaves
+        what those two calls would, SFQ's round-robin position included.
+        A traced run makes both calls, which its '+' and '-' lines
+        record, and stays the reference path (see the module docstring).
+        """
         engine = self.engine
         now = engine.now
         tracer = self.tracer
@@ -207,35 +227,43 @@ class Network:
             self._sinks[(node, pkt.dport)].on_receive(pkt)
             return
         link = self._routes[pkt.dst][node]
-        if tracer is not None:
-            tracer.record("+", now, link, pkt)
         link.enqueued += 1
-        victim = link.qdisc.enqueue(pkt).dropped
-        if victim is not None:
-            if tracer is not None:
-                tracer.record("d", now, link, victim)
-            link.drops += 1
-            self._sinks[(victim.dst, victim.dport)].nlost += 1
         free_at = link.free_at
         if now < free_at or (now == free_at and engine.seq < link.free_seq):
             # busy: the transmit-complete event sends this packet, pushed
             # now if it is the only one waiting
-            if victim is None and link.enqueued - link.drops == link.dequeued + 1:
+            if tracer is not None:
+                tracer.record("+", now, link, pkt)
+            victim = link.qdisc.enqueue(pkt).dropped
+            if victim is not None:
+                if tracer is not None:
+                    tracer.record("d", now, link, victim)
+                link.drops += 1
+                self._sinks[(victim.dst, victim.dport)].nlost += 1
+            elif link.enqueued - link.drops == link.dequeued + 1:
                 engine.schedule(free_at, link.tx_done, link.free_seq)
-        else:
+        elif tracer is not None:
+            tracer.record("+", now, link, pkt)
+            link.qdisc.enqueue(pkt)  # into an empty queue: accepted
             self._start_tx(link)
+        else:
+            link.qdisc.serve(pkt)
+            self._start_tx(link, pkt)
 
-    def _start_tx(self, link: SimplexLink) -> None:
-        """Send the next waiting packet; the caller knows one is waiting.
+    def _start_tx(self, link: SimplexLink, pkt: Packet | None = None) -> None:
+        """Send `pkt`, or else the next waiting packet; the caller knows
+        one is waiting.
 
         Also the transmit-complete action, pushed only while one waits.
+        Only an untraced run passes `pkt`, which never entered the queue.
         """
         engine = self.engine
         now = engine.now
         tracer = self.tracer
-        pkt = link.qdisc.dequeue()
-        if tracer is not None:
-            tracer.record("-", now, link, pkt)
+        if pkt is None:
+            pkt = link.qdisc.dequeue()
+            if tracer is not None:
+                tracer.record("-", now, link, pkt)
         link.dequeued += 1
         # tx_time(pkt.size, link.bandwidth), inline
         free_at = link.free_at = now + pkt.size * 8 * NS_PER_SEC // link.bandwidth

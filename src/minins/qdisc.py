@@ -7,6 +7,12 @@ ties), which is the arriving packet whenever its own bucket is longest.
 Both count occupancy in packets, not bytes. A link dequeues only when
 `held()` says a packet waits, so `dequeue` never sees an empty queue.
 
+`serve(pkt)` is for a packet that arrives at an empty queue and leaves
+at once: it leaves the state that `enqueue(pkt)` followed by `dequeue()`
+would. DropTail keeps no such state; SFQ's round-robin position moves
+to the packet's bucket, which is made on the flow's first packet as
+`enqueue` makes it.
+
 SFQ keeps only the buckets its flows have used, plus a sorted list of
 the non-empty ones, so its memory grows with the number of flows and
 its service cost with the number of busy buckets, not with `buckets`.
@@ -61,6 +67,9 @@ class DropTail:
     def dequeue(self):
         return self._q.popleft()
 
+    def serve(self, pkt) -> None:
+        pass
+
     def held(self) -> int:
         return len(self._q)
 
@@ -79,11 +88,16 @@ class Sfq:
         self._held = 0
         self._rr = buckets - 1  # last-served bucket; service resumes after it
 
+    def _new_flow(self, fid: int) -> int:
+        """Bucket index of a flow's first packet, its FIFO made if new."""
+        idx = self._bucket_of[fid] = sfq_bucket(fid, self.buckets)
+        self._q.setdefault(idx, deque())
+        return idx
+
     def enqueue(self, pkt) -> EnqueueResult:
         idx = self._bucket_of.get(pkt.fid)
         if idx is None:
-            idx = self._bucket_of[pkt.fid] = sfq_bucket(pkt.fid, self.buckets)
-            self._q.setdefault(idx, deque())
+            idx = self._new_flow(pkt.fid)
         bucket = self._q[idx]
         if not bucket:
             insort(self._busy, idx)
@@ -115,6 +129,12 @@ class Sfq:
             del busy[pos]
         self._held -= 1
         return pkt
+
+    def serve(self, pkt) -> None:
+        idx = self._bucket_of.get(pkt.fid)
+        if idx is None:
+            idx = self._new_flow(pkt.fid)
+        self._rr = idx
 
     def held(self) -> int:
         return self._held

@@ -232,22 +232,58 @@ class _OutcomeWatch:
         pass
 
 
-def _simulator_outcome(scenario: MicroScenario):
+class _UidSink(SinkMonitor):
+    """Sink that also remembers the uids delivered to it."""
+
+    def __init__(self, node, port):
+        super().__init__(node, port)
+        self.uids = set()
+
+    def on_receive(self, pkt):
+        super().on_receive(pkt)
+        self.uids.add(pkt.uid)
+
+
+def _run_micro(scenario: MicroScenario, tracer):
+    """Runs `scenario` to the end; returns one sink per node, port 0."""
     eng = EventEngine()
-    watch = _OutcomeWatch()
     duplex_links = [
         (a, b, link.bandwidth, link.delay, QdiscConfig("droptail", link.limit))
         for (a, b), link in scenario.links.items() if a < b
     ]
-    net = Network(eng, watch, scenario.node_count, duplex_links)
-    for node in range(scenario.node_count):
-        net.bind_sink(SinkMonitor(node, 0))
+    net = Network(eng, tracer, scenario.node_count, duplex_links)
+    sinks = [_UidSink(node, 0) for node in range(scenario.node_count)]
+    for sink in sinks:
+        net.bind_sink(sink)
     for time, uid, src, dst, size in scenario.injections:
         pkt = Packet(uid=uid, fid=uid, ptype="cbr", size=size, src=src, sport=0,
                      dst=dst, dport=0, seq=uid, birth=time)
         eng.schedule(time, lambda s=src, p=pkt: net.forward(s, p))
     eng.run_until(10 ** 15)
+    return sinks
+
+
+def _simulator_outcome(scenario: MicroScenario):
+    watch = _OutcomeWatch()
+    _run_micro(scenario, watch)
     return watch.delivered, watch.dropped
+
+
+def _untraced_outcome(scenario: MicroScenario):
+    """(delivered uids, drops per destination node) of a run with no
+    tracer, which credits deliveries early and skips the queue of an
+    idle link."""
+    sinks = _run_micro(scenario, None)
+    return set().union(*(sink.uids for sink in sinks)), [sink.nlost for sink in sinks]
+
+
+def _reference_untraced(scenario: MicroScenario):
+    delivered, dropped = reference_outcome(scenario)
+    lost = [0] * scenario.node_count
+    for _, uid, _, dst, _ in scenario.injections:
+        if uid in dropped:
+            lost[dst] += 1
+    return set(delivered), lost
 
 
 def test_criterion_8_micro_oracle_equivalence():
@@ -258,6 +294,14 @@ def test_criterion_8_micro_oracle_equivalence():
         got = _simulator_outcome(scenario)
         assert got == want, f"trial {trial}: {scenario}"
     print("PASS criterion 8: 1000 micro scenarios match the brute-force model exactly")
+
+
+def test_criterion_8_untraced_micro_oracle_equivalence():
+    rng = random.Random(88)  # criterion 8's scenarios, run with no tracer
+    for trial in range(1000):
+        scenario = _random_micro_scenario(rng)
+        assert _untraced_outcome(scenario) == _reference_untraced(scenario), \
+            f"trial {trial}: {scenario}"
 
 
 def _zero_tx_micro_scenario(rng: random.Random) -> MicroScenario:
@@ -282,6 +326,14 @@ def test_zero_transmit_time_arrivals_match_the_brute_force_model():
     for trial in range(300):
         scenario = _zero_tx_micro_scenario(rng)
         assert _simulator_outcome(scenario) == reference_outcome(scenario), \
+            f"trial {trial}: {scenario}"
+
+
+def test_zero_transmit_time_untraced_outcomes_match_the_brute_force_model():
+    rng = random.Random(808)
+    for trial in range(300):
+        scenario = _zero_tx_micro_scenario(rng)
+        assert _untraced_outcome(scenario) == _reference_untraced(scenario), \
             f"trial {trial}: {scenario}"
 
 

@@ -193,6 +193,38 @@ def test_sfq_matches_plain_list_reference(buckets, limit, ops):
         assert q.held() == ref.held()
 
 
+# Each op enqueues a packet of that fid, or on None dequeues if a packet
+# is held; a fid paired with True is served instead whenever the queue
+# is empty, as a packet that finds its link idle is.
+SERVE_OPS = st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 9), st.booleans())),
+                     max_size=200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["droptail", "sfq"]),
+       buckets=st.sampled_from([1, 2, 16, 17, 10**9]), limit=st.integers(1, 24), ops=SERVE_OPS)
+# fids 1 and 2 in buckets 5 and 10 of 16: serving fid 1 first makes
+# bucket 10 the next served, and fid 1's next enqueue needs its bucket.
+@example(kind="sfq", buckets=16, limit=4, ops=[(1, True), (1, False), (2, False), None, None])
+def test_serve_leaves_what_enqueue_then_dequeue_leaves(kind, buckets, limit, ops):
+    served = build_qdisc(QdiscConfig(kind, limit, buckets))
+    queued = build_qdisc(QdiscConfig(kind, limit, buckets))
+    for uid, op in enumerate(ops):
+        if op is None:
+            if queued.held():
+                assert served.dequeue() is queued.dequeue()
+        else:
+            fid, idle = op
+            pkt = Pkt(uid, fid)
+            if idle and queued.held() == 0:
+                served.serve(pkt)
+                assert queued.enqueue(pkt) is ACCEPTED
+                assert queued.dequeue() is pkt
+            else:
+                assert served.enqueue(pkt).dropped is queued.enqueue(pkt).dropped
+        assert served.held() == queued.held()
+
+
 def test_enqueue_without_drop_returns_the_shared_result():
     assert DropTail(limit=1).enqueue(Pkt(1)) is ACCEPTED
     assert Sfq(limit=1).enqueue(Pkt(1)) is ACCEPTED
