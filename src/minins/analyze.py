@@ -78,8 +78,9 @@ def analyze_trace(
     transmission included), and is 0 for a delivery at the source. With
     `bin_seconds`, the report also holds the received bits/s at the sink
     per time bin, anchored at t=0, for every bin from 0 through the one
-    holding the last delivery. Blank lines are skipped; a malformed line
-    raises TraceError.
+    holding the last delivery. A bin is `bin_seconds` rounded to whole
+    ns, and its rate is taken over that rounded width. Blank lines are
+    skipped; a malformed line raises TraceError.
     """
     if bin_seconds is not None and flow is None:
         raise ValueError("throughput bins need a flow")
@@ -159,7 +160,7 @@ def analyze_trace(
                           delay_total / received / NS_PER_SEC if received else None,
                           delay_max / NS_PER_SEC if received else None)
     series = [] if bin_ns is None else [
-        (k * bin_ns / NS_PER_SEC, bytes_per_bin.get(k, 0) * 8 / bin_seconds)
+        (k * bin_ns / NS_PER_SEC, bytes_per_bin.get(k, 0) * 8 / (bin_ns / NS_PER_SEC))
         for k in range(max(bytes_per_bin, default=-1) + 1)
     ]
     return TraceReport(stats, series, violations)

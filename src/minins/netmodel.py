@@ -3,8 +3,8 @@
 Nodes are dense integer ids in creation order. A duplex link is two
 independent simplex links with identical parameters, each with its own
 queue discipline instance. Forwarding is hop-count shortest path with a
-smallest-next-hop tie-break, computed per destination when its first
-sink is bound, so the routes are fixed once the network is built.
+smallest-next-hop tie-break, computed per destination the first time
+`route_to` names it, so the routes are fixed once the network is built.
 
 A link transmits one packet at a time: enqueue ('+' trace event, 'd' on
 drop), dequeue ('-') when the head of line wins the link, then arrival
@@ -13,10 +13,12 @@ node either delivers to the packet's sink ('r') or forwards onward. No
 per-hop processing delay is modeled. A drop adds one to the `nlost` of
 the victim's sink.
 
-`parse_scenario` rejects a scenario whose sink is unreachable from its
-source, and every packet is addressed to a bound sink, so forwarding
-always finds a next hop and a delivery always finds its sink: neither is
-checked per packet.
+A packet carries the sink that counts it (`pkt.sink`), and its `dst`
+and `dport` are that sink's node and port, so a delivery and a drop
+always find their sink without a lookup. `parse_scenario` rejects a
+scenario whose sink is unreachable from its source, and the sink's node
+is routed to before any packet is sent, so forwarding always finds a
+next hop: neither is checked per packet.
 
 As in ns-2's `LinkDelay::recv`, a hop's arrival is scheduled when its
 transmission starts, so it is one engine event. The end of the
@@ -74,10 +76,10 @@ class Packet:
     """The unit that is routed, queued, traced, and counted."""
 
     __slots__ = ("uid", "fid", "ptype", "size", "src", "sport", "dst", "dport", "seq",
-                 "birth", "tail")
+                 "birth", "sink", "tail")
 
     def __init__(self, uid: int, fid: int, ptype: str, size: int, src: int, sport: int,
-                 dst: int, dport: int, seq: int, birth: int):
+                 dst: int, dport: int, seq: int, birth: int, sink):
         self.uid = uid  # unique across the whole run
         self.fid = fid  # flow id / traffic class
         self.ptype = ptype  # short label: "cbr", "exp", ...
@@ -88,6 +90,7 @@ class Packet:
         self.dport = dport
         self.seq = seq  # per-flow sequence number
         self.birth = birth  # ns
+        self.sink = sink  # the SinkMonitor at (dst, dport); not a header field
         self.tail = None  # TraceWriter's cache: the line's formatted end
 
     def __repr__(self) -> str:
@@ -148,8 +151,6 @@ class Network:
         self.tracer = tracer  # None: no trace file, so nothing is recorded
         self.node_count = node_count
         self.links: list[SimplexLink] = []
-        self._sinks: dict[tuple[int, int], object] = {}  # (node, port) -> SinkMonitor
-        self._ports = [0] * node_count  # next free port per node
         # incoming links per node, in declaration order: a node's first is
         # from the first declared link touching it
         self.links_into: list[list[SimplexLink]] = [[] for _ in range(node_count)]
@@ -162,22 +163,14 @@ class Network:
                 link.arrive = partial(self._arrive, link)
                 self.links.append(link)
                 self.links_into[to].append(link)
-        # next-hop column per destination, built when its first sink is bound
+        # next-hop column per destination, built by its first route_to
         self._routes: list[list[SimplexLink | None] | None] = [None] * node_count
 
-    def allot_port(self, node: int) -> int:
-        """Next unused port on `node`, in agent creation order from 0."""
-        port = self._ports[node]
-        self._ports[node] = port + 1
-        return port
-
-    def bind_sink(self, sink) -> None:
-        """Deliver packets for (sink.node, sink.port) to `sink` and count
-        their drops in its `nlost`; computes the routes toward its node
-        unless an earlier sink there did."""
-        self._sinks[(sink.node, sink.port)] = sink
-        if self._routes[sink.node] is None:
-            self._routes[sink.node] = self.compute_routes(sink.node)
+    def route_to(self, node: int) -> None:
+        """Let packets be sent toward `node`: computes the routes toward
+        it unless an earlier call did."""
+        if self._routes[node] is None:
+            self._routes[node] = self.compute_routes(node)
 
     # -- routing ---------------------------------------------------------
 
@@ -224,7 +217,7 @@ class Network:
         if node == pkt.dst:
             if tracer is not None:
                 tracer.record("r", now, via_link, pkt)
-            self._sinks[(node, pkt.dport)].on_receive(pkt)
+            pkt.sink.on_receive(pkt)
             return
         link = self._routes[pkt.dst][node]
         link.enqueued += 1
@@ -239,7 +232,7 @@ class Network:
                 if tracer is not None:
                     tracer.record("d", now, link, victim)
                 link.drops += 1
-                self._sinks[(victim.dst, victim.dport)].nlost += 1
+                victim.sink.nlost += 1
             elif link.enqueued - link.drops == link.dequeued + 1:
                 engine.schedule(free_at, link.tx_done, link.free_seq)
         elif tracer is not None:
@@ -270,7 +263,7 @@ class Network:
         free_seq = link.free_seq = engine.reserve()
         arrive_at = free_at + link.delay
         if tracer is None and pkt.dst == link.to_node and arrive_at <= engine.limit:
-            self._sinks[(pkt.dst, pkt.dport)].on_receive(pkt)  # due by the limit: credit it now
+            pkt.sink.on_receive(pkt)  # due by the limit: credit it now
         else:
             link.in_flight.append(pkt)
             engine.schedule(arrive_at, link.arrive)

@@ -42,7 +42,6 @@ class AgentSpec(NamedTuple):
     src: str
     sink: str
     fid: int
-    color: str | None = None
 
 
 class CbrSpec(NamedTuple):
@@ -218,9 +217,9 @@ def parse_scenario(text: str) -> ScenarioSpec:
                     if n not in nodes:
                         raise ScenarioError(f"undeclared node {n!r}")
                 fid = _integer(opts, "fid")
-                color = opts.pop("color", None)  # nam legacy, ignored
+                opts.pop("color", None)  # nam legacy, ignored
                 _no_extras(opts)
-                agents.append(AgentSpec(agent_name, src, sink, fid, color))
+                agents.append(AgentSpec(agent_name, src, sink, fid))
                 agent_lines[agent_name] = lineno
 
             elif name == "cbr" or name == "exp":

@@ -77,17 +77,17 @@ class Simulation:
         ])
 
         # Each udp directive creates its source agent and its own sink
-        # monitor; ports fall out of creation order, agent then sink.
-        # Packet uids come from one counter shared by every agent.
+        # monitor; each node's ports count from 0 in creation order, agent
+        # then sink. Packet uids come from one counter shared by every agent.
         next_uid = itertools.count().__next__
+        ports = [itertools.count() for _ in spec.nodes]
         for agent_spec in spec.agents:
             src = node_id[agent_spec.src]
-            src_port = self.network.allot_port(src)
+            src_port = next(ports[src])
             sink_node = node_id[agent_spec.sink]
-            sink = SinkMonitor(sink_node, self.network.allot_port(sink_node))
-            self.network.bind_sink(sink)
-            agent = UdpAgent(self.network, src, src_port, agent_spec.fid, next_uid,
-                             sink.node, sink.port)
+            sink = SinkMonitor(sink_node, next(ports[sink_node]))
+            self.network.route_to(sink_node)
+            agent = UdpAgent(self.network, src, src_port, agent_spec.fid, next_uid, sink)
             self.agents[agent_spec.name] = agent
             self.sinks.append(sink)
 

@@ -60,7 +60,6 @@ class TraceWriter:
     """
 
     def __init__(self, path):
-        self.path = path
         self._file = open(path, "w", encoding="ascii", newline="\n")
         self._time = -1  # no valid time, so the first record formats its own
         self._time_text = ""
@@ -86,9 +85,7 @@ class TraceWriter:
 
     def close_flush(self) -> None:
         """Flush and close; idempotent. Recording afterwards is an error."""
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
+        self._file.close()
 
 
 # Canonical decimal: 0, or at most _MAX_DIGITS digits with no leading zero.

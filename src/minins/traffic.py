@@ -35,25 +35,24 @@ def exp_variate(mean: int, rng) -> int:
 
 
 class UdpAgent:
-    """Packet source bound to one node and port, sending to one peer."""
+    """Packet source bound to one node and port, sending to one sink."""
 
-    def __init__(self, network, node: int, port: int, fid: int, alloc_uid,
-                 peer_node: int, peer_port: int):
+    def __init__(self, network, node: int, port: int, fid: int, alloc_uid, sink):
         self.network = network
         self.node = node
         self.port = port
         self.fid = fid
-        self.peer_node = peer_node
-        self.peer_port = peer_port
+        self.sink = sink
         self._alloc_uid = alloc_uid
         self._next_seq = 0
 
     def send(self, size: int, ptype: str) -> Packet:
         seq = self._next_seq
         self._next_seq = seq + 1
-        # Positional, in field order: uid fid ptype size src sport dst dport seq birth.
+        # Positional, in field order: uid fid ptype size src sport dst dport seq birth sink.
+        sink = self.sink
         pkt = Packet(self._alloc_uid(), self.fid, ptype, size, self.node, self.port,
-                     self.peer_node, self.peer_port, seq, self.network.engine.now)
+                     sink.node, sink.port, seq, self.network.engine.now, sink)
         self.network.forward(self.node, pkt)
         return pkt
 
@@ -61,9 +60,11 @@ class UdpAgent:
 class SinkMonitor:
     """Terminal agent of one flow: counts packets and bytes delivered.
 
+    Every packet of the flow carries its sink (`Packet.sink`), so the
+    network credits a delivery or a drop to it without a lookup.
     `nlost` counts the flow's packets dropped on the way, wherever they
-    were dropped: the network adds each drop to the victim's sink, so
-    it equals the analyzer's per-flow `dropped`.
+    were dropped: the network adds each drop to the victim's own sink,
+    so it equals the analyzer's per-flow `dropped`.
 
     `on_receive` only counts: it reads no clock and changes nothing
     else. An untraced run may call it when the last hop's transmission

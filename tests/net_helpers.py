@@ -1,5 +1,6 @@
 """Small helpers the network tests share."""
 
+from minins.traffic import SinkMonitor
 from minins.units import NS_PER_SEC
 
 
@@ -14,3 +15,8 @@ def link_between(net, from_node: int, to_node: int):
                if (link.from_node, link.to_node) == (from_node, to_node)]
     return link
 
+
+def sink_at(net, node: int) -> SinkMonitor:
+    """A sink on port 0 of `node`, with the routes of `net` toward `node` computed."""
+    net.route_to(node)
+    return SinkMonitor(node, 0)

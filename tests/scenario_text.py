@@ -36,10 +36,7 @@ def render_scenario(spec: ScenarioSpec) -> str:
             line += f" buckets={link.qdisc.buckets}"
         out.append(line)
     for agent in spec.agents:
-        line = f"udp {agent.name} src={agent.src} sink={agent.sink} fid={agent.fid}"
-        if agent.color is not None:
-            line += f" color={agent.color}"
-        out.append(line)
+        out.append(f"udp {agent.name} src={agent.src} sink={agent.sink} fid={agent.fid}")
     for gen in spec.generators:
         if gen.kind == "cbr":
             out.append(

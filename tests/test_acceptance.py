@@ -253,11 +253,11 @@ def _run_micro(scenario: MicroScenario, tracer):
     ]
     net = Network(eng, tracer, scenario.node_count, duplex_links)
     sinks = [_UidSink(node, 0) for node in range(scenario.node_count)]
-    for sink in sinks:
-        net.bind_sink(sink)
+    for node in range(scenario.node_count):
+        net.route_to(node)
     for time, uid, src, dst, size in scenario.injections:
         pkt = Packet(uid=uid, fid=uid, ptype="cbr", size=size, src=src, sport=0,
-                     dst=dst, dport=0, seq=uid, birth=time)
+                     dst=dst, dport=0, seq=uid, birth=time, sink=sinks[dst])
         eng.schedule(time, lambda s=src, p=pkt: net.forward(s, p))
     eng.run_until(10 ** 15)
     return sinks

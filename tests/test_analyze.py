@@ -356,6 +356,18 @@ def test_throughput_series_single_giant_bin():
     assert series == [(0.0, 1000 * 8 / 1000.0)]
 
 
+def test_throughput_is_taken_over_the_rounded_bin_width():
+    # 1.5 ns rounds to 2 ns bins; the 1000 bytes delivered at 3 ns fall
+    # in the second bin, whose rate is over 2 ns, not the 1.5 ns asked.
+    lines = trace(
+        "+ 0.000000000 1 3 cbr 1000 ------- 2 1.0 3.1 0 7",
+        "- 0.000000000 1 3 cbr 1000 ------- 2 1.0 3.1 0 7",
+        "r 0.000000003 1 3 cbr 1000 ------- 2 1.0 3.1 0 7",
+    )
+    series = series_of(lines, fid=2, sink=3, bin_seconds=1.5e-9)
+    assert series == [(0.0, 0.0), (2e-9, pytest.approx(4e12))]
+
+
 def test_throughput_rejects_nonpositive_bin():
     for bad in (0, -1, float("nan"), float("inf"), 1e-12, 1e300):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from minins.netmodel import Network, Packet, tx_time
 from minins.qdisc import QdiscConfig
 from minins.traffic import SinkMonitor
 
-from net_helpers import link_between, seconds
+from net_helpers import link_between, seconds, sink_at
 from reference_model import MicroLink, MicroScenario, next_hop
 
 DT = QdiscConfig("droptail", 50)
@@ -37,9 +37,10 @@ class ListTracer:
         return [(uid, time) for op, time, _, to, uid in self.events if op == "r" and to == node]
 
 
-def make_packet(uid, src, dst, size=1000, fid=1, birth=0):
+def make_packet(uid, src, sink, size=1000, fid=1, birth=0):
+    """A packet from `src` addressed to, and carrying, `sink`."""
     return Packet(uid=uid, fid=fid, ptype="cbr", size=size, src=src, sport=0,
-                  dst=dst, dport=0, seq=uid, birth=birth)
+                  dst=sink.node, dport=sink.port, seq=uid, birth=birth, sink=sink)
 
 
 def star_network():
@@ -55,7 +56,7 @@ def star_network():
 
 
 def test_packet_repr_names_its_fields():
-    assert repr(make_packet(7, 0, 3, birth=5)) == (
+    assert repr(make_packet(7, 0, SinkMonitor(3, 0), birth=5)) == (
         "Packet(uid=7, fid=1, ptype='cbr', size=1000, src=0, sport=0, dst=3, dport=0, "
         "seq=7, birth=5)")
 
@@ -134,8 +135,8 @@ def test_tx_time_exact(size, bw, expected):
 
 def test_single_packet_two_hops_takes_21_6_ms():
     eng, tracer, net = star_network()
-    net.bind_sink(SinkMonitor(3, 0))
-    pkt = make_packet(0, src=0, dst=3)
+    sink = sink_at(net, 3)
+    pkt = make_packet(0, src=0, sink=sink)
     eng.schedule(0, lambda: net.forward(0, pkt))
     eng.run_until(seconds(1))
     assert tracer.deliveries(3) == [(0, 21_600_000)]  # 2 * (0.8 ms + 10 ms)
@@ -143,8 +144,8 @@ def test_single_packet_two_hops_takes_21_6_ms():
 
 def test_delivery_at_own_node_has_no_link_events():
     eng, tracer, net = star_network()
-    net.bind_sink(SinkMonitor(2, 0))
-    pkt = make_packet(0, src=2, dst=2)
+    sink = sink_at(net, 2)
+    pkt = make_packet(0, src=2, sink=sink)
     eng.schedule(0, lambda: net.forward(2, pkt))
     eng.run_until(seconds(1))
     assert tracer.deliveries(2) == [(0, 0)]
@@ -155,9 +156,9 @@ def test_link_transmits_one_packet_at_a_time():
     # Burst of 5 packets lands at once; '-' events must be spaced by the
     # 0.8 ms transmission time.
     eng, tracer, net = star_network()
-    net.bind_sink(SinkMonitor(3, 0))
+    sink = sink_at(net, 3)
     for uid in range(5):
-        pkt = make_packet(uid, src=0, dst=3)
+        pkt = make_packet(uid, src=0, sink=sink)
         eng.schedule(0, lambda pkt=pkt: net.forward(0, pkt))
     eng.run_until(seconds(1))
     dequeues = [t for op, t, frm, to, uid in tracer.events if op == "-" and (frm, to) == (0, 2)]
@@ -168,9 +169,9 @@ def test_link_transmits_one_packet_at_a_time():
 
 def test_fifo_per_link_preserves_receive_order():
     eng, tracer, net = star_network()
-    net.bind_sink(SinkMonitor(3, 0))
+    sink = sink_at(net, 3)
     for uid in range(10):
-        pkt = make_packet(uid, src=1, dst=3, size=500 + 100 * uid)
+        pkt = make_packet(uid, src=1, sink=sink, size=500 + 100 * uid)
         eng.schedule(uid * 1000, lambda pkt=pkt: net.forward(1, pkt))
     eng.run_until(seconds(1))
     enqueue_order = [uid for op, t, f, to, uid in tracer.events if op == "+" and (f, to) == (1, 2)]
@@ -179,8 +180,8 @@ def test_fifo_per_link_preserves_receive_order():
 
 def test_arrival_follows_dequeue_by_tx_plus_delay():
     eng, tracer, net = star_network()
-    net.bind_sink(SinkMonitor(3, 0))
-    pkt = make_packet(0, src=2, dst=3, size=250)
+    sink = sink_at(net, 3)
+    pkt = make_packet(0, src=2, sink=sink, size=250)
     eng.schedule(7, lambda: net.forward(2, pkt))
     eng.run_until(seconds(1))
     (minus_t,) = [t for op, t, *_ in tracer.events if op == "-"]
@@ -197,10 +198,10 @@ def test_link_is_busy_until_its_transmit_complete_key():
     eng = EventEngine()
     tracer = ListTracer()
     net = Network(eng, tracer, 2, [(0, 1, 1_000_000, 1_000_000, QdiscConfig("droptail", 1))])
-    net.bind_sink(SinkMonitor(1, 0))
-    burst = [make_packet(uid, src=0, dst=1) for uid in (1, 2)]
+    sink = sink_at(net, 1)
+    burst = [make_packet(uid, src=0, sink=sink) for uid in (1, 2)]
     eng.schedule(8_000_000, lambda: [net.forward(0, pkt) for pkt in burst])
-    eng.schedule(0, lambda: net.forward(0, make_packet(0, src=0, dst=1)))
+    eng.schedule(0, lambda: net.forward(0, make_packet(0, src=0, sink=sink)))
     eng.run_until(seconds(1))
     at_8ms = [(op, uid) for op, t, _, _, uid in tracer.events if t == 8_000_000]
     assert at_8ms == [("+", 1), ("+", 2), ("d", 2), ("-", 1)]
@@ -213,9 +214,9 @@ def test_per_link_counters_obey_conservation():
     # slam 100 packets into a tight queue, then stop time mid-drain
     eng = EventEngine()
     net = Network(eng, ListTracer(), 2, [(0, 1, 1_000_000, 0, QdiscConfig("droptail", 5))])
-    net.bind_sink(SinkMonitor(1, 0))
+    sink = sink_at(net, 1)
     for uid in range(100):
-        pkt = make_packet(uid, src=0, dst=1)
+        pkt = make_packet(uid, src=0, sink=sink)
         eng.schedule(uid * 100, lambda pkt=pkt: net.forward(0, pkt))
     eng.run_until(seconds(0.01))  # cut off while queue still holds packets
     link = link_between(net, 0, 1)
@@ -254,13 +255,11 @@ def run_mixed(case, tracer):
     node_count, duplex_links, injections, stop = case
     eng = EventEngine()
     net = Network(eng, tracer, node_count, duplex_links)
-    sinks = [SinkMonitor(node, 0) for node in range(node_count)]
-    for sink in sinks:
-        net.bind_sink(sink)
+    sinks = [sink_at(net, node) for node in range(node_count)]
     uids = itertools.count()
     for time, src, dst, size, fid, burst in injections:
         for uid in itertools.islice(uids, burst):
-            pkt = make_packet(uid, src, dst, size=size, fid=fid, birth=time)
+            pkt = make_packet(uid, src, sinks[dst], size=size, fid=fid, birth=time)
             eng.schedule(time, partial(net.forward, src, pkt))
     eng.run_until(stop)
     return net, sinks
@@ -308,23 +307,21 @@ def test_links_conserve_packets_in_counters_and_trace(case):
         assert (sink.npkts, sink.nlost) == (bare_sinks[dst].npkts, bare_sinks[dst].nlost)
 
 
-def one_hop_untraced(sink):
-    """An untraced 1 Mb/s, 1 ms link 0 -> 1 delivering to `sink`: a
+def one_hop_untraced():
+    """An untraced 1 Mb/s, 1 ms link 0 -> 1 and a sink on node 1: a
     1000-byte packet sent at t arrives at t + 9 ms."""
     eng = EventEngine()
     net = Network(eng, None, 2, [(0, 1, 1_000_000, 1_000_000, DT)])
-    net.bind_sink(sink)
-    return eng, net, link_between(net, 0, 1)
+    return eng, net, link_between(net, 0, 1), sink_at(net, 1)
 
 
 def test_untraced_delivery_due_by_the_limit_is_credited_when_the_last_hop_starts():
     for limit, credited in ((9_000_000, 1), (8_999_999, 0)):
-        sink = SinkMonitor(1, 0)
-        eng, net, link = one_hop_untraced(sink)
+        eng, net, link, sink = one_hop_untraced()
         seen = []
 
         def send():
-            net.forward(0, make_packet(0, src=0, dst=1))
+            net.forward(0, make_packet(0, src=0, sink=sink))
             seen.append((sink.npkts, sink.bytes, len(link.in_flight)))
 
         eng.schedule(0, send)
@@ -337,10 +334,9 @@ def test_untraced_delivery_due_by_the_limit_is_credited_when_the_last_hop_starts
 
 
 def test_packet_sent_between_runs_is_not_counted_before_the_next_run():
-    sink = SinkMonitor(1, 0)
-    eng, net, link = one_hop_untraced(sink)
+    eng, net, link, sink = one_hop_untraced()
     eng.run_until(0)
-    net.forward(0, make_packet(0, src=0, dst=1))  # outside a run: no limit
+    net.forward(0, make_packet(0, src=0, sink=sink))  # outside a run: no limit
     assert eng.limit == -1
     assert (sink.npkts, len(link.in_flight)) == (0, 1)
     eng.run_until(8_999_999)
@@ -349,9 +345,15 @@ def test_packet_sent_between_runs_is_not_counted_before_the_next_run():
     assert (sink.npkts, len(link.in_flight)) == (1, 0)
 
 
-def line_packet(uid):
-    """Packet `uid` of `line_run`: from node 0 to node 1 or 2, 200 + 100 * uid bytes."""
-    return make_packet(uid, src=0, dst=1 + uid % 2, size=200 + 100 * uid, birth=uid * 3_000_000)
+def line_size(uid):
+    return 200 + 100 * uid
+
+
+def line_packet(uid, sinks):
+    """Packet `uid` of `line_run`: from node 0 to `sinks[uid % 2]`, on
+    node 1 or 2, `line_size(uid)` bytes."""
+    return make_packet(uid, src=0, sink=sinks[uid % 2], size=line_size(uid),
+                       birth=uid * 3_000_000)
 
 
 def line_run(cuts, tracer=None):
@@ -363,11 +365,9 @@ def line_run(cuts, tracer=None):
     net = Network(eng, tracer, 3, [
         (0, 1, 1_000_000, seconds(0.005), DT), (1, 2, 1_000_000, seconds(0.005), DT),
     ])
-    sinks = [SinkMonitor(node, 0) for node in (1, 2)]
-    for sink in sinks:
-        net.bind_sink(sink)
+    sinks = [sink_at(net, node) for node in (1, 2)]
     for uid in range(12):
-        pkt = line_packet(uid)
+        pkt = line_packet(uid, sinks)
         eng.schedule(pkt.birth, partial(net.forward, 0, pkt))
     snapshots = []
     for cut in cuts:
@@ -386,7 +386,7 @@ def test_untraced_runs_cut_anywhere_credit_the_deliveries_due_by_the_cut():
     # cut once and resumed ends as one uncut run does.
     tracer = ListTracer()
     line_run([seconds(1)], tracer)
-    deliveries = [(to, line_packet(uid).size, time) for op, time, _, to, uid in tracer.ops("r")]
+    deliveries = [(to, line_size(uid), time) for op, time, _, to, uid in tracer.ops("r")]
     assert len(deliveries) == 12
 
     def due_by(cut):

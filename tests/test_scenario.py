@@ -322,12 +322,10 @@ def test_comments_and_blank_lines_ignored():
     assert spec.seed == 9
 
 
-def test_color_accepted_and_kept():
-    spec = parse_scenario(
-        "sim duration=1s\nnode a\nnode b\nduplex-link a b bw=1Mb delay=0s queue=droptail\n"
-        "udp f src=a sink=b fid=1 color=Green\n"
-    )
-    assert spec.agents[0].color == "Green"
+def test_color_accepted_and_ignored():
+    text = ("sim duration=1s\nnode a\nnode b\nduplex-link a b bw=1Mb delay=0s queue=droptail\n"
+            "udp f src=a sink=b fid=1{}\n")
+    assert parse_scenario(text.format(" color=Green")) == parse_scenario(text.format(""))
 
 
 # -- render round trip ---------------------------------------------------------------
@@ -381,7 +379,7 @@ def random_specs(draw):
                               draw(st.integers(0, 10**10)), qdisc))
     agents = [
         AgentSpec(f"f{k}", draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)),
-                  draw(st.integers(0, 2**32)), draw(st.sampled_from([None, "Green"])))
+                  draw(st.integers(0, 2**32)))
         for k in range(draw(st.integers(1, 3)))
     ]
     duration = draw(st.integers(0, 10**12))

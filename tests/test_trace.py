@@ -8,15 +8,14 @@ from minins.errors import TraceError
 from minins.netmodel import Network, Packet, SimplexLink
 from minins.qdisc import QdiscConfig
 from minins.trace import FLAGS, TraceWriter, format_time_fixed, parse_line, parse_time_fixed
-from minins.traffic import SinkMonitor
 from minins.units import NS_PER_SEC
 
-from net_helpers import seconds
+from net_helpers import seconds, sink_at
 
 
 def sample_packet(**overrides):
     fields = dict(uid=7, fid=2, ptype="cbr", size=1000, src=1, sport=0,
-                  dst=3, dport=1, seq=0, birth=0)
+                  dst=3, dport=1, seq=0, birth=0, sink=None)
     fields.update(overrides)
     return Packet(**fields)
 
@@ -108,7 +107,7 @@ links = st.builds(link, naturals, naturals)
 def test_writer_lines_parse_back(tmp_path_factory, op, time, via, ptype,
                                  size, fid, src, sport, dst, dport, seq, uid):
     pkt = Packet(uid=uid, fid=fid, ptype=ptype, size=size, src=src, sport=sport,
-                 dst=dst, dport=dport, seq=seq, birth=0)
+                 dst=dst, dport=dport, seq=seq, birth=0, sink=None)
     [line] = written_lines(tmp_path_factory.mktemp("rt"), (op, time, via, pkt))
     from_node, to_node = link_ends(via, pkt)
     fields = parse_line(line, 1)
@@ -151,7 +150,7 @@ def test_parse_line_returns_tuple_or_trace_error(text):
 
 packets = st.builds(Packet, uid=naturals, fid=naturals, ptype=st.sampled_from(["cbr", "exp"]),
                     size=naturals, src=naturals, sport=naturals, dst=naturals,
-                    dport=naturals, seq=naturals, birth=st.just(0))
+                    dport=naturals, seq=naturals, birth=st.just(0), sink=st.none())
 records = st.tuples(st.sampled_from("+-rd"), naturals, st.one_of(st.none(), links), packets)
 # Each number of a line: its field index, and for an address or the time
 # the part before (0) or after (1) the dot.
@@ -215,7 +214,7 @@ def test_writer_appends_one_line_per_record(tmp_path):
     path = tmp_path / "out.tr"
     writer = TraceWriter(str(path))
     pkt = Packet(uid=0, fid=1, ptype="cbr", size=500, src=0, sport=0,
-                 dst=1, dport=0, seq=0, birth=0)
+                 dst=1, dport=0, seq=0, birth=0, sink=None)
     l01 = link(0, 1)
     writer.record("+", 0, l01, pkt)
     writer.record("-", 0, l01, pkt)
@@ -240,10 +239,10 @@ def test_trace_lines_follow_dispatch_order(tmp_path):
     writer = TraceWriter(str(path))
     net = Network(eng, writer, 2,
                   [(0, 1, 1_000_000, seconds(0.001), QdiscConfig("droptail", 50))])
-    net.bind_sink(SinkMonitor(1, 0))
+    sink = sink_at(net, 1)
     for uid in range(5):
         pkt = Packet(uid=uid, fid=1, ptype="cbr", size=100, src=0, sport=0,
-                     dst=1, dport=0, seq=uid, birth=0)
+                     dst=1, dport=0, seq=uid, birth=0, sink=sink)
         eng.schedule(uid * 300, lambda pkt=pkt: net.forward(0, pkt))
     eng.run_until(seconds(1))
     writer.close_flush()

@@ -18,7 +18,7 @@ from minins.traffic import (
     exp_variate,
 )
 
-from net_helpers import link_between, seconds
+from net_helpers import link_between, seconds, sink_at
 
 MS = 1_000_000
 
@@ -337,24 +337,23 @@ def test_expoo_off_period_ending_at_stop_opens_no_on_period():
 # -- sink monitor -------------------------------------------------------------------
 
 
-def rx_packet(seq):
+def rx_packet(seq, sink):
     return Packet(uid=seq, fid=1, ptype="cbr", size=1000, src=0, sport=0,
-                  dst=3, dport=0, seq=seq, birth=0)
+                  dst=sink.node, dport=sink.port, seq=seq, birth=0, sink=sink)
 
 
 def sink_flow(net, src, sink_node):
-    """An agent on `src` sending flow 1 to a new sink on `sink_node`."""
-    sink = SinkMonitor(sink_node, net.allot_port(sink_node))
-    net.bind_sink(sink)
+    """An agent on port 0 of `src` sending flow 1 to a new sink on port 0
+    of `sink_node`."""
+    sink = sink_at(net, sink_node)
     uid_counter = iter(range(10**9))
-    agent = UdpAgent(net, src, net.allot_port(src), 1, lambda: next(uid_counter),
-                     sink.node, sink.port)
+    agent = UdpAgent(net, src, 0, 1, lambda: next(uid_counter), sink)
     return agent, sink
 
 
 def test_sink_counts_packets_and_bytes():
     sink = SinkMonitor(3, 0)
-    sink.on_receive(rx_packet(0))
+    sink.on_receive(rx_packet(0, sink))
     assert (sink.npkts, sink.bytes, sink.nlost) == (1, 1000, 0)
 
 

@@ -8,6 +8,7 @@ intentional behavior change, then review the diff.
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,7 +23,8 @@ def main():
             fixture = {"stats": stats, "trace_sha256": digest}
             out.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n", encoding="utf-8")
             print(f"wrote {out.name}")
-    assert run_validate()
+    if not run_validate():
+        sys.exit(1)
 
 
 if __name__ == "__main__":
