@@ -14,6 +14,7 @@ from .analyze import analyze_trace, bin_width_ns
 from .errors import MininsError, ScenarioError
 from .scenario import SEED_MAX, parse_integer, parse_scenario
 from .sim import Simulation
+from .units import format_time_short
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,9 +44,9 @@ def _build_parser() -> _Parser:
 
     an_p = sub.add_parser("analyze", help="compute statistics from a trace file")
     an_p.add_argument("trace", help="trace file path")
-    an_p.add_argument("--fid", type=int, default=None, help="flow id to report on")
-    an_p.add_argument("--src", type=int, default=None, help="flow source node id")
-    an_p.add_argument("--sink", type=int, default=None, help="flow sink node id")
+    an_p.add_argument("--fid", default=None, help="flow id to report on (0 to 2**63 - 1, as fid=)")
+    an_p.add_argument("--src", default=None, help="flow source node id (as --fid)")
+    an_p.add_argument("--sink", default=None, help="flow sink node id (as --fid)")
     an_p.add_argument("--bin", type=_bin_seconds, default=None, metavar="SECONDS",
                       help="also print a throughput time series")
     an_p.add_argument("--check", action="store_true",
@@ -83,7 +84,8 @@ def _cmd_analyze(args) -> int:
     if not wants_flow and not args.check:
         raise ScenarioError("nothing to do: pass --fid/--src/--sink and/or --check")
 
-    flow = (args.fid, args.src, args.sink) if wants_flow else None
+    flow = tuple(parse_integer(flag, text) for flag, text in (
+        ("--fid", args.fid), ("--src", args.src), ("--sink", args.sink))) if wants_flow else None
     # Undecodable bytes reach parse_line as surrogates, which it rejects by line.
     with open(args.trace, encoding="ascii", errors="surrogateescape") as f:
         report = analyze_trace(f, flow, args.bin)
@@ -97,8 +99,9 @@ def _cmd_analyze(args) -> int:
         if stats.mean_delay is not None:
             print(f"mean_delay_s={stats.mean_delay!r}")
             print(f"max_delay_s={stats.max_delay!r}")
-        for start, bps in report.series:
-            print(f"throughput_{start:g}s_bps={bps!r}")
+        bin_ns = None if args.bin is None else bin_width_ns(args.bin)
+        for k, (_, bps) in enumerate(report.series):  # every bin from 0: printed exactly
+            print(f"throughput_{format_time_short(k * bin_ns)}s_bps={bps!r}")
     if args.check:
         print(f"violations={len(report.violations)}")
         for violation in report.violations:

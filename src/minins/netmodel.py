@@ -13,12 +13,12 @@ node either delivers to the packet's sink ('r') or forwards onward. No
 per-hop processing delay is modeled. A drop adds one to the `nlost` of
 the victim's sink.
 
-A packet carries the sink that counts it (`pkt.sink`), and its `dst`
-and `dport` are that sink's node and port, so a delivery and a drop
-always find their sink without a lookup. `parse_scenario` rejects a
-scenario whose sink is unreachable from its source, and the sink's node
-is routed to before any packet is sent, so forwarding always finds a
-next hop: neither is checked per packet.
+A packet's only record of where it goes is the sink that counts it
+(`pkt.sink`): its destination is that sink's node and port, so a
+delivery and a drop find their sink without a lookup. `parse_scenario`
+rejects a sink unreachable from its source, and the sink's node is
+routed to before any packet is sent, so forwarding always finds a next
+hop: neither is checked per packet.
 
 As in ns-2's `LinkDelay::recv`, a hop's arrival is scheduled when its
 transmission starts, so it is one engine event. The end of the
@@ -75,28 +75,25 @@ from .units import NS_PER_SEC
 class Packet:
     """The unit that is routed, queued, traced, and counted."""
 
-    __slots__ = ("uid", "fid", "ptype", "size", "src", "sport", "dst", "dport", "seq",
-                 "birth", "sink", "tail")
+    __slots__ = ("uid", "fid", "ptype", "size", "src", "sport", "seq", "birth", "sink", "tail")
 
     def __init__(self, uid: int, fid: int, ptype: str, size: int, src: int, sport: int,
-                 dst: int, dport: int, seq: int, birth: int, sink):
+                 seq: int, birth: int, sink):
         self.uid = uid  # unique across the whole run
         self.fid = fid  # flow id / traffic class
         self.ptype = ptype  # short label: "cbr", "exp", ...
         self.size = size  # bytes, >= 1
         self.src = src
         self.sport = sport
-        self.dst = dst
-        self.dport = dport
         self.seq = seq  # per-flow sequence number
         self.birth = birth  # ns
-        self.sink = sink  # the SinkMonitor at (dst, dport); not a header field
+        self.sink = sink  # the SinkMonitor it goes to; its node and port are the destination
         self.tail = None  # TraceWriter's cache: the line's formatted end
 
     def __repr__(self) -> str:
         return (f"Packet(uid={self.uid!r}, fid={self.fid!r}, ptype={self.ptype!r}, "
                 f"size={self.size!r}, src={self.src!r}, sport={self.sport!r}, "
-                f"dst={self.dst!r}, dport={self.dport!r}, seq={self.seq!r}, "
+                f"dst={self.sink.node!r}, dport={self.sink.port!r}, seq={self.seq!r}, "
                 f"birth={self.birth!r})")
 
 
@@ -201,7 +198,7 @@ class Network:
 
     def forward(self, node: int, pkt: Packet, via_link: SimplexLink | None = None) -> None:
         """Move `pkt` onward from `node`: deliver here, or queue on the
-        outgoing link toward pkt.dst (starting transmission if idle).
+        outgoing link toward its sink's node (starting transmission if idle).
 
         An untraced packet that finds its link idle skips the queue
         discipline and goes straight onto the wire. The idle link's
@@ -214,12 +211,13 @@ class Network:
         engine = self.engine
         now = engine.now
         tracer = self.tracer
-        if node == pkt.dst:
+        dst = pkt.sink.node
+        if node == dst:
             if tracer is not None:
                 tracer.record("r", now, via_link, pkt)
             pkt.sink.on_receive(pkt)
             return
-        link = self._routes[pkt.dst][node]
+        link = self._routes[dst][node]
         link.enqueued += 1
         free_at = link.free_at
         if now < free_at or (now == free_at and engine.seq < link.free_seq):
@@ -262,7 +260,7 @@ class Network:
         free_at = link.free_at = now + pkt.size * 8 * NS_PER_SEC // link.bandwidth
         free_seq = link.free_seq = engine.reserve()
         arrive_at = free_at + link.delay
-        if tracer is None and pkt.dst == link.to_node and arrive_at <= engine.limit:
+        if tracer is None and pkt.sink.node == link.to_node and arrive_at <= engine.limit:
             pkt.sink.on_receive(pkt)  # due by the limit: credit it now
         else:
             link.in_flight.append(pkt)

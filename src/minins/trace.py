@@ -66,14 +66,14 @@ class TraceWriter:
 
     def record(self, op: str, time: int, link, pkt) -> None:
         """One line for `pkt` on `link`; for 'r', the link it arrived on,
-        or None for a delivery at its own node (from and to are pkt.dst)."""
+        or None for a delivery at its own node (from and to are its sink's)."""
         tail = pkt.tail
         if tail is None:
             tail = pkt.tail = (
                 f" {pkt.ptype} {pkt.size} {FLAGS} {pkt.fid} {pkt.src}.{pkt.sport}"
-                f" {pkt.dst}.{pkt.dport} {pkt.seq} {pkt.uid}\n")
+                f" {pkt.sink.node}.{pkt.sink.port} {pkt.seq} {pkt.uid}\n")
         if link is None:
-            ends = f" {pkt.dst} {pkt.dst}"
+            ends = f" {pkt.sink.node} {pkt.sink.node}"
         else:
             ends = link.ends
             if ends is None:

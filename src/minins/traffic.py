@@ -49,10 +49,9 @@ class UdpAgent:
     def send(self, size: int, ptype: str) -> Packet:
         seq = self._next_seq
         self._next_seq = seq + 1
-        # Positional, in field order: uid fid ptype size src sport dst dport seq birth sink.
-        sink = self.sink
+        # Positional, in field order: uid fid ptype size src sport seq birth sink.
         pkt = Packet(self._alloc_uid(), self.fid, ptype, size, self.node, self.port,
-                     sink.node, sink.port, seq, self.network.engine.now, sink)
+                     seq, self.network.engine.now, self.sink)
         self.network.forward(self.node, pkt)
         return pkt
 

@@ -1,9 +1,9 @@
 """Brute-force reference model for micro scenarios.
 
-Deliberately primitive: plain-list FIFO queues, routing by exhaustive
-path enumeration, and an event list scanned linearly for the minimum
-(time, creation order) entry each step. No heap, no queue-discipline
-classes, no shared code with the simulator beyond arithmetic on ints.
+Deliberately primitive: plain-list queues, routing by exhaustive path
+enumeration, and an event list scanned linearly for the minimum
+(time, creation order) entry each step. No heap, and no shared code
+with the simulator beyond arithmetic on ints.
 Creation order mirrors the simulator's documented FIFO tie-break: the
 initial injections first, then events in the order causality creates
 them. Starting a service creates its completion and then, at completion
@@ -12,12 +12,15 @@ next service. The simulator pushes a completion only when a packet
 waits, but under the number it would have had, so always creating one
 here gives the same order.
 
-ReferenceSfq is SFQ the same way: one plain list per bucket and a
-linear scan for every service and every eviction.
+ReferenceFifo is DropTail as one plain list. ReferenceSfq is SFQ the
+same way: one plain list per bucket and a linear scan for every service
+and every eviction. Each queue's enqueue returns its drop victim, which
+for SFQ may be a packet already queued.
 """
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass
@@ -25,13 +28,22 @@ class MicroLink:
     limit: int
     bandwidth: int
     delay: int
+    buckets: int | None = None  # None: DropTail; else SFQ with this many buckets
 
 
 @dataclass
 class MicroScenario:
     node_count: int
     links: dict  # (a, b) -> MicroLink, both directions present
-    injections: list  # (time, uid, src, dst, size) in schedule order
+    injections: list  # (time, uid, src, dst, size, fid) in schedule order
+
+
+class MicroPacket(NamedTuple):
+    uid: int
+    src: int
+    dst: int
+    size: int
+    fid: int
 
 
 def next_hop(scenario: MicroScenario, at: int, dst: int):
@@ -50,48 +62,49 @@ def next_hop(scenario: MicroScenario, at: int, dst: int):
 
 def reference_outcome(scenario: MicroScenario):
     """Returns (delivered uid -> time, dropped uid set)."""
-    queues = {pair: [] for pair in scenario.links}
+    queues = {
+        pair: ReferenceFifo(link.limit) if link.buckets is None
+        else ReferenceSfq(link.limit, link.buckets)
+        for pair, link in scenario.links.items()
+    }
     busy = {pair: False for pair in scenario.links}
     delivered = {}
     dropped = set()
     counter = itertools.count()
     pending = [
-        [time, next(counter), "inject", None, (uid, src, dst, size)]
-        for time, uid, src, dst, size in scenario.injections
+        [time, next(counter), "inject", None, MicroPacket(uid, src, dst, size, fid)]
+        for time, uid, src, dst, size, fid in scenario.injections
     ]
 
     def serve(pair, now):
-        uid, src, dst, size = queues[pair].pop(0)
+        pkt = queues[pair].dequeue()
         busy[pair] = True
         link = scenario.links[pair]
-        done = now + size * 8 * 1_000_000_000 // link.bandwidth
+        done = now + pkt.size * 8 * 1_000_000_000 // link.bandwidth
         pending.append([done, next(counter), "complete", pair, None])
-        pending.append([done + link.delay, next(counter), "arrive", pair, (uid, src, dst, size)])
+        pending.append([done + link.delay, next(counter), "arrive", pair, pkt])
 
     def handle_at(node, pkt, now):
-        uid, src, dst, size = pkt
-        if node == dst:
-            delivered[uid] = now
+        if node == pkt.dst:
+            delivered[pkt.uid] = now
             return
-        hop = next_hop(scenario, node, dst)
+        hop = next_hop(scenario, node, pkt.dst)
         assert hop is not None, "micro scenarios are always connected"
         pair = (node, hop)
-        if len(queues[pair]) < scenario.links[pair].limit:
-            queues[pair].append(pkt)
-        else:
-            dropped.add(uid)
-            return
-        if not busy[pair]:
+        victim = queues[pair].enqueue(pkt)
+        if victim is not None:
+            dropped.add(victim.uid)
+        if not busy[pair]:  # an idle link's queue was empty, so it took pkt
             serve(pair, now)
 
     while pending:
         index = min(range(len(pending)), key=lambda i: (pending[i][0], pending[i][1]))
         now, _, kind, pair, pkt = pending.pop(index)
         if kind == "inject":
-            handle_at(pkt[1], pkt, now)
+            handle_at(pkt.src, pkt, now)
         elif kind == "complete":
             busy[pair] = False
-            if queues[pair]:
+            if queues[pair].held():
                 serve(pair, now)
         else:  # arrive
             handle_at(pair[1], pkt, now)
@@ -106,6 +119,27 @@ def reference_bucket(fid: int, buckets: int) -> int:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     z = z ^ (z >> 31)
     return z % buckets
+
+
+class ReferenceFifo:
+    """DropTail as a plain list: the arrival is the victim when full."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.items = []
+
+    def held(self) -> int:
+        return len(self.items)
+
+    def enqueue(self, pkt):
+        """Returns the drop victim, or None."""
+        if len(self.items) < self.limit:
+            self.items.append(pkt)
+            return None
+        return pkt
+
+    def dequeue(self):
+        return self.items.pop(0)
 
 
 class ReferenceSfq:

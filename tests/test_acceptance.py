@@ -209,8 +209,30 @@ def _random_micro_scenario(rng: random.Random) -> MicroScenario:
         src = rng.randrange(3)
         dst = rng.randrange(3)  # occasionally src == dst: self delivery
         injections.append((
-            rng.randrange(0, 40_000_000), uid, src, dst, rng.randint(40, 1500),
+            rng.randrange(0, 40_000_000), uid, src, dst, rng.randint(40, 1500), uid,
         ))
+    return MicroScenario(node_count=3, links=links, injections=injections)
+
+
+def _random_sfq_micro_scenario(rng: random.Random) -> MicroScenario:
+    """Criterion 8's shapes with SFQ in the mix: each duplex link is
+    DropTail or SFQ with 1-4 buckets, and up to 40 packets share fids
+    0-5, so flows share buckets and an SFQ drop may evict a queued
+    packet of another flow. Fewer packets or fids leave some SFQ
+    mistakes (a round robin that forgets its position) unseen."""
+    links = {}
+    for a, b in rng.choice(TOPOLOGIES):
+        links[(a, b)] = links[(b, a)] = MicroLink(
+            limit=rng.randint(1, 6),
+            bandwidth=rng.choice([125_000, 1_000_000, 2_500_000, 10_000_000]),
+            delay=rng.choice([0, 1_000_000, 5_000_000, 10_000_000]),
+            buckets=rng.choice([None, 1, 2, 3, 4]),
+        )
+    injections = [
+        (rng.randrange(0, 40_000_000), uid, rng.randrange(3), rng.randrange(3),
+         rng.randint(40, 1500), rng.randrange(6))
+        for uid in range(rng.randint(1, 40))
+    ]
     return MicroScenario(node_count=3, links=links, injections=injections)
 
 
@@ -248,16 +270,18 @@ def _run_micro(scenario: MicroScenario, tracer):
     """Runs `scenario` to the end; returns one sink per node, port 0."""
     eng = EventEngine()
     duplex_links = [
-        (a, b, link.bandwidth, link.delay, QdiscConfig("droptail", link.limit))
+        (a, b, link.bandwidth, link.delay,
+         QdiscConfig("droptail", link.limit) if link.buckets is None
+         else QdiscConfig("sfq", link.limit, link.buckets))
         for (a, b), link in scenario.links.items() if a < b
     ]
     net = Network(eng, tracer, scenario.node_count, duplex_links)
     sinks = [_UidSink(node, 0) for node in range(scenario.node_count)]
     for node in range(scenario.node_count):
         net.route_to(node)
-    for time, uid, src, dst, size in scenario.injections:
-        pkt = Packet(uid=uid, fid=uid, ptype="cbr", size=size, src=src, sport=0,
-                     dst=dst, dport=0, seq=uid, birth=time, sink=sinks[dst])
+    for time, uid, src, dst, size, fid in scenario.injections:
+        pkt = Packet(uid=uid, fid=fid, ptype="cbr", size=size, src=src, sport=0,
+                     seq=uid, birth=time, sink=sinks[dst])
         eng.schedule(time, lambda s=src, p=pkt: net.forward(s, p))
     eng.run_until(10 ** 15)
     return sinks
@@ -280,7 +304,7 @@ def _untraced_outcome(scenario: MicroScenario):
 def _reference_untraced(scenario: MicroScenario):
     delivered, dropped = reference_outcome(scenario)
     lost = [0] * scenario.node_count
-    for _, uid, _, dst, _ in scenario.injections:
+    for _, uid, _, dst, _, _ in scenario.injections:
         if uid in dropped:
             lost[dst] += 1
     return set(delivered), lost
@@ -304,6 +328,22 @@ def test_criterion_8_untraced_micro_oracle_equivalence():
             f"trial {trial}: {scenario}"
 
 
+def test_sfq_micro_oracle_equivalence():
+    rng = random.Random(89)
+    for trial in range(1000):
+        scenario = _random_sfq_micro_scenario(rng)
+        assert _simulator_outcome(scenario) == reference_outcome(scenario), \
+            f"trial {trial}: {scenario}"
+
+
+def test_sfq_untraced_micro_oracle_equivalence():
+    rng = random.Random(89)  # the traced SFQ oracle's scenarios, run with no tracer
+    for trial in range(1000):
+        scenario = _random_sfq_micro_scenario(rng)
+        assert _untraced_outcome(scenario) == _reference_untraced(scenario), \
+            f"trial {trial}: {scenario}"
+
+
 def _zero_tx_micro_scenario(rng: random.Random) -> MicroScenario:
     # At 10**12 b/s a packet under 125 B serializes in 0 ns, so a burst
     # injected at one instant is sent, and with delay 0 also arrives, at
@@ -315,7 +355,8 @@ def _zero_tx_micro_scenario(rng: random.Random) -> MicroScenario:
         links[(a, b)] = link
         links[(b, a)] = MicroLink(link.limit, link.bandwidth, link.delay)
     injections = [
-        (rng.randrange(2) * 1_000, uid, rng.randrange(3), rng.randrange(3), rng.randint(1, 124))
+        (rng.randrange(2) * 1_000, uid, rng.randrange(3), rng.randrange(3), rng.randint(1, 124),
+         uid)
         for uid in range(rng.randint(1, 16))
     ]
     return MicroScenario(node_count=3, links=links, injections=injections)

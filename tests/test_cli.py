@@ -216,6 +216,71 @@ def test_analyze_bin_without_a_flow_names_every_flow_flag(tiny_scn, tmp_path, ca
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--fid", "-1", "--fid= wants a non-negative integer, got '-1'"),
+    ("--fid", "0_1", "--fid= wants a non-negative integer, got '0_1'"),
+    ("--fid", "+1", "--fid= wants a non-negative integer, got '+1'"),
+    ("--src", "\u0660", "--src= wants a non-negative integer, got '\u0660'"),  # Arabic-Indic 0
+    ("--sink", str(2**63), "--sink: value exceeds the maximum 9223372036854775807"),
+], ids=["negative", "underscore", "plus-sign", "non-ascii-digit", "above-fid-bound"])
+def test_analyze_flow_numbers_follow_the_scenario_integer_rule(tiny_scn, tmp_path, capsys,
+                                                                flag, value, message):
+    trace = tmp_path / "tiny.tr"
+    main(["run", str(tiny_scn), "--trace", str(trace)])
+    capsys.readouterr()
+    flow = {"--fid": "1", "--src": "0", "--sink": "1", flag: value}
+    argv = [arg for pair in flow.items() for arg in pair]
+    assert main(["analyze", str(trace), *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # Rejected before the trace is opened: a missing file would exit 2.
+    assert main(["analyze", str(tmp_path / "missing.tr"), *argv]) == 1
+
+
+def _delivery_lines(*deliveries):
+    """A trace of fid 1 from node 0 to node 1: (uid, enqueue time, receive
+    time) per packet, all on one link, in time order by construction."""
+    events = []
+    for uid, sent, received in deliveries:
+        events += [(sent, "+", uid), (sent, "-", uid), (received, "r", uid)]
+    return "".join(f"{op} {time} 0 1 cbr 1000 ------- 1 0.0 1.0 {uid} {uid}\n"
+                   for time, op, uid in sorted(events))
+
+
+def _throughput_keys(out):
+    return [line.partition("=")[0] for line in out.splitlines() if line.startswith("throughput_")]
+
+
+def test_analyze_prints_each_bin_start_exactly(tmp_path, capsys):
+    # 1 us bins: two deliveries 1 us apart fall in bins that start at
+    # 1.000000 s and 1.000001 s, which 6 significant digits cannot tell apart.
+    trace = tmp_path / "hand.tr"
+    trace.write_text(_delivery_lines((0, "1.000000000", "1.000000500"),
+                                     (1, "1.000000000", "1.000001500")))
+    code = main(["analyze", str(trace), "--fid", "1", "--src", "0", "--sink", "1",
+                 "--bin", "1e-6", "--check"])
+    out = capsys.readouterr().out
+    assert code == 0
+    keys = _throughput_keys(out)
+    assert len(keys) == len(set(keys)) == 1_000_002
+    assert keys[-2:] == ["throughput_1s_bps", "throughput_1.000001s_bps"]
+    assert out.count("_bps=8000000000.0\n") == 2
+
+
+@pytest.mark.parametrize("width,received,starts", [
+    ("1", "2.500000000", ["0", "1", "2"]),
+    ("0.5", "2.500000000", ["0", "0.5", "1", "1.5", "2", "2.5"]),
+    ("0.7", "2.500000000", ["0", "0.7", "1.4", "2.1"]),
+    ("1e-5", "0.000020000", ["0", "0.00001", "0.00002"]),  # not 1e-05
+])
+def test_analyze_bin_starts_are_plain_decimal_seconds(tmp_path, capsys, width, received,
+                                                      starts):
+    trace = tmp_path / "hand.tr"
+    trace.write_text(_delivery_lines((0, "0.000000000", received)))
+    assert main(["analyze", str(trace), "--fid", "1", "--src", "0", "--sink", "1",
+                 "--bin", width]) == 0
+    assert _throughput_keys(capsys.readouterr().out) == [f"throughput_{s}s_bps" for s in starts]
+
+
 def test_analyze_corrupted_trace_exits_2(tmp_path, capsys):
     trace = tmp_path / "corrupt.tr"
     trace.write_text("+ 1.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 0 7\nnot a line\n")

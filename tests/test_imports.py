@@ -28,10 +28,12 @@ def modules_loaded_by(statement):
     return set(out.split())
 
 
-def test_import_minins_loads_no_dataclasses_or_inspect():
+def test_import_minins_loads_no_heavy_standard_modules():
     loaded = modules_loaded_by("import minins")
     assert "minins.sim" in loaded  # the statement really imported the package
-    assert not loaded & {"dataclasses", "inspect", "ast"}
+    # Each of these costs milliseconds that every run pays before simulating.
+    assert not loaded & {"dataclasses", "inspect", "ast", "argparse", "json", "hashlib",
+                         "tempfile"}
 
 
 def test_import_cli_leaves_golden_to_validate():

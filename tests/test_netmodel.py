@@ -23,7 +23,7 @@ class ListTracer:
 
     def record(self, op, time, link, pkt):
         # link None: a delivery at the packet's own node
-        ends = (pkt.dst, pkt.dst) if link is None else (link.from_node, link.to_node)
+        ends = (pkt.sink.node, pkt.sink.node) if link is None else (link.from_node, link.to_node)
         self.events.append((op, time, *ends, pkt.uid))
 
     def close_flush(self):
@@ -40,7 +40,7 @@ class ListTracer:
 def make_packet(uid, src, sink, size=1000, fid=1, birth=0):
     """A packet from `src` addressed to, and carrying, `sink`."""
     return Packet(uid=uid, fid=fid, ptype="cbr", size=size, src=src, sport=0,
-                  dst=sink.node, dport=sink.port, seq=uid, birth=birth, sink=sink)
+                  seq=uid, birth=birth, sink=sink)
 
 
 def star_network():

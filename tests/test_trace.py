@@ -8,14 +8,16 @@ from minins.errors import TraceError
 from minins.netmodel import Network, Packet, SimplexLink
 from minins.qdisc import QdiscConfig
 from minins.trace import FLAGS, TraceWriter, format_time_fixed, parse_line, parse_time_fixed
+from minins.traffic import SinkMonitor
 from minins.units import NS_PER_SEC
 
 from net_helpers import seconds, sink_at
 
 
-def sample_packet(**overrides):
+def sample_packet(dst=3, dport=1, **overrides):
+    """A packet for the writer alone, to a sink at node `dst`, port `dport`."""
     fields = dict(uid=7, fid=2, ptype="cbr", size=1000, src=1, sport=0,
-                  dst=3, dport=1, seq=0, birth=0, sink=None)
+                  seq=0, birth=0, sink=SinkMonitor(dst, dport))
     fields.update(overrides)
     return Packet(**fields)
 
@@ -26,7 +28,7 @@ def link(from_node, to_node):
 
 def link_ends(via, pkt):
     """A line's from and to: the link's, or the packet's own node twice."""
-    return (pkt.dst, pkt.dst) if via is None else (via.from_node, via.to_node)
+    return (pkt.sink.node, pkt.sink.node) if via is None else (via.from_node, via.to_node)
 
 
 def written_lines(tmp_path, *records):
@@ -47,7 +49,8 @@ def test_writer_matches_fixed_layout(tmp_path):
 def fixed_layout(op, time, via, pkt):
     from_node, to_node = link_ends(via, pkt)
     return (f"{op} {format_time_fixed(time)} {from_node} {to_node} {pkt.ptype} {pkt.size}"
-            f" {FLAGS} {pkt.fid} {pkt.src}.{pkt.sport} {pkt.dst}.{pkt.dport} {pkt.seq} {pkt.uid}\n")
+            f" {FLAGS} {pkt.fid} {pkt.src}.{pkt.sport} {pkt.sink.node}.{pkt.sink.port}"
+            f" {pkt.seq} {pkt.uid}\n")
 
 
 def test_writer_formats_tail_per_packet_and_time_per_instant(tmp_path):
@@ -107,7 +110,7 @@ links = st.builds(link, naturals, naturals)
 def test_writer_lines_parse_back(tmp_path_factory, op, time, via, ptype,
                                  size, fid, src, sport, dst, dport, seq, uid):
     pkt = Packet(uid=uid, fid=fid, ptype=ptype, size=size, src=src, sport=sport,
-                 dst=dst, dport=dport, seq=seq, birth=0, sink=None)
+                 seq=seq, birth=0, sink=SinkMonitor(dst, dport))
     [line] = written_lines(tmp_path_factory.mktemp("rt"), (op, time, via, pkt))
     from_node, to_node = link_ends(via, pkt)
     fields = parse_line(line, 1)
@@ -149,8 +152,8 @@ def test_parse_line_returns_tuple_or_trace_error(text):
 
 
 packets = st.builds(Packet, uid=naturals, fid=naturals, ptype=st.sampled_from(["cbr", "exp"]),
-                    size=naturals, src=naturals, sport=naturals, dst=naturals,
-                    dport=naturals, seq=naturals, birth=st.just(0), sink=st.none())
+                    size=naturals, src=naturals, sport=naturals, seq=naturals,
+                    birth=st.just(0), sink=st.builds(SinkMonitor, naturals, naturals))
 records = st.tuples(st.sampled_from("+-rd"), naturals, st.one_of(st.none(), links), packets)
 # Each number of a line: its field index, and for an address or the time
 # the part before (0) or after (1) the dot.
@@ -214,7 +217,7 @@ def test_writer_appends_one_line_per_record(tmp_path):
     path = tmp_path / "out.tr"
     writer = TraceWriter(str(path))
     pkt = Packet(uid=0, fid=1, ptype="cbr", size=500, src=0, sport=0,
-                 dst=1, dport=0, seq=0, birth=0, sink=None)
+                 seq=0, birth=0, sink=SinkMonitor(1, 0))
     l01 = link(0, 1)
     writer.record("+", 0, l01, pkt)
     writer.record("-", 0, l01, pkt)
@@ -242,7 +245,7 @@ def test_trace_lines_follow_dispatch_order(tmp_path):
     sink = sink_at(net, 1)
     for uid in range(5):
         pkt = Packet(uid=uid, fid=1, ptype="cbr", size=100, src=0, sport=0,
-                     dst=1, dport=0, seq=uid, birth=0, sink=sink)
+                     seq=uid, birth=0, sink=sink)
         eng.schedule(uid * 300, lambda pkt=pkt: net.forward(0, pkt))
     eng.run_until(seconds(1))
     writer.close_flush()

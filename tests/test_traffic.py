@@ -339,7 +339,7 @@ def test_expoo_off_period_ending_at_stop_opens_no_on_period():
 
 def rx_packet(seq, sink):
     return Packet(uid=seq, fid=1, ptype="cbr", size=1000, src=0, sport=0,
-                  dst=sink.node, dport=sink.port, seq=seq, birth=0, sink=sink)
+                  seq=seq, birth=0, sink=sink)
 
 
 def sink_flow(net, src, sink_node):
