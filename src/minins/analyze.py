@@ -19,6 +19,8 @@ from typing import Iterable, NamedTuple
 from .trace import parse_line, parse_time_fixed
 from .units import NS_PER_SEC
 
+_MAX_BINS = 2**20  # a throughput series longer than this is refused, not built
+
 
 class FlowStats(NamedTuple):
     fid: int
@@ -79,8 +81,9 @@ def analyze_trace(
     `bin_seconds`, the report also holds the received bits/s at the sink
     per time bin, anchored at t=0, for every bin from 0 through the one
     holding the last delivery. A bin is `bin_seconds` rounded to whole
-    ns, and its rate is taken over that rounded width. Blank lines are
-    skipped; a malformed line raises TraceError.
+    ns, and its rate is taken over that rounded width; more than 2**20
+    bins raise ValueError. Blank lines are skipped; a malformed line
+    raises TraceError.
     """
     if bin_seconds is not None and flow is None:
         raise ValueError("throughput bins need a flow")
@@ -159,9 +162,12 @@ def analyze_trace(
         stats = FlowStats(flow[0], sent, received, dropped, bytes_received,
                           delay_total / received / NS_PER_SEC if received else None,
                           delay_max / NS_PER_SEC if received else None)
+    nbins = max(bytes_per_bin, default=-1) + 1
+    if nbins > _MAX_BINS:
+        raise ValueError(f"{nbins} throughput bins of {bin_seconds} s; the limit is {_MAX_BINS}")
     series = [] if bin_ns is None else [
         (k * bin_ns / NS_PER_SEC, bytes_per_bin.get(k, 0) * 8 / (bin_ns / NS_PER_SEC))
-        for k in range(max(bytes_per_bin, default=-1) + 1)
+        for k in range(nbins)
     ]
     return TraceReport(stats, series, violations)
 

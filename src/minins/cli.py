@@ -88,7 +88,10 @@ def _cmd_analyze(args) -> int:
         ("--fid", args.fid), ("--src", args.src), ("--sink", args.sink))) if wants_flow else None
     # Undecodable bytes reach parse_line as surrogates, which it rejects by line.
     with open(args.trace, encoding="ascii", errors="surrogateescape") as f:
-        report = analyze_trace(f, flow, args.bin)
+        try:
+            report = analyze_trace(f, flow, args.bin)
+        except ValueError as exc:  # too many throughput bins for this --bin
+            raise ScenarioError(f"--bin: {exc}") from None
     status = 0
     stats = report.flow
     if stats is not None:

@@ -20,8 +20,8 @@ text, and `parse_line` reads a line back. One compiled pattern is the
 only acceptor of a line, whatever its length. `parse_line` returns the
 seven fields the analyzer reads as the text it checked, which the
 analyzer compares as text and converts only where it needs a number.
-Field-by-field checks only name what is wrong with a line the pattern
-rejects.
+One table of fields states the grammar: it builds that pattern, and,
+for a line the pattern rejects, names the first field that breaks it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import re
 from .errors import TraceError
 
 FLAGS = "-------"
-OPS = ("+", "-", "r", "d")
 
 
 def format_time_fixed(ns: int) -> str:
@@ -91,50 +90,42 @@ class TraceWriter:
 # Canonical decimal: 0, or at most _MAX_DIGITS digits with no leading zero.
 _MAX_DIGITS = 20
 _NUM = f"(?:[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}|0)"
-# The fields parse_line returns: op, time, from, to, size, fid and uid.
-# ptype, flags, addresses and seq are only checked.
-_EVENT = re.compile(
-    rf"([-+rd]) ({_NUM}\.[0-9]{{9}}) ({_NUM}) ({_NUM}) [!-~]+ ({_NUM}) [!-~]{{7}} ({_NUM})"
-    rf" {_NUM}\.{_NUM} {_NUM}\.{_NUM} {_NUM} ({_NUM})\n?",
-    re.ASCII,
+_ADDR = rf"{_NUM}\.{_NUM}"
+# The line grammar, written once: each field's name, its pattern, and
+# whether parse_line returns it (op, time, from, to, size, fid and uid).
+_FIELDS = (
+    ("event type", "[-+rd]", True),
+    ("time", rf"{_NUM}\.[0-9]{{9}}", True),
+    ("from", _NUM, True),
+    ("to", _NUM, True),
+    ("ptype", "[!-~]+", False),
+    ("size", _NUM, True),
+    ("flags", "[!-~]{7}", False),
+    ("fid", _NUM, True),
+    ("source address", _ADDR, False),
+    ("destination address", _ADDR, False),
+    ("seq", _NUM, False),
+    ("uid", _NUM, True),
 )
-
-
-def _is_number(text: str) -> bool:
-    """Whether ASCII `text` is a number as `_NUM` matches it."""
-    return text.isdigit() and (text[0] != "0" or text == "0") and len(text) <= _MAX_DIGITS
+_EVENT = re.compile(" ".join(f"({pattern})" if returned else pattern
+                             for _, pattern, returned in _FIELDS) + r"\n?", re.ASCII)
 
 
 def _fault(text: str) -> str:
-    """What is wrong with a line `_EVENT` rejects: the first field check
-    it fails, or 'malformed line' if it fails none."""
+    """What is wrong with a line `_EVENT` rejects: a whole-line check it
+    fails, or else the first field whose pattern rejects it."""
     if not text.isascii():
         return "non-ASCII character"
     line = text.removesuffix("\n")
     if not line.isprintable():  # tabs, CR and other control characters
         return "non-printable character"
     fields = line.split(" ")
-    if len(fields) != 12:
-        return f"expected 12 fields, got {len(fields)}"
-    op, time_s, frm, to, ptype, size, flags, fid, src, dst, seq, uid = fields
-    if op not in OPS:
-        return f"unknown event type {op!r}"
-    if not ptype:
-        return "empty ptype field"
-    whole, dot, frac = time_s.partition(".")
-    if not dot or len(frac) != 9 or not _is_number(whole) or not frac.isdigit():
-        return f"bad timestamp {time_s!r} (want canonical seconds and 9 fractional digits)"
-    if len(flags) != 7:
-        return f"bad flags field {flags!r}"
-    for name, value in (("from", frm), ("to", to), ("size", size),
-                        ("fid", fid), ("seq", seq), ("uid", uid)):
-        if not _is_number(value):
+    if len(fields) != len(_FIELDS):
+        return f"expected {len(_FIELDS)} fields, got {len(fields)}"
+    for (name, pattern, _), value in zip(_FIELDS, fields):
+        if re.fullmatch(pattern, value, re.ASCII) is None:
             return f"bad {name} field {value!r}"
-    for what, addr in (("source", src), ("destination", dst)):
-        node, dot, port = addr.partition(".")
-        if not dot or not _is_number(node) or not _is_number(port):
-            return f"bad {what} address {addr!r}"
-    return "malformed line"
+    return "malformed line"  # unreachable: twelve matching fields match _EVENT
 
 
 def parse_line(text: str, lineno: int | None = None) -> tuple[str, ...] | None:

@@ -266,6 +266,19 @@ def test_analyze_prints_each_bin_start_exactly(tmp_path, capsys):
     assert out.count("_bps=8000000000.0\n") == 2
 
 
+@pytest.mark.parametrize("received,width,nbins", [
+    ("1.048576000", "1e-6", 2**20 + 1),  # one bin over the limit
+    ("0.999999999", "1e-9", 10**9),  # refused at once; the series would need tens of GB
+])
+def test_analyze_refuses_too_many_bins(tmp_path, capsys, received, width, nbins):
+    trace = tmp_path / "hand.tr"
+    trace.write_text(_delivery_lines((0, "0.000000000", received)))
+    assert main(["analyze", str(trace), "--fid", "1", "--src", "0", "--sink", "1",
+                 "--bin", width, "--check"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --bin: {nbins} throughput bins of {float(width)} s; the limit is 1048576\n")
+
+
 @pytest.mark.parametrize("width,received,starts", [
     ("1", "2.500000000", ["0", "1", "2"]),
     ("0.5", "2.500000000", ["0", "0.5", "1", "1.5", "2", "2.5"]),

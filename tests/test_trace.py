@@ -213,6 +213,21 @@ def test_numbers_are_bounded_to_20_digits(name):
     assert err.value.lineno == 3 and str(err.value) != "line 3: malformed line"
 
 
+FIELD_NAMES = ["event type", "time", "from", "to", "ptype", "size", "flags", "fid",
+               "source address", "destination address", "seq", "uid"]
+BAD_VALUES = ["x", "1.0", "01", "-1", "", "1e3", "------", "0x1", "1", "3.01", "9" * 21, "+7"]
+
+
+@pytest.mark.parametrize("index", range(12), ids=FIELD_NAMES)
+def test_each_field_names_itself(index):
+    # A valid line with one field made bad: the reason names that field and its text.
+    bad = BAD_VALUES[index]
+    line = " ".join(VALID_FIELDS[:index] + [bad] + VALID_FIELDS[index + 1:]) + "\n"
+    with pytest.raises(TraceError) as err:
+        parse_line(line, 4)
+    assert str(err.value) == f"line 4: bad {FIELD_NAMES[index]} field {bad!r}"
+
+
 def test_writer_appends_one_line_per_record(tmp_path):
     path = tmp_path / "out.tr"
     writer = TraceWriter(str(path))
