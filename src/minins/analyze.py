@@ -13,7 +13,6 @@ for a delivery that is counted.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple
 
 from .trace import parse_line, parse_time_fixed
@@ -23,18 +22,17 @@ _MAX_BINS = 2**20  # a throughput series longer than this is refused, not built
 
 
 class FlowStats(NamedTuple):
-    fid: int
-    sent: int = 0
-    received: int = 0
-    dropped: int = 0
-    bytes_received: int = 0
-    mean_delay: float | None = None  # seconds; None when nothing received
-    max_delay: float | None = None
+    sent: int
+    received: int
+    dropped: int
+    bytes_received: int
+    mean_delay: float | None  # seconds; None when nothing received
+    max_delay: float | None
 
 
 class TraceReport(NamedTuple):
     flow: FlowStats | None  # None unless a flow was asked for
-    series: list[tuple[float, float]]  # (bin start s, bits/s); [] unless bins were asked for
+    series: list[float]  # bits/s per bin, bin k from k * bin_ns; [] unless bins were asked for
     violations: list[str]
 
 
@@ -51,18 +49,10 @@ def utilization(bytes_delivered: int, duration: float, bandwidth: float) -> floa
     return bytes_delivered * 8.0 / (bandwidth * duration) * 100.0
 
 
-def bin_width_ns(bin_seconds: float) -> int:
-    """A throughput bin width in whole ns; it must be finite and at least 1 ns."""
-    ns = bin_seconds * NS_PER_SEC
-    if not (math.isfinite(ns) and ns >= 1):
-        raise ValueError(f"bin must be at least 1 ns and a finite number of ns, got {bin_seconds}")
-    return round(ns)
-
-
 def analyze_trace(
     lines: Iterable[str],
     flow: tuple[int, int, int] | None = None,
-    bin_seconds: float | None = None,
+    bin_ns: int | None = None,
 ) -> TraceReport:
     """Check every packet's lifecycle and, for a flow, count it; one pass.
 
@@ -78,16 +68,14 @@ def analyze_trace(
     source), which has no link events; received counts deliveries at the
     sink node; delay runs from that first enqueue to delivery (first-hop
     transmission included), and is 0 for a delivery at the source. With
-    `bin_seconds`, the report also holds the received bits/s at the sink
-    per time bin, anchored at t=0, for every bin from 0 through the one
-    holding the last delivery. A bin is `bin_seconds` rounded to whole
-    ns, and its rate is taken over that rounded width; more than 2**20
-    bins raise ValueError. Blank lines are skipped; a malformed line
-    raises TraceError.
+    `bin_ns`, a positive whole number of ns, the report also holds the
+    received bits/s at the sink per time bin of that width, anchored at
+    t=0, for every bin from 0 through the one holding the last delivery;
+    more than 2**20 bins raise ValueError. Blank lines are skipped; a
+    malformed line raises TraceError.
     """
-    if bin_seconds is not None and flow is None:
+    if bin_ns is not None and flow is None:
         raise ValueError("throughput bins need a flow")
-    bin_ns = None if bin_seconds is None else bin_width_ns(bin_seconds)
     # The flow's numbers as trace text: trace numbers are canonical, so
     # equal text is equal value. Without a flow no line's fid matches.
     fid_text, source_text, sink_text = (None, None, None) if flow is None else map(str, flow)
@@ -159,15 +147,14 @@ def analyze_trace(
                     bytes_per_bin[k] = bytes_per_bin.get(k, 0) + size
     stats = None
     if flow is not None:
-        stats = FlowStats(flow[0], sent, received, dropped, bytes_received,
+        stats = FlowStats(sent, received, dropped, bytes_received,
                           delay_total / received / NS_PER_SEC if received else None,
                           delay_max / NS_PER_SEC if received else None)
     nbins = max(bytes_per_bin, default=-1) + 1
     if nbins > _MAX_BINS:
-        raise ValueError(f"{nbins} throughput bins of {bin_seconds} s; the limit is {_MAX_BINS}")
+        raise ValueError(f"{nbins} throughput bins of {bin_ns} ns; the limit is {_MAX_BINS}")
     series = [] if bin_ns is None else [
-        (k * bin_ns / NS_PER_SEC, bytes_per_bin.get(k, 0) * 8 / (bin_ns / NS_PER_SEC))
-        for k in range(nbins)
+        bytes_per_bin.get(k, 0) * 8 / (bin_ns / NS_PER_SEC) for k in range(nbins)
     ]
     return TraceReport(stats, series, violations)
 

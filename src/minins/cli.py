@@ -7,14 +7,15 @@ Exit codes: 0 success, 1 usage or scenario error, 2 data error
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
-from .analyze import analyze_trace, bin_width_ns
+from .analyze import analyze_trace
 from .errors import MininsError, ScenarioError
 from .scenario import SEED_MAX, parse_integer, parse_scenario
 from .sim import Simulation
-from .units import format_time_short
+from .units import NS_PER_SEC, format_time_short
 
 
 class _Parser(argparse.ArgumentParser):
@@ -22,14 +23,16 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(message)
 
 
-def _bin_seconds(text: str) -> float:
-    """argparse type of --bin: a finite width of at least 1 ns."""
+def _bin_ns(text: str) -> int:
+    """argparse type of --bin: seconds, finite and at least 1 ns, to whole ns (half to even)."""
     try:
         value = float(text)
-        bin_width_ns(value)
+        ns = value * NS_PER_SEC
+        if not (math.isfinite(ns) and ns >= 1):
+            raise ValueError(f"bin must be at least 1 ns and a finite number of ns, got {value}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+    return round(ns)
 
 
 def _build_parser() -> _Parser:
@@ -47,7 +50,7 @@ def _build_parser() -> _Parser:
     an_p.add_argument("--fid", default=None, help="flow id to report on (0 to 2**63 - 1, as fid=)")
     an_p.add_argument("--src", default=None, help="flow source node id (as --fid)")
     an_p.add_argument("--sink", default=None, help="flow sink node id (as --fid)")
-    an_p.add_argument("--bin", type=_bin_seconds, default=None, metavar="SECONDS",
+    an_p.add_argument("--bin", type=_bin_ns, default=None, metavar="SECONDS",
                       help="also print a throughput time series")
     an_p.add_argument("--check", action="store_true",
                       help="verify packet lifecycle conservation")
@@ -102,9 +105,8 @@ def _cmd_analyze(args) -> int:
         if stats.mean_delay is not None:
             print(f"mean_delay_s={stats.mean_delay!r}")
             print(f"max_delay_s={stats.max_delay!r}")
-        bin_ns = None if args.bin is None else bin_width_ns(args.bin)
-        for k, (_, bps) in enumerate(report.series):  # every bin from 0: printed exactly
-            print(f"throughput_{format_time_short(k * bin_ns)}s_bps={bps!r}")
+        for k, bps in enumerate(report.series):  # every bin from 0: printed exactly
+            print(f"throughput_{format_time_short(k * args.bin)}s_bps={bps!r}")
     if args.check:
         print(f"violations={len(report.violations)}")
         for violation in report.violations:

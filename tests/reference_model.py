@@ -3,7 +3,7 @@
 Deliberately primitive: plain-list queues, routing by exhaustive path
 enumeration, and an event list scanned linearly for the minimum
 (time, creation order) entry each step. No heap, and no shared code
-with the simulator beyond arithmetic on ints.
+with the simulator beyond arithmetic.
 Creation order mirrors the simulator's documented FIFO tie-break: the
 initial injections first, then events in the order causality creates
 them. Starting a service creates its completion and then, at completion
@@ -16,9 +16,14 @@ ReferenceFifo is DropTail as one plain list. ReferenceSfq is SFQ the
 same way: one plain list per bucket and a linear scan for every service
 and every eviction. Each queue's enqueue returns its drop victim, which
 for SFQ may be a packet already queued.
+
+reference_onoff is an exponential on-off source's whole schedule, taken
+period by period from the documented rules and a splitmix64 stream
+transcribed here, with no event queue at all.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -111,14 +116,54 @@ def reference_outcome(scenario: MicroScenario):
     return delivered, dropped
 
 
-def reference_bucket(fid: int, buckets: int) -> int:
-    """splitmix64 finalizer mod buckets, transcribed independently of
-    the implementation under test."""
-    z = fid & 0xFFFFFFFFFFFFFFFF
+def reference_mix64(z: int) -> int:
+    """splitmix64 finalizer, transcribed independently of the
+    implementation under test."""
+    z &= 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    z = z ^ (z >> 31)
-    return z % buckets
+    return z ^ (z >> 31)
+
+
+def reference_bucket(fid: int, buckets: int) -> int:
+    """splitmix64 finalizer mod buckets."""
+    return reference_mix64(fid) % buckets
+
+
+def reference_uniforms(seed: int, ordinal: int):
+    """The uniforms of `SplitMix64.substream(seed, ordinal)`: a stream
+    seeded with mix64(seed ^ ordinal) whose state steps by the golden
+    gamma, each output's top 53 bits scaled into [0, 1)."""
+    state = reference_mix64(seed ^ ordinal)
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        yield (reference_mix64(state) >> 11) / 2**53
+
+
+def reference_onoff(seed: int, ordinal: int, burst: int, idle: int, gap: int,
+                    start: int, stop: int):
+    """An exp on-off source's schedule: (send times, [(time, "on" or "off")], draws).
+
+    From `start`, ON and OFF periods alternate, ON first. Each length
+    is drawn when its period opens, from the `(seed, ordinal)` stream,
+    as int(-mean * log1p(-u)) ns with mean `burst` for ON and `idle`
+    for OFF. While ON, a packet goes out at the opening and every `gap`
+    ns after it, strictly before the period's end and before `stop`. A
+    period that would open at or past `stop` never opens: it is neither
+    drawn nor switched to.
+    """
+    uniforms = reference_uniforms(seed, ordinal)
+    sends, switches, draws = [], [], 0
+    t, on = start, True
+    while t < stop:
+        switches.append((t, "on" if on else "off"))
+        length = int(-(burst if on else idle) * math.log1p(-next(uniforms)))
+        draws += 1
+        if on:
+            sends += range(t, min(t + length, stop), gap)
+        t += length
+        on = not on
+    return sends, switches, draws
 
 
 class ReferenceFifo:

@@ -27,8 +27,8 @@ def violations_of(lines):
     return analyze_trace(lines).violations
 
 
-def series_of(lines, fid, sink, bin_seconds):
-    return analyze_trace(lines, (fid, 1, sink), bin_seconds).series
+def series_of(lines, fid, sink, bin_ns):
+    return analyze_trace(lines, (fid, 1, sink), bin_ns).series
 
 
 # -- parsing -------------------------------------------------------------------
@@ -138,7 +138,7 @@ def test_analyze_trace_parses_each_line_once(monkeypatch):
 
     # the module global analyze_trace calls, which perfbench's parse hook patches
     monkeypatch.setattr(minins.analyze, "parse_line", counting_parse)
-    report = analyze_trace(GOOD[:2] + ["\n"] + GOOD[2:], (2, 1, 3), 1.0)
+    report = analyze_trace(GOOD[:2] + ["\n"] + GOOD[2:], (2, 1, 3), 10**9)
     assert calls == [1, 2, 3, 4, 5, 6]
     assert report.flow.received == 1 and report.series and report.violations == []
 
@@ -147,7 +147,7 @@ def test_analyze_trace_without_flow_reports_only_violations():
     report = analyze_trace(GOOD)
     assert report.flow is None and report.series == [] and report.violations == []
     with pytest.raises(ValueError):
-        analyze_trace(GOOD, bin_seconds=1.0)  # bins need a flow
+        analyze_trace(GOOD, bin_ns=10**9)  # bins need a flow
 
 
 # -- utilization ----------------------------------------------------------------
@@ -341,37 +341,44 @@ def test_conservation_accepts_drop_then_silence():
 
 
 def test_throughput_series_on_golden_run(cbr_run):
-    series = series_of(cbr_run.trace_lines(), fid=2, sink=3, bin_seconds=1.0)
-    assert series[0][0] == 0.0
-    interior = [bps for start, bps in series[2:-1]]
+    series = series_of(cbr_run.trace_lines(), fid=2, sink=3, bin_ns=10**9)
+    interior = series[2:-1]
     assert interior and all(bps == 1_600_000.0 for bps in interior)
 
 
 def test_throughput_series_empty_trace():
-    assert series_of([], fid=2, sink=3, bin_seconds=1.0) == []
+    assert series_of([], fid=2, sink=3, bin_ns=10**9) == []
 
 
 def test_throughput_series_single_giant_bin():
-    series = series_of(GOOD, fid=2, sink=3, bin_seconds=1000.0)
-    assert series == [(0.0, 1000 * 8 / 1000.0)]
+    series = series_of(GOOD, fid=2, sink=3, bin_ns=1000 * 10**9)
+    assert series == [1000 * 8 / 1000.0]
 
 
 def test_throughput_is_taken_over_the_rounded_bin_width():
-    # 1.5 ns rounds to 2 ns bins; the 1000 bytes delivered at 3 ns fall
-    # in the second bin, whose rate is over 2 ns, not the 1.5 ns asked.
+    # `--bin 1.5e-9` rounds to 2 ns bins, which is what the analyzer is
+    # given: the 1000 bytes delivered at 3 ns fall in the second bin,
+    # whose rate is over 2 ns, not the 1.5 ns asked.
     lines = trace(
         "+ 0.000000000 1 3 cbr 1000 ------- 2 1.0 3.1 0 7",
         "- 0.000000000 1 3 cbr 1000 ------- 2 1.0 3.1 0 7",
         "r 0.000000003 1 3 cbr 1000 ------- 2 1.0 3.1 0 7",
     )
-    series = series_of(lines, fid=2, sink=3, bin_seconds=1.5e-9)
-    assert series == [(0.0, 0.0), (2e-9, pytest.approx(4e12))]
+    series = series_of(lines, fid=2, sink=3, bin_ns=2)
+    assert series == [0.0, pytest.approx(4e12)]
 
 
-def test_throughput_rejects_nonpositive_bin():
-    for bad in (0, -1, float("nan"), float("inf"), 1e-12, 1e300):
-        with pytest.raises(ValueError):
-            series_of(GOOD, fid=2, sink=3, bin_seconds=bad)
+def test_throughput_series_stops_at_the_bin_limit():
+    # One delivery in bin 2**20 - 1 makes the longest series allowed;
+    # one in bin 2**20 asks for one bin more, which is refused.
+    def delivered_at(ns):  # under 1 s
+        return trace("+ 0.000000000 1 3 cbr 1000 ------- 2 1.0 3.1 0 7",
+                     "- 0.000000000 1 3 cbr 1000 ------- 2 1.0 3.1 0 7",
+                     f"r 0.{ns:09d} 1 3 cbr 1000 ------- 2 1.0 3.1 0 7")
+
+    assert len(series_of(delivered_at(2**20 - 1), fid=2, sink=3, bin_ns=1)) == 2**20
+    with pytest.raises(ValueError, match=f"^{2**20 + 1} throughput bins of 1 ns;"):
+        series_of(delivered_at(2**20), fid=2, sink=3, bin_ns=1)
 
 
 # -- streaming robustness ------------------------------------------------------------

@@ -275,8 +275,21 @@ def test_analyze_refuses_too_many_bins(tmp_path, capsys, received, width, nbins)
     trace.write_text(_delivery_lines((0, "0.000000000", received)))
     assert main(["analyze", str(trace), "--fid", "1", "--src", "0", "--sink", "1",
                  "--bin", width, "--check"]) == 1
+    ns = {"1e-6": 1000, "1e-9": 1}[width]
     assert capsys.readouterr() == (
-        "", f"error: --bin: {nbins} throughput bins of {float(width)} s; the limit is 1048576\n")
+        "", f"error: --bin: {nbins} throughput bins of {ns} ns; the limit is 1048576\n")
+
+
+@pytest.mark.parametrize("width", ["1.5e-9", "2.5e-9"])
+def test_analyze_bin_width_ties_round_to_even(tmp_path, capsys, width):
+    # Both widths make 2 ns bins, so a delivery at 2**21 ns lands in bin
+    # 2**20, one past the limit; 3 ns bins would stay under it.
+    trace = tmp_path / "hand.tr"
+    trace.write_text(_delivery_lines((0, "0.000000000", "0.002097152")))
+    assert main(["analyze", str(trace), "--fid", "1", "--src", "0", "--sink", "1",
+                 "--bin", width]) == 1
+    assert capsys.readouterr().err == (
+        "error: --bin: 1048577 throughput bins of 2 ns; the limit is 1048576\n")
 
 
 @pytest.mark.parametrize("width,received,starts", [

@@ -85,10 +85,15 @@ def test_traced_and_untraced_runs_agree(tmp_path, seed):
     lines = trace.read_text(encoding="ascii").splitlines()
     assert analyze_trace(lines).violations == []
     fids = [agent.fid for agent in spec.agents]
+    bins = random.Random(f"bins {seed}")  # apart from the scenario's own draws
     for agent, sink in zip(spec.agents, untraced.sinks, strict=True):
         if fids.count(agent.fid) > 1:  # the trace cannot tell flows that share a fid apart
             continue
         flow = (agent.fid, spec.nodes.index(agent.src), sink.node)
-        stats = analyze_trace(lines, flow).flow
+        bin_ns = bins.randint(1_000_000, 1_000_000_000)
+        stats, series, _ = analyze_trace(lines, flow, bin_ns)
         assert (stats.received, stats.bytes_received, stats.dropped) == (
             sink.npkts, sink.bytes, sink.nlost)
+        # Each bin's rate times its width gives back its bytes exactly.
+        assert sum(round(bps * bin_ns / 8e9) for bps in series) == sink.bytes
+        assert (series == []) == (sink.npkts == 0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from minins.traffic import (
 )
 
 from net_helpers import link_between, seconds, sink_at
+from reference_model import reference_onoff
 
 MS = 1_000_000
 
@@ -332,6 +334,59 @@ def test_expoo_off_period_ending_at_stop_opens_no_on_period():
     eng, draws = run_exp_past_stop(burst, idle, stop)
     assert eng.now < stop
     assert draws == 2
+
+
+def run_exp_recorded(seed, ordinal, spec):
+    """Run one exp generator alone, far past its stop, on its substream:
+    (send times, [(time, "on" or "off")], number of draws)."""
+    eng = EventEngine()
+    agent = TimedAgent(eng)
+    rng = RecordingRng(SplitMix64.substream(seed, ordinal))
+    gen = ExpOnOffGenerator(eng, agent, spec, rng)
+    switches = []
+    for kind in ("on", "off"):  # the generator schedules its switches by attribute
+        begin = getattr(gen, f"_begin_{kind}")
+
+        def recorded(begin=begin, kind=kind):
+            switches.append((eng.now, kind))
+            begin()
+
+        setattr(gen, f"_begin_{kind}", recorded)
+    gen.install()
+    eng.run_until(2 * spec.stop + seconds(1))
+    return agent.times, switches, len(rng.us)
+
+
+def test_exp_generator_matches_the_on_off_reference():
+    # Random sources, each run to a far stop and then to stops placed on
+    # that reference schedule's switch and send instants. ON means span
+    # a tenth of a gap to twenty gaps, so many ON periods are shorter
+    # than one gap.
+    rng = random.Random(24)
+    stopped_at = {"on": 0, "off": 0, "send": 0}
+    short_on_periods = 0
+    for _ in range(400):
+        seed, ordinal = rng.randrange(2**64), rng.randrange(8)
+        size = rng.randint(1, 1500)
+        rate = rng.randint(size * 8_000 // 5, size * 8_000_000)  # a gap of 1 us to 5 ms
+        gap = size * 8 * 10**9 // rate
+        burst = rng.randint(max(1, gap // 10), 20 * gap)
+        idle = rng.randint(1, 10 * MS)
+        start = rng.randint(0, 5 * MS)
+        far = start + rng.randint(1, 30) * (burst + idle)
+        sends, switches, _ = reference_onoff(seed, ordinal, burst, idle, gap, start, far)
+        short_on_periods += sum(kind == "on" and t2 - t < gap
+                                for (t, kind), (t2, _) in zip(switches, switches[1:]))
+        stops = [(far, None)] + rng.sample(switches, min(3, len(switches)))
+        stops += [(t, "send") for t in rng.sample(sends, min(2, len(sends)))]
+        for stop, at in stops:
+            expected = reference_onoff(seed, ordinal, burst, idle, gap, start, stop)
+            spec = ExpSpec("f", size, burst, idle, rate, start, stop)
+            assert run_exp_recorded(seed, ordinal, spec) == expected, (seed, ordinal, spec)
+            if at is not None and stop > start:
+                stopped_at[at] += 1
+    assert min(stopped_at.values()) >= 400 and short_on_periods >= 800, (
+        stopped_at, short_on_periods)
 
 
 # -- sink monitor -------------------------------------------------------------------

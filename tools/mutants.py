@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Apply hand-made mutants of `src/minins` one at a time and check that
+the tests named for each one kill it.
+
+Usage: python tools/mutants.py
+
+Each entry of MUTANTS names a file under `src/minins`, a piece of its
+text that must occur exactly once, the text that replaces it, and
+either the tests that must fail once it is replaced or
+"equivalent: <why>". For each entry that names tests, the package is
+copied to a temporary directory, the entry is applied to the copy, and
+only those tests run, in one pytest process, with that copy as
+PYTHONPATH. An equivalent entry is only checked to still match its
+file. Before any mutant, every named test runs once on an unchanged
+copy, and must pass there.
+
+Prints one line per entry: killed, survived or equivalent. Exits 1 if
+any mutant survives, an entry's text is not found exactly once, or a
+run errs (a pytest exit code other than 0 or 1).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "minins"
+
+# (file under src/minins, exact old text, new text, killing tests | "equivalent: why")
+MUTANTS = [
+    ("analyze.py", "if nbins > _MAX_BINS:", "if nbins >= _MAX_BINS:",
+     ["tests/test_analyze.py::test_throughput_series_stops_at_the_bin_limit"]),
+    ("netmodel.py", "pkt.sink.node == link.to_node and arrive_at <= engine.limit:",
+     "pkt.sink.node == link.to_node:",
+     ["tests/test_differential.py"]),
+    ("qdisc.py", "        self._rr = idx\n", "",
+     ["tests/test_qdisc.py::test_serve_leaves_what_enqueue_then_dequeue_leaves",
+      "tests/test_acceptance.py::test_sfq_untraced_micro_oracle_equivalence"]),
+    ("traffic.py", "if on_end < self.spec.stop:", "if on_end <= self.spec.stop:",
+     ["tests/test_traffic.py::test_exp_generator_matches_the_on_off_reference"]),
+    ("traffic.py", "if on_at < self.spec.stop:", "if on_at <= self.spec.stop:",
+     ["tests/test_traffic.py::test_exp_generator_matches_the_on_off_reference"]),
+    ("qdisc.py", "if len(self._q) < self.limit:", "if len(self._q) <= self.limit:",
+     ["tests/test_qdisc.py::test_droptail_accepts_until_limit_then_drops_arrival"]),
+    ("netmodel.py", "engine.seq < link.free_seq", "engine.seq <= link.free_seq",
+     "equivalent: free_seq is only ever the number of the link's own transmit-complete "
+     "event, which never calls forward, so engine.seq never equals it there"),
+]
+
+
+def run_tests(src: Path, tests: list[str]) -> int:
+    """Exit code of one pytest process over `tests`, importing minins from `src`."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def copy_package(tmp: Path) -> Path:
+    """A copy of src/minins under `tmp`; returns the directory to put on PYTHONPATH."""
+    src = tmp / "src"
+    shutil.copytree(PACKAGE, src / "minins", ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def main() -> int:
+    began = time.monotonic()
+    failures = 0
+    for file, old, _, _ in MUTANTS:
+        if (PACKAGE / file).read_text(encoding="utf-8").count(old) != 1:
+            print(f"error: {file}: {old!r} does not occur exactly once")
+            failures += 1
+    if failures:
+        return 1
+    named = sorted({test for *_, tests in MUTANTS if not isinstance(tests, str) for test in tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run_tests(copy_package(Path(tmp)), named)
+    if code != 0:
+        print(f"error: the named tests do not pass on the unchanged package (pytest exit {code})")
+        return 1
+    for file, old, new, tests in MUTANTS:
+        label = f"{file}: {old.strip()!r} -> {new.strip()!r}"
+        if isinstance(tests, str):
+            print(f"equivalent  {label}  ({tests.removeprefix('equivalent: ')})")
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            src = copy_package(Path(tmp))
+            path = src / "minins" / file
+            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+            code = run_tests(src, tests)
+        if code == 1:
+            print(f"killed      {label}")
+        else:
+            print(f"{'survived' if code == 0 else f'error {code}':<11} {label}")
+            failures += 1
+    print(f"{len(MUTANTS)} mutants, {failures} not killed, {time.monotonic() - began:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
