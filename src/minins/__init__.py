@@ -4,9 +4,9 @@ Scenario files describe a topology (nodes, duplex links with DropTail or
 SFQ output queues), UDP flows driven by CBR or exponential on-off
 generators, and a schedule. Runs produce an event trace plus a
 statistics block (duration, packets and bytes received, last-hop
-utilization); the analyzer reads back from the trace alone a flow's
-sent, received, dropped and delivered bytes, its delay and per-bin
-throughput, and checks every packet's lifecycle.
+utilization); the analyzer reads back from the trace alone every
+flow's sent, received, dropped and delivered bytes, its delay and
+per-bin throughput, and checks every packet's lifecycle.
 """
 
 from .analyze import analyze_trace, flow_stats, utilization

@@ -4,11 +4,13 @@
 once, with bounded per-packet state (a packet's state is retired when
 it is received or dropped), so results do not depend on how the input
 is chunked. Each line goes through `trace.parse_line`, which checks
-the whole line and returns the seven fields read here as text: op,
-time, from, to, size, fid and uid. Numbers in a trace are canonical
-decimal, so from, to, fid and uid are compared as text; the time is
-converted when it differs from the previous line's, and the size only
-for a delivery that is counted.
+the whole line and returns the nine fields read here as text: op,
+time, from, to, size, fid, source and destination address, and uid.
+Numbers in a trace are canonical decimal, so they are compared as
+text; the time is converted when it differs from the previous line's,
+the size only for a delivery that is counted, and the fid and the
+two addresses' nodes once per distinct (fid, source address,
+destination address) text.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from .units import NS_PER_SEC
 _MAX_BINS = 2**20  # a throughput series longer than this is refused, not built
 
 
+FlowKey = tuple[int, int, int]  # (fid, source node, sink node)
+
+
 class FlowStats(NamedTuple):
     sent: int
     received: int
@@ -30,10 +35,41 @@ class FlowStats(NamedTuple):
     max_delay: float | None
 
 
+_NO_FLOW = FlowStats(0, 0, 0, 0, None, None)  # a flow with no line in the trace
+
+
 class TraceReport(NamedTuple):
-    flow: FlowStats | None  # None unless a flow was asked for
-    series: list[float]  # bits/s per bin, bin k from k * bin_ns; [] unless bins were asked for
+    # Every flow with a '+', 'd' or 'r' line, in first-line order, and
+    # each one's bytes received per bin index (each {} without bins).
+    flows: dict[FlowKey, FlowStats]
+    bins: dict[FlowKey, dict[int, int]]
     violations: list[str]
+
+    def flow(self, key: FlowKey) -> FlowStats:
+        """The counters of flow `key`; all zero for a flow the trace never names."""
+        return self.flows.get(key, _NO_FLOW)
+
+
+class _Flow:
+    """One flow's running counts in `analyze_trace`. Its source and sink
+    node are kept as trace text, which compares with a line's from and
+    to: trace numbers are canonical, so equal text is equal value."""
+
+    __slots__ = ("source", "sink", "sent", "received", "dropped", "bytes_received",
+                 "delay_total", "delay_max", "bytes_per_bin")
+
+    def __init__(self, source: str, sink: str):
+        self.source = source
+        self.sink = sink
+        self.sent = self.received = self.dropped = self.bytes_received = 0
+        self.delay_total = self.delay_max = 0  # ns
+        self.bytes_per_bin: dict[int, int] = {}
+
+    def stats(self) -> FlowStats:
+        received = self.received
+        return FlowStats(self.sent, received, self.dropped, self.bytes_received,
+                         self.delay_total / received / NS_PER_SEC if received else None,
+                         self.delay_max / NS_PER_SEC if received else None)
 
 
 def utilization(bytes_delivered: int, duration: float, bandwidth: float) -> float:
@@ -49,12 +85,8 @@ def utilization(bytes_delivered: int, duration: float, bandwidth: float) -> floa
     return bytes_delivered * 8.0 / (bandwidth * duration) * 100.0
 
 
-def analyze_trace(
-    lines: Iterable[str],
-    flow: tuple[int, int, int] | None = None,
-    bin_ns: int | None = None,
-) -> TraceReport:
-    """Check every packet's lifecycle and, for a flow, count it; one pass.
+def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceReport:
+    """Check every packet's lifecycle and count every flow; one pass.
 
     Lifecycle grammar per uid: on each link, '+' then exactly one of '-'
     or 'd'; a '+' after a '-' only at the node that link ends at; 'r'
@@ -63,34 +95,33 @@ def analyze_trace(
     fine. State is retired on 'r' or 'd', so a retired uid that shows up
     again as a fresh '+' is not detected.
 
-    `flow` is (fid, source, sink). sent counts a packet's first enqueue
-    at the source node, or its delivery there ('r' from and to the
-    source), which has no link events; received counts deliveries at the
-    sink node; delay runs from that first enqueue to delivery (first-hop
-    transmission included), and is 0 for a delivery at the source. With
-    `bin_ns`, a positive whole number of ns, the report also holds the
-    received bits/s at the sink per time bin of that width, anchored at
-    t=0, for every bin from 0 through the one holding the last delivery;
-    more than 2**20 bins raise ValueError. Blank lines are skipped; a
-    malformed line raises TraceError.
+    A line belongs to the flow (fid, source, sink) read from its own
+    fields: its fid, the node of its source address and the node of its
+    destination address. sent counts a packet's first enqueue at the
+    source node, or its delivery there ('r' from and to the source),
+    which has no link events; received counts deliveries at the sink
+    node; dropped counts 'd' lines; delay runs from that first enqueue
+    to delivery (first-hop transmission included), and is 0 for a
+    delivery at the source. With `bin_ns`, a positive whole number of
+    ns, the report also holds each flow's bytes received at the sink per
+    time bin of that width, bin k from k * bin_ns (see
+    `throughput_bps`). Blank lines are skipped; a malformed line raises
+    TraceError.
     """
-    if bin_ns is not None and flow is None:
-        raise ValueError("throughput bins need a flow")
-    # The flow's numbers as trace text: trace numbers are canonical, so
-    # equal text is equal value. Without a flow no line's fid matches.
-    fid_text, source_text, sink_text = (None, None, None) if flow is None else map(str, flow)
     violations: list[str] = []
     state: dict[str, tuple] = {}  # uid -> (op of its last link event, from, to)
     time_text = None  # the previous line's, and `time` converted from it
     last_time = 0
-    sent_at: dict[str, int] = {}  # uid -> first '+' time at source
-    sent = received = dropped = bytes_received = delay_total = delay_max = 0
-    bytes_per_bin: dict[int, int] = {}
+    sent_at: dict[str, int] = {}  # uid -> first '+' time at its source
+    flows: dict[FlowKey, _Flow] = {}
+    # a line's (fid, source address, destination address) text -> its
+    # flow, so the addresses are split once per agent, not per line
+    by_text: dict[tuple[str, str, str], _Flow] = {}
     for lineno, line in enumerate(lines, start=1):
         fields = parse_line(line, lineno)
         if fields is None:  # a blank line
             continue
-        op, text, frm, to, size, rec_fid, uid = fields
+        op, text, frm, to, size, fid, src, dst, uid = fields
         if text != time_text:
             time_text = text
             time = parse_time_fixed(text)
@@ -120,45 +151,51 @@ def analyze_trace(
             if cur != ("-", frm, to) and not (frm == to and cur is None):
                 violations.append(f"line {lineno}: 'r' for uid {uid} without upstream '-'")
             state.pop(uid, None)
-        if rec_fid != fid_text:
-            continue
+        if op == "-" or (op == "+" and uid in sent_at):
+            continue  # a dequeue, or a later enqueue of a packet sent: nothing to count
+        names = (fid, src, dst)
+        flow = by_text.get(names)
+        if flow is None:
+            source, sink = src.partition(".")[0], dst.partition(".")[0]
+            flow = by_text[names] = flows.setdefault(
+                (int(fid), int(source), int(sink)), _Flow(source, sink))
         if op == "+":
-            if frm == source_text and uid not in sent_at:
+            if frm == flow.source:
                 sent_at[uid] = time
-                sent += 1
+                flow.sent += 1
         elif op == "d":
-            dropped += 1
+            flow.dropped += 1
             sent_at.pop(uid, None)
         elif op == "r":
-            if frm == to == source_text:  # delivered at its own source: no '+', delay 0
-                sent += 1
-            if to == sink_text:
+            if frm == to == flow.source:  # delivered at its own source: no '+', delay 0
+                flow.sent += 1
+            if to == flow.sink:
                 size = int(size)
-                received += 1
-                bytes_received += size
+                flow.received += 1
+                flow.bytes_received += size
                 birth = sent_at.pop(uid, None)
                 if birth is not None:
                     delay = time - birth
-                    delay_total += delay
-                    if delay > delay_max:
-                        delay_max = delay
+                    flow.delay_total += delay
+                    if delay > flow.delay_max:
+                        flow.delay_max = delay
                 if bin_ns is not None:
                     k = time // bin_ns
-                    bytes_per_bin[k] = bytes_per_bin.get(k, 0) + size
-    stats = None
-    if flow is not None:
-        stats = FlowStats(sent, received, dropped, bytes_received,
-                          delay_total / received / NS_PER_SEC if received else None,
-                          delay_max / NS_PER_SEC if received else None)
+                    flow.bytes_per_bin[k] = flow.bytes_per_bin.get(k, 0) + size
+    return TraceReport({key: flow.stats() for key, flow in flows.items()},
+                       {key: flow.bytes_per_bin for key, flow in flows.items()}, violations)
+
+
+def throughput_bps(bytes_per_bin: dict[int, int], bin_ns: int) -> list[float]:
+    """Received bits/s per bin of `bin_ns` ns, from one flow's
+    `TraceReport.bins`: every bin from 0 through the one holding the
+    last delivery, [] for none. More than 2**20 bins raise ValueError."""
     nbins = max(bytes_per_bin, default=-1) + 1
     if nbins > _MAX_BINS:
         raise ValueError(f"{nbins} throughput bins of {bin_ns} ns; the limit is {_MAX_BINS}")
-    series = [] if bin_ns is None else [
-        bytes_per_bin.get(k, 0) * 8 / (bin_ns / NS_PER_SEC) for k in range(nbins)
-    ]
-    return TraceReport(stats, series, violations)
+    return [bytes_per_bin.get(k, 0) * 8 / (bin_ns / NS_PER_SEC) for k in range(nbins)]
 
 
 def flow_stats(lines: Iterable[str], fid: int, source: int, sink: int) -> FlowStats:
-    """Per-flow counters from a trace; see `analyze_trace`."""
-    return analyze_trace(lines, (fid, source, sink)).flow
+    """One flow's counters from a trace; see `analyze_trace`."""
+    return analyze_trace(lines).flow((fid, source, sink))

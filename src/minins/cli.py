@@ -11,7 +11,7 @@ import math
 import sys
 from pathlib import Path
 
-from .analyze import analyze_trace
+from .analyze import analyze_trace, throughput_bps
 from .errors import MininsError, ScenarioError
 from .scenario import SEED_MAX, parse_integer, parse_scenario
 from .sim import Simulation
@@ -91,13 +91,14 @@ def _cmd_analyze(args) -> int:
         ("--fid", args.fid), ("--src", args.src), ("--sink", args.sink))) if wants_flow else None
     # Undecodable bytes reach parse_line as surrogates, which it rejects by line.
     with open(args.trace, encoding="ascii", errors="surrogateescape") as f:
+        report = analyze_trace(f, args.bin)
+    status = 0
+    if wants_flow:
+        stats = report.flow(flow)
         try:
-            report = analyze_trace(f, flow, args.bin)
+            series = [] if args.bin is None else throughput_bps(report.bins.get(flow, {}), args.bin)
         except ValueError as exc:  # too many throughput bins for this --bin
             raise ScenarioError(f"--bin: {exc}") from None
-    status = 0
-    stats = report.flow
-    if stats is not None:
         print(f"sent={stats.sent}")
         print(f"received={stats.received}")
         print(f"dropped={stats.dropped}")
@@ -105,7 +106,7 @@ def _cmd_analyze(args) -> int:
         if stats.mean_delay is not None:
             print(f"mean_delay_s={stats.mean_delay!r}")
             print(f"max_delay_s={stats.max_delay!r}")
-        for k, bps in enumerate(report.series):  # every bin from 0: printed exactly
+        for k, bps in enumerate(series):  # every bin from 0: printed exactly
             print(f"throughput_{format_time_short(k * args.bin)}s_bps={bps!r}")
     if args.check:
         print(f"violations={len(report.violations)}")

@@ -18,7 +18,7 @@ This module is the only one that knows the format: `TraceWriter`
 writes it, `format_time_fixed` and `parse_time_fixed` are its time
 text, and `parse_line` reads a line back. One compiled pattern is the
 only acceptor of a line, whatever its length. `parse_line` returns the
-seven fields the analyzer reads as the text it checked, which the
+nine fields the analyzer reads as the text it checked, which the
 analyzer compares as text and converts only where it needs a number.
 One table of fields states the grammar: it builds that pattern, and,
 for a line the pattern rejects, names the first field that breaks it.
@@ -92,7 +92,7 @@ _MAX_DIGITS = 20
 _NUM = f"(?:[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}|0)"
 _ADDR = rf"{_NUM}\.{_NUM}"
 # The line grammar, written once: each field's name, its pattern, and
-# whether parse_line returns it (op, time, from, to, size, fid and uid).
+# whether parse_line returns it (all but ptype, flags and seq).
 _FIELDS = (
     ("event type", "[-+rd]", True),
     ("time", rf"{_NUM}\.[0-9]{{9}}", True),
@@ -102,8 +102,8 @@ _FIELDS = (
     ("size", _NUM, True),
     ("flags", "[!-~]{7}", False),
     ("fid", _NUM, True),
-    ("source address", _ADDR, False),
-    ("destination address", _ADDR, False),
+    ("source address", _ADDR, True),
+    ("destination address", _ADDR, True),
     ("seq", _NUM, False),
     ("uid", _NUM, True),
 )
@@ -133,12 +133,13 @@ def parse_line(text: str, lineno: int | None = None) -> tuple[str, ...] | None:
     single spaces between fields, canonical decimal numbers of at most 20
     digits and at most one trailing LF.
 
-    Returns (op, time, from, to, size, fid, uid) as the text checked,
-    all str: time as written ('1.000000000', see `parse_time_fixed`),
-    the rest as canonical decimal, which `int()` converts. ptype, flags,
-    addresses and seq are checked but not returned. Returns None for a
-    blank line: empty, or only spaces before an optional LF. Anything
-    else, non-ASCII text included, raises TraceError naming `lineno`.
+    Returns (op, time, from, to, size, fid, src_addr, dst_addr, uid) as
+    the text checked, all str: time as written ('1.000000000', see
+    `parse_time_fixed`), each address as `node.port`, the rest as
+    canonical decimal, which `int()` converts. ptype, flags and seq are
+    checked but not returned. Returns None for a blank line: empty, or
+    only spaces before an optional LF. Anything else, non-ASCII text
+    included, raises TraceError naming `lineno`.
     """
     match = _EVENT.fullmatch(text)
     if match is not None:

@@ -66,7 +66,13 @@ def next_hop(scenario: MicroScenario, at: int, dst: int):
 
 
 def reference_outcome(scenario: MicroScenario):
-    """Returns (delivered uid -> time, dropped uid set)."""
+    """Returns (delivered uid -> time, dropped uid set, trace events).
+
+    The trace events are the `+`, `-`, `d` and `r` events as
+    (op, time, from, to, uid), in the order they happen: a drop right
+    after the enqueue that caused it, and a delivery at the packet's own
+    source from and to that node.
+    """
     queues = {
         pair: ReferenceFifo(link.limit) if link.buckets is None
         else ReferenceSfq(link.limit, link.buckets)
@@ -75,6 +81,7 @@ def reference_outcome(scenario: MicroScenario):
     busy = {pair: False for pair in scenario.links}
     delivered = {}
     dropped = set()
+    events = []
     counter = itertools.count()
     pending = [
         [time, next(counter), "inject", None, MicroPacket(uid, src, dst, size, fid)]
@@ -83,21 +90,25 @@ def reference_outcome(scenario: MicroScenario):
 
     def serve(pair, now):
         pkt = queues[pair].dequeue()
+        events.append(("-", now, *pair, pkt.uid))
         busy[pair] = True
         link = scenario.links[pair]
         done = now + pkt.size * 8 * 1_000_000_000 // link.bandwidth
         pending.append([done, next(counter), "complete", pair, None])
         pending.append([done + link.delay, next(counter), "arrive", pair, pkt])
 
-    def handle_at(node, pkt, now):
+    def handle_at(node, pkt, now, came_from):
         if node == pkt.dst:
+            events.append(("r", now, came_from, node, pkt.uid))
             delivered[pkt.uid] = now
             return
         hop = next_hop(scenario, node, pkt.dst)
         assert hop is not None, "micro scenarios are always connected"
         pair = (node, hop)
+        events.append(("+", now, *pair, pkt.uid))
         victim = queues[pair].enqueue(pkt)
         if victim is not None:
+            events.append(("d", now, *pair, victim.uid))
             dropped.add(victim.uid)
         if not busy[pair]:  # an idle link's queue was empty, so it took pkt
             serve(pair, now)
@@ -106,14 +117,14 @@ def reference_outcome(scenario: MicroScenario):
         index = min(range(len(pending)), key=lambda i: (pending[i][0], pending[i][1]))
         now, _, kind, pair, pkt = pending.pop(index)
         if kind == "inject":
-            handle_at(pkt.src, pkt, now)
+            handle_at(pkt.src, pkt, now, pkt.src)
         elif kind == "complete":
             busy[pair] = False
             if queues[pair].held():
                 serve(pair, now)
         else:  # arrive
-            handle_at(pair[1], pkt, now)
-    return delivered, dropped
+            handle_at(pair[1], pkt, now, pair[0])
+    return delivered, dropped, events
 
 
 def reference_mix64(z: int) -> int:

@@ -9,7 +9,7 @@ import random
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 
-from minins.analyze import analyze_trace, flow_stats, utilization
+from minins.analyze import analyze_trace, utilization
 from minins.engine import EventEngine
 from minins.golden import golden_dir, run_validate
 from minins.netmodel import Network, Packet
@@ -168,21 +168,19 @@ def test_criterion_7_online_offline_equivalence(golden_runs):
     assert names == ["cbr_golden", "overload_droptail", "paper", "sfq_pair"]
     for name in names:
         run = golden_runs(name)
-        lines = run.trace_lines()
+        report = analyze_trace(run.trace_lines())  # one pass counts every flow
         node_id = {node: k for k, node in enumerate(run.spec.nodes)}
-        dropped = 0
-        offline_lost = {}  # fid -> the analyzer's drops of that flow id
-        online_lost = {}  # fid -> sum of nlost over the sinks of that flow id
+        online = {}  # flow key -> (npkts, bytes, nlost) summed over its sinks
         # one sink per udp directive, in directive order
         for agent, sink in zip(run.spec.agents, run.sim.sinks, strict=True):
-            offline = flow_stats(lines, agent.fid, node_id[agent.src], node_id[agent.sink])
-            assert offline.received == sink.npkts, (name, agent.fid)
-            assert offline.bytes_received == sink.bytes, (name, agent.fid)
-            dropped += offline.dropped
-            offline_lost[agent.fid] = offline.dropped
-            online_lost[agent.fid] = online_lost.get(agent.fid, 0) + sink.nlost
-        assert dropped == sum(link.drops for link in run.sim.network.links), name
-        assert online_lost == offline_lost, name
+            key = (agent.fid, node_id[agent.src], node_id[agent.sink])
+            npkts, nbytes, nlost = online.get(key, (0, 0, 0))
+            online[key] = (npkts + sink.npkts, nbytes + sink.bytes, nlost + sink.nlost)
+        offline = {key: (stats.received, stats.bytes_received, stats.dropped)
+                   for key, stats in report.flows.items()}
+        assert offline == online, name
+        assert sum(stats.dropped for stats in report.flows.values()) == sum(
+            link.drops for link in run.sim.network.links), name
     print("PASS criterion 7: analyzer equals loss monitors and link drops on every golden run")
 
 
@@ -237,14 +235,19 @@ def _random_sfq_micro_scenario(rng: random.Random) -> MicroScenario:
 
 
 class _OutcomeWatch:
-    """Tracer that only remembers each uid's delivery time and which
-    uids got dropped."""
+    """Tracer that remembers each uid's delivery time, which uids got
+    dropped, and every record as (op, time, from, to, uid) in order."""
 
     def __init__(self):
         self.delivered = {}
         self.dropped = set()
+        self.events = []
 
     def record(self, op, time, link, pkt):
+        if link is None:  # delivered at its own source node
+            self.events.append((op, time, pkt.sink.node, pkt.sink.node, pkt.uid))
+        else:
+            self.events.append((op, time, link.from_node, link.to_node, pkt.uid))
         if op == "r":
             self.delivered[pkt.uid] = time
         elif op == "d":
@@ -290,7 +293,7 @@ def _run_micro(scenario: MicroScenario, tracer):
 def _simulator_outcome(scenario: MicroScenario):
     watch = _OutcomeWatch()
     _run_micro(scenario, watch)
-    return watch.delivered, watch.dropped
+    return watch.delivered, watch.dropped, watch.events
 
 
 def _untraced_outcome(scenario: MicroScenario):
@@ -302,7 +305,7 @@ def _untraced_outcome(scenario: MicroScenario):
 
 
 def _reference_untraced(scenario: MicroScenario):
-    delivered, dropped = reference_outcome(scenario)
+    delivered, dropped, _ = reference_outcome(scenario)
     lost = [0] * scenario.node_count
     for _, uid, _, dst, _, _ in scenario.injections:
         if uid in dropped:

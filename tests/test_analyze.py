@@ -3,7 +3,7 @@ import random
 import pytest
 
 import minins.analyze
-from minins.analyze import analyze_trace, flow_stats, utilization
+from minins.analyze import analyze_trace, flow_stats, throughput_bps, utilization
 from minins.errors import TraceError
 from minins.scenario import parse_scenario
 from minins.sim import Simulation
@@ -28,7 +28,7 @@ def violations_of(lines):
 
 
 def series_of(lines, fid, sink, bin_ns):
-    return analyze_trace(lines, (fid, 1, sink), bin_ns).series
+    return throughput_bps(analyze_trace(lines, bin_ns).bins.get((fid, 1, sink), {}), bin_ns)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -118,8 +118,8 @@ def test_analyze_trace_rejects_non_ascii_blank_line():
 
 
 def test_analyze_trace_skips_only_lines_of_spaces():
-    report = analyze_trace(GOOD[:1] + ["\n", "   \n", "  ", ""] + GOOD[1:], (2, 1, 3))
-    assert report.violations == [] and report.flow.received == 1
+    report = analyze_trace(GOOD[:1] + ["\n", "   \n", "  ", ""] + GOOD[1:])
+    assert report.violations == [] and report.flow((2, 1, 3)).received == 1
     # whitespace to str.isspace(), but a tab or other control character
     # makes a line malformed: a blank CRLF line is one
     for blank in ("\t\n", "\r\n", "\x0b\n", "\x0c\n", "\x1c\n", "\x1d\n", "\x1e\n",
@@ -138,16 +138,19 @@ def test_analyze_trace_parses_each_line_once(monkeypatch):
 
     # the module global analyze_trace calls, which perfbench's parse hook patches
     monkeypatch.setattr(minins.analyze, "parse_line", counting_parse)
-    report = analyze_trace(GOOD[:2] + ["\n"] + GOOD[2:], (2, 1, 3), 10**9)
+    report = analyze_trace(GOOD[:2] + ["\n"] + GOOD[2:], 10**9)
     assert calls == [1, 2, 3, 4, 5, 6]
-    assert report.flow.received == 1 and report.series and report.violations == []
+    assert report.flow((2, 1, 3)).received == 1 and report.bins[2, 1, 3]
+    assert report.violations == []
 
 
-def test_analyze_trace_without_flow_reports_only_violations():
+def test_analyze_trace_reports_every_flow_and_bins_only_when_asked():
     report = analyze_trace(GOOD)
-    assert report.flow is None and report.series == [] and report.violations == []
-    with pytest.raises(ValueError):
-        analyze_trace(GOOD, bin_ns=10**9)  # bins need a flow
+    assert list(report.flows) == [(2, 1, 3)] and report.violations == []
+    assert report.bins == {(2, 1, 3): {}}
+    assert analyze_trace(GOOD, 10**9).bins == {(2, 1, 3): {1: 1000}}
+    # a flow the trace never names counts nothing
+    assert report.flow((2, 1, 4)) == (0, 0, 0, 0, None, None)
 
 
 # -- utilization ----------------------------------------------------------------
@@ -227,10 +230,11 @@ def test_flow_stats_counts_a_packet_sent_once_when_it_leaves_its_source_again():
         "- 1.032400000 2 3 cbr 1000 ------- 2 1.0 3.1 0 7",
         "r 1.043200000 2 3 cbr 1000 ------- 2 1.0 3.1 0 7",
     )
-    report = analyze_trace(lines, (2, 1, 3))
+    report = analyze_trace(lines)
     assert report.violations == []
-    assert (report.flow.sent, report.flow.received, report.flow.dropped) == (1, 1, 0)
-    assert report.flow.max_delay == pytest.approx(0.0432)
+    stats = report.flow((2, 1, 3))
+    assert (stats.sent, stats.received, stats.dropped) == (1, 1, 0)
+    assert stats.max_delay == pytest.approx(0.0432)
 
 
 def test_flow_stats_counts_a_packet_delivered_at_its_own_source_as_sent():
@@ -239,12 +243,13 @@ def test_flow_stats_counts_a_packet_delivered_at_its_own_source_as_sent():
         "r 1.000000000 1 1 cbr 1000 ------- 2 1.0 1.1 0 7",
         "r 1.000000000 3 3 cbr 1000 ------- 2 3.0 3.1 0 8",  # at another node
     )
-    report = analyze_trace(lines, (2, 1, 1))
+    report = analyze_trace(lines)
     assert report.violations == []
-    assert (report.flow.sent, report.flow.received, report.flow.dropped) == (1, 1, 0)
-    assert report.flow.mean_delay == report.flow.max_delay == 0.0
-    # sent at its source, but not received at a sink elsewhere
-    assert flow_stats(lines, fid=2, source=1, sink=3).sent == 1
+    stats = report.flow((2, 1, 1))
+    assert (stats.sent, stats.received, stats.dropped) == (1, 1, 0)
+    assert stats.mean_delay == stats.max_delay == 0.0
+    # addressed to node 1, so not a packet of a flow to node 3
+    assert flow_stats(lines, fid=2, source=1, sink=3).sent == 0
 
 
 def test_flow_stats_match_the_run_for_own_source_and_multi_hop_flows(tmp_path):
@@ -266,6 +271,34 @@ def test_flow_stats_match_the_run_for_own_source_and_multi_hop_flows(tmp_path):
             gen.emitted, sink.npkts, sink.nlost, sink.bytes)
         assert stats.sent == 10
     assert flow_stats(lines, 1, 0, 0).max_delay == 0.0
+
+
+# Two agents on fid 1 into sink node n2: a from n0, and b from n1, which
+# is on a's path. The n1-n2 link is overloaded and drops some of b's packets.
+SHARED_FID_CHAIN = """\
+sim duration=2s
+node n0
+node n1
+node n2
+duplex-link n0 n1 bw=1Mb delay=1ms queue=droptail
+duplex-link n1 n2 bw=1Mb delay=1ms queue=droptail limit=2
+udp a src=n0 sink=n2 fid=1
+udp b src=n1 sink=n2 fid=1
+cbr agent=a size=1000 interval=10ms start=0s stop=1s
+cbr agent=b size=1000 interval=20ms start=0s stop=1s
+"""
+
+
+def test_flow_stats_count_flows_that_share_a_fid_apart(tmp_path):
+    path = tmp_path / "chain.tr"
+    sim = Simulation(parse_scenario(SHARED_FID_CHAIN)._replace(trace_path=str(path)))
+    sim.run()
+    lines = path.read_text().splitlines()
+    for source, gen, sink in zip((0, 1), sim.generators, sim.sinks, strict=True):
+        stats = flow_stats(lines, fid=1, source=source, sink=2)
+        assert (stats.sent, stats.received, stats.bytes_received, stats.dropped) == (
+            gen.emitted, sink.npkts, sink.bytes, sink.nlost)
+    assert [sink.nlost > 0 for sink in sim.sinks] == [False, True]
 
 
 def test_flow_stats_ignores_other_flows():

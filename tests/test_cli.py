@@ -8,6 +8,8 @@ import pytest
 from minins.cli import main
 from minins.golden import golden_dir
 
+from test_analyze import SHARED_FID_CHAIN
+
 TINY = """\
 sim duration=2s seed=5
 node a
@@ -189,6 +191,18 @@ def test_analyze_flow_and_check(tiny_scn, tmp_path, capsys):
     assert "mean_delay_s=0.002\n" in out  # 1 ms tx + 1 ms propagation
     assert "throughput_0s_bps=" in out
     assert "violations=0\n" in out
+
+
+def test_analyze_counts_flows_that_share_a_fid_apart(tmp_path, capsys):
+    scn, trace = tmp_path / "chain.scn", tmp_path / "chain.tr"
+    scn.write_text(SHARED_FID_CHAIN)
+    main(["run", str(scn), "--trace", str(trace)])
+    capsys.readouterr()
+    # each agent's own sink: a sends 100 and loses none, b sends 50 and loses 23
+    for src, counts in (("0", "sent=100\nreceived=100\ndropped=0\nbytes_received=100000\n"),
+                        ("1", "sent=50\nreceived=27\ndropped=23\nbytes_received=27000\n")):
+        assert main(["analyze", str(trace), "--fid", "1", "--src", src, "--sink", "2"]) == 0
+        assert capsys.readouterr().out.startswith(counts)
 
 
 def test_analyze_requires_complete_flow_selector(tiny_scn, tmp_path, capsys):

@@ -5,7 +5,8 @@ a packet whose last hop will end by the run's limit is credited to its
 sink when that hop's transmission starts. The golden scenarios pin the
 traced path; here a fixed seeded loop of small random scenarios checks
 that both paths agree, that the analyzer finds every trace well formed,
-and that it counts what the sinks count.
+and that it counts every flow as its generators and sinks do, flows
+that share a fid included.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from minins.analyze import analyze_trace
+from minins.analyze import analyze_trace, throughput_bps
 from minins.scenario import parse_scenario
 from minins.sim import Simulation
 
@@ -83,17 +84,22 @@ def test_traced_and_untraced_runs_agree(tmp_path, seed):
     assert conserves_packets(traced) and conserves_packets(untraced)
 
     lines = trace.read_text(encoding="ascii").splitlines()
-    assert analyze_trace(lines).violations == []
-    fids = [agent.fid for agent in spec.agents]
-    bins = random.Random(f"bins {seed}")  # apart from the scenario's own draws
-    for agent, sink in zip(spec.agents, untraced.sinks, strict=True):
-        if fids.count(agent.fid) > 1:  # the trace cannot tell flows that share a fid apart
-            continue
-        flow = (agent.fid, spec.nodes.index(agent.src), sink.node)
-        bin_ns = bins.randint(1_000_000, 1_000_000_000)
-        stats, series, _ = analyze_trace(lines, flow, bin_ns)
-        assert (stats.received, stats.bytes_received, stats.dropped) == (
-            sink.npkts, sink.bytes, sink.nlost)
+    bin_ns = random.Random(f"bins {seed}").randint(1_000_000, 1_000_000_000)
+    report = analyze_trace(lines, bin_ns)
+    assert report.violations == []
+    # Flows are keyed (fid, source node, sink node), so agents that share
+    # all three are one flow, counted by the sum of their sinks.
+    want = {}
+    for agent, gen, sink in zip(spec.agents, traced.generators, untraced.sinks, strict=True):
+        key = (agent.fid, spec.nodes.index(agent.src), sink.node)
+        counts = want.get(key, (0, 0, 0, 0))
+        want[key] = (counts[0] + gen.emitted, counts[1] + sink.npkts,
+                     counts[2] + sink.bytes, counts[3] + sink.nlost)
+    got = {key: (stats.sent, stats.received, stats.bytes_received, stats.dropped)
+           for key, stats in report.flows.items()}
+    assert got == {key: counts for key, counts in want.items() if counts[0]}
+    for key, (_, received, nbytes, _) in want.items():
+        series = throughput_bps(report.bins.get(key, {}), bin_ns)
         # Each bin's rate times its width gives back its bytes exactly.
-        assert sum(round(bps * bin_ns / 8e9) for bps in series) == sink.bytes
-        assert (series == []) == (sink.npkts == 0)
+        assert sum(round(bps * bin_ns / 8e9) for bps in series) == nbytes
+        assert (series == []) == (received == 0)

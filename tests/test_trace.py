@@ -116,7 +116,7 @@ def test_writer_lines_parse_back(tmp_path_factory, op, time, via, ptype,
     fields = parse_line(line, 1)
     # every field as the text it was written from: canonical decimal numbers
     assert fields == (op, format_time_fixed(time), str(from_node), str(to_node),
-                      str(size), str(fid), str(uid))
+                      str(size), str(fid), f"{src}.{sport}", f"{dst}.{dport}", str(uid))
     assert parse_time_fixed(fields[1]) == time
     # the fields parse_line only checks, as written
     assert line.split(" ")[4:] == [ptype, str(size), FLAGS, str(fid), f"{src}.{sport}",
@@ -146,7 +146,7 @@ def test_parse_line_returns_tuple_or_trace_error(text):
         if fields is None:
             assert is_blank(text)
             return
-        assert isinstance(fields, tuple) and len(fields) == 7
+        assert isinstance(fields, tuple) and len(fields) == 9
         assert all(isinstance(field, str) for field in fields)
         assert text.isascii()
 
@@ -204,9 +204,12 @@ def test_field_checks_name_what_the_pattern_rejects(tmp_path_factory, source):
 def test_numbers_are_bounded_to_20_digits(name):
     widest = "9" * 20  # more than 2**64 - 1, which has 20 digits
     fields = parse_line(with_number(name, widest), 3)
+    src_node, src_port = fields[6].split(".")
+    dst_node, dst_port = fields[7].split(".")
     returned = {"time": parse_time_fixed(fields[1]) // NS_PER_SEC, "from": int(fields[2]),
                 "to": int(fields[3]), "size": int(fields[4]), "fid": int(fields[5]),
-                "uid": int(fields[6])}
+                "src node": int(src_node), "src port": int(src_port),
+                "dst node": int(dst_node), "dst port": int(dst_port), "uid": int(fields[8])}
     assert returned.get(name, int(widest)) == int(widest)
     with pytest.raises(TraceError) as err:
         parse_line(with_number(name, "1" + "0" * 20), 3)

@@ -32,6 +32,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "minins"
 
+# `Network._start_tx`: reserving the end-of-transmission number, then
+# crediting or scheduling the arrival
+_RESERVE = "        free_seq = link.free_seq = engine.reserve()\n"
+_ARRIVAL = (
+    "        arrive_at = free_at + link.delay\n"
+    "        if tracer is None and pkt.sink.node == link.to_node and arrive_at <= engine.limit:\n"
+    "            pkt.sink.on_receive(pkt)  # due by the limit: credit it now\n"
+    "        else:\n"
+    "            link.in_flight.append(pkt)\n"
+    "            engine.schedule(arrive_at, link.arrive)\n")
+
 # (file under src/minins, exact old text, new text, killing tests | "equivalent: why")
 MUTANTS = [
     ("analyze.py", "if nbins > _MAX_BINS:", "if nbins >= _MAX_BINS:",
@@ -48,6 +59,14 @@ MUTANTS = [
      ["tests/test_traffic.py::test_exp_generator_matches_the_on_off_reference"]),
     ("qdisc.py", "if len(self._q) < self.limit:", "if len(self._q) <= self.limit:",
      ["tests/test_qdisc.py::test_droptail_accepts_until_limit_then_drops_arrival"]),
+    # a flow found by fid and sink node alone: agents that share both merge
+    ("analyze.py", "names = (fid, src, dst)", 'names = (fid, dst.partition(".")[0])',
+     ["tests/test_differential.py"]),
+    # the arrival scheduled before the transmit-complete number is reserved
+    ("netmodel.py", _RESERVE + _ARRIVAL, _ARRIVAL + _RESERVE,
+     ["tests/test_acceptance.py::test_criterion_8_micro_oracle_equivalence",
+      "tests/test_acceptance.py::test_sfq_micro_oracle_equivalence",
+      "tests/test_acceptance.py::test_zero_transmit_time_arrivals_match_the_brute_force_model"]),
     ("netmodel.py", "engine.seq < link.free_seq", "engine.seq <= link.free_seq",
      "equivalent: free_seq is only ever the number of the link's own transmit-complete "
      "event, which never calls forward, so engine.seq never equals it there"),
