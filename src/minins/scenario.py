@@ -1,17 +1,9 @@
 """Declarative scenario files: topology, traffic, schedule, outputs.
 
-One directive per line, `#` starts a comment, options are key=value:
-
-    sim duration=500s seed=42
-    node n0
-    duplex-link n0 n2 bw=10Mb delay=10ms queue=droptail [limit=50]
-    udp exp0 src=n0 sink=n3 fid=1 [color=Green]
-    cbr agent=udp1 size=1000 interval=5ms start=1s stop=499s
-    exp agent=exp0 size=1000 burst=800ms idle=2ms rate=5Mb start=0s stop=499s
-    trace file=out.tr
-
-Every construct maps one-to-one onto a simulation object; there is no
-embedded scripting. The color attribute is accepted and ignored.
+One directive per line, `#` starts a comment, options are key=value;
+OPTIONS lists each directive's options. Every construct maps one-to-one
+onto a simulation object; there is no embedded scripting. The color
+attribute is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -77,33 +69,20 @@ class ScenarioSpec(NamedTuple):
 
 
 SEED_MAX = 2**64 - 1
+REQUIRED = ...  # the default of an option that must be given
 
-
-def _split_options(tokens: list[str]) -> dict[str, str]:
-    """key=value tokens as a dict. Each read pops its key; what stays is unknown."""
-    options = {}
-    for token in tokens:
-        key, eq, value = token.partition("=")
-        if not eq or not key or not value:
-            raise ScenarioError(f"expected key=value, got {token!r}")
-        if key in options:
-            raise ScenarioError(f"duplicate option {key!r}")
-        options[key] = value
-    return options
-
-
-def _take(options: dict[str, str], key: str) -> str:
-    if key not in options:
-        raise ScenarioError(f"missing option {key}=")
-    return options.pop(key)
-
-
-def _unit(options: dict[str, str], key: str, parse=parse_time) -> int:
-    raw = _take(options, key)
-    try:
-        return parse(raw)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{key}: {exc}") from None
+# Each directive's options in the order they are read, so a line reports
+# its first fault in this order. A default of None leaves the option to
+# the directive's own rules.
+OPTIONS = {
+    "sim": {"duration": REQUIRED, "seed": 0},
+    "duplex-link": {"bw": REQUIRED, "delay": REQUIRED, "queue": REQUIRED,
+                    "limit": None, "buckets": None},
+    "udp": {"src": REQUIRED, "sink": REQUIRED, "fid": REQUIRED, "color": None},
+    "cbr": dict.fromkeys(CbrSpec._fields, REQUIRED),
+    "exp": dict.fromkeys(ExpSpec._fields, REQUIRED),
+    "trace": {"file": REQUIRED},
+}
 
 
 def parse_integer(key: str, raw: str, maximum: int = MAX_VALUE) -> int:
@@ -113,16 +92,56 @@ def parse_integer(key: str, raw: str, maximum: int = MAX_VALUE) -> int:
     return bounded_int(raw, f"{key}: value", maximum)
 
 
-def _integer(options: dict[str, str], key: str, default: int | None = None,
-             maximum: int = MAX_VALUE) -> int:
-    if default is not None and key not in options:
-        return default
-    return parse_integer(key, _take(options, key), maximum)
+def _unit(parse):
+    """A reader of a time or bandwidth: `parse`'s message, after the key."""
+    def read(key: str, raw: str) -> int:
+        try:
+            return parse(raw)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{key}: {exc}") from None
+    return read
 
 
-def _no_extras(options: dict[str, str]) -> None:
-    if options:
-        raise ScenarioError(f"unknown option(s) {', '.join(sorted(options))}")
+def _queue_kind(key: str, raw: str) -> str:
+    if raw not in ("droptail", "sfq"):
+        raise ScenarioError("queue= must be droptail or sfq")
+    return raw
+
+
+# How each option's value is read; an option named nowhere here is a word.
+_READERS = {
+    **dict.fromkeys(("duration", "delay", "interval", "burst", "idle", "start", "stop"),
+                    _unit(parse_time)),
+    **dict.fromkeys(("bw", "rate"), _unit(parse_bandwidth)),
+    **dict.fromkeys(("size", "fid", "limit", "buckets"), parse_integer),
+    "seed": lambda key, raw: parse_integer(key, raw, SEED_MAX),
+    "queue": _queue_kind,
+}
+
+
+def _read_options(directive: str, tokens: list[str]) -> list:
+    """The directive's option values from its key=value tokens, in OPTIONS order."""
+    given = {}
+    for token in tokens:
+        key, eq, raw = token.partition("=")
+        if not eq or not key or not raw:
+            raise ScenarioError(f"expected key=value, got {token!r}")
+        if key in given:
+            raise ScenarioError(f"duplicate option {key!r}")
+        given[key] = raw
+    values = []
+    for key, default in OPTIONS[directive].items():
+        if key in given:
+            read = _READERS.get(key)
+            raw = given.pop(key)
+            values.append(read(key, raw) if read else raw)
+        elif default is REQUIRED:
+            raise ScenarioError(f"missing option {key}=")
+        else:
+            values.append(default)
+    if given:
+        raise ScenarioError(f"unknown option(s) {', '.join(sorted(given))}")
+    return values
 
 
 def _components(nodes: list[str], links: list[LinkSpec]) -> dict[str, str]:
@@ -163,10 +182,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
             if name == "sim":
                 if duration is not None:
                     raise ScenarioError("duplicate sim directive")
-                opts = _split_options(args)
-                duration = _unit(opts, "duration")
-                seed = _integer(opts, "seed", 0, SEED_MAX)
-                _no_extras(opts)
+                duration, seed = _read_options(name, args)
 
             elif name == "node":
                 if len(args) != 1:
@@ -186,23 +202,18 @@ def parse_scenario(text: str) -> ScenarioSpec:
                     raise ScenarioError(f"self-link on {a!r}")
                 if frozenset((a, b)) in link_pairs:
                     raise ScenarioError(f"duplicate link {a!r} {b!r}")
-                opts = _split_options(args[2:])
-                kind = _take(opts, "queue")
-                if kind not in ("droptail", "sfq"):
-                    raise ScenarioError("queue= must be droptail or sfq")
-                default_limit = DROPTAIL_DEFAULT_LIMIT if kind == "droptail" else SFQ_DEFAULT_LIMIT
-                limit = _integer(opts, "limit", default_limit)
+                bw, delay, kind, limit, buckets = _read_options(name, args[2:])
+                if limit is None:
+                    limit = DROPTAIL_DEFAULT_LIMIT if kind == "droptail" else SFQ_DEFAULT_LIMIT
                 if limit < 1:
                     raise ScenarioError("queue limit must be >= 1")
-                buckets_given = "buckets" in opts
-                buckets = _integer(opts, "buckets", SFQ_DEFAULT_BUCKETS)
-                if buckets_given and kind != "sfq":
+                if buckets is None:
+                    buckets = SFQ_DEFAULT_BUCKETS
+                elif kind != "sfq":
                     raise ScenarioError("buckets= only applies to sfq queues")
                 if buckets < 1:
                     raise ScenarioError("bucket count must be >= 1")
-                links.append(LinkSpec(a, b, _unit(opts, "bw", parse_bandwidth),
-                                      _unit(opts, "delay"), QdiscConfig(kind, limit, buckets)))
-                _no_extras(opts)
+                links.append(LinkSpec(a, b, bw, delay, QdiscConfig(kind, limit, buckets)))
                 link_pairs.add(frozenset((a, b)))
 
             elif name == "udp":
@@ -211,30 +222,17 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 agent_name = args[0]
                 if agent_name in agent_lines:
                     raise ScenarioError(f"duplicate agent name {agent_name!r}")
-                opts = _split_options(args[1:])
-                src, sink = _take(opts, "src"), _take(opts, "sink")
+                src, sink, fid, _color = _read_options(name, args[1:])  # color: nam legacy
                 for n in (src, sink):
                     if n not in nodes:
                         raise ScenarioError(f"undeclared node {n!r}")
-                fid = _integer(opts, "fid")
-                opts.pop("color", None)  # nam legacy, ignored
-                _no_extras(opts)
                 agents.append(AgentSpec(agent_name, src, sink, fid))
                 agent_lines[agent_name] = lineno
 
             elif name == "cbr" or name == "exp":
-                opts = _split_options(args)
-                agent = _take(opts, "agent")
-                if agent not in agent_lines:
-                    raise ScenarioError(f"undeclared agent {agent!r}")
-                if name == "cbr":
-                    spec = CbrSpec(agent, _integer(opts, "size"), _unit(opts, "interval"),
-                                   _unit(opts, "start"), _unit(opts, "stop"))
-                else:
-                    spec = ExpSpec(agent, _integer(opts, "size"), _unit(opts, "burst"),
-                                   _unit(opts, "idle"), _unit(opts, "rate", parse_bandwidth),
-                                   _unit(opts, "start"), _unit(opts, "stop"))
-                _no_extras(opts)
+                spec = (CbrSpec if name == "cbr" else ExpSpec)(*_read_options(name, args))
+                if spec.agent not in agent_lines:
+                    raise ScenarioError(f"undeclared agent {spec.agent!r}")
                 if spec.size < 1:
                     raise ScenarioError("packet size must be >= 1 byte")
                 if name == "cbr" and spec.interval <= 0:
@@ -251,9 +249,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
             elif name == "trace":
                 if trace_path is not None:
                     raise ScenarioError("duplicate trace directive")
-                opts = _split_options(args)
-                trace_path = _take(opts, "file")
-                _no_extras(opts)
+                (trace_path,) = _read_options(name, args)
 
             else:
                 raise ScenarioError(f"unknown directive {name!r}")

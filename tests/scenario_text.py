@@ -3,7 +3,7 @@
 parse_scenario(render_scenario(spec)) == spec for every valid spec.
 """
 
-from minins.scenario import ScenarioSpec
+from minins.scenario import OPTIONS, ScenarioSpec
 
 
 def render_time(ns: int) -> str:
@@ -21,36 +21,36 @@ def render_bandwidth(bps: int) -> str:
     return f"{bps}b"
 
 
+# How each option's value is spelled; every other option prints as str().
+SPELLINGS = {
+    **dict.fromkeys(("duration", "delay", "interval", "burst", "idle", "start", "stop"),
+                    render_time),
+    "bw": render_bandwidth,
+    "rate": render_bandwidth,
+}
+
+
+def render_line(directive: str, positional: list[str], values: dict) -> str:
+    """One directive line: its positional words, then each OPTIONS key that
+    `values` holds (None leaves it out), in OPTIONS order."""
+    words = [directive, *positional]
+    for key in OPTIONS[directive]:
+        if values.get(key) is not None:
+            words.append(f"{key}={SPELLINGS.get(key, str)(values[key])}")
+    return " ".join(words)
+
+
 def render_scenario(spec: ScenarioSpec) -> str:
     """Canonical text for a spec; parse_scenario(render_scenario(s)) == s."""
-    out = [f"sim duration={render_time(spec.duration)} seed={spec.seed}"]
-    for node in spec.nodes:
-        out.append(f"node {node}")
+    out = [render_line("sim", [], spec._asdict())]
+    out += [f"node {node}" for node in spec.nodes]
     for link in spec.links:
-        line = (
-            f"duplex-link {link.a} {link.b} bw={render_bandwidth(link.bandwidth)}"
-            f" delay={render_time(link.delay)} queue={link.qdisc.kind}"
-            f" limit={link.qdisc.limit}"
-        )
-        if link.qdisc.kind == "sfq":
-            line += f" buckets={link.qdisc.buckets}"
-        out.append(line)
-    for agent in spec.agents:
-        out.append(f"udp {agent.name} src={agent.src} sink={agent.sink} fid={agent.fid}")
-    for gen in spec.generators:
-        if gen.kind == "cbr":
-            out.append(
-                f"cbr agent={gen.agent} size={gen.size}"
-                f" interval={render_time(gen.interval)}"
-                f" start={render_time(gen.start)} stop={render_time(gen.stop)}"
-            )
-        else:
-            out.append(
-                f"exp agent={gen.agent} size={gen.size}"
-                f" burst={render_time(gen.burst)} idle={render_time(gen.idle)}"
-                f" rate={render_bandwidth(gen.rate)}"
-                f" start={render_time(gen.start)} stop={render_time(gen.stop)}"
-            )
+        qdisc = link.qdisc
+        out.append(render_line("duplex-link", [link.a, link.b], {
+            "bw": link.bandwidth, "delay": link.delay, "queue": qdisc.kind,
+            "limit": qdisc.limit, "buckets": qdisc.buckets if qdisc.kind == "sfq" else None}))
+    out += [render_line("udp", [agent.name], agent._asdict()) for agent in spec.agents]
+    out += [render_line(gen.kind, [], gen._asdict()) for gen in spec.generators]
     if spec.trace_path is not None:
-        out.append(f"trace file={spec.trace_path}")
+        out.append(render_line("trace", [], {"file": spec.trace_path}))
     return "\n".join(out) + "\n"

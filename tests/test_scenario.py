@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +10,8 @@ from minins.golden import golden_dir
 from minins.netmodel import tx_time
 from minins.qdisc import SFQ_DEFAULT_BUCKETS, QdiscConfig
 from minins.scenario import (
+    OPTIONS,
+    REQUIRED,
     AgentSpec,
     CbrSpec,
     ExpSpec,
@@ -254,7 +259,7 @@ ERROR_TEXTS = [
     (TWO + "udp g src=a sink=b\n", "line 4: missing option fid="),
     (TWO + "udp g src=a sink=b fid=1 colour=Green\n", "line 4: unknown option(s) colour"),
     (FLOW + "cbr size=0\n", "line 6: missing option agent="),
-    (FLOW + "cbr agent=g size=x\n", "line 6: undeclared agent 'g'"),
+    (FLOW + CBR.replace("agent=f", "agent=g"), "line 6: undeclared agent 'g'"),
     (FLOW + CBR.replace("size=1", "size=x"),
      "line 6: size= wants a non-negative integer, got 'x'"),
     (FLOW + CBR.replace("interval=1ms", "interval=1"),
@@ -298,6 +303,37 @@ def test_error_texts(text, message):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert str(err.value) == message
+
+
+# Lines with two faults: the one reported follows the order that README's
+# "Scenario directives" states, the same for every directive.
+FAULT_ORDER = [
+    (TWO + "udp g src=zz sink=b fid=x\n", "line 4: fid= wants a non-negative integer, got 'x'"),
+    (FLOW + "cbr agent=g size=x interval=1ms start=0s stop=1s\n",
+     "line 6: size= wants a non-negative integer, got 'x'"),
+    (TWO + LINK + " limit=0 frob=1\n", "line 4: unknown option(s) frob"),
+    (FLOW + EXP.replace("agent=f", "agent=g") + " frob=1\n", "line 6: unknown option(s) frob"),
+]
+
+
+@pytest.mark.parametrize("text,message", FAULT_ORDER, ids=[m for _, m in FAULT_ORDER])
+def test_a_line_reports_its_first_fault_in_option_table_order(text, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+
+
+def test_readme_directive_table_matches_options():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario directives", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| ([a-z-]+) \| `(.*)` \|$", section, re.MULTILINE))
+    assert set(rows) == set(OPTIONS) | {"node"}
+    for directive, form in rows.items():
+        found = re.findall(r"(\[?)([a-z]+)=", form)
+        options = OPTIONS.get(directive, {})
+        assert [key for _, key in found] == list(options), directive
+        assert [bool(bracket) for bracket, _ in found] == [
+            default is not REQUIRED for default in options.values()], directive
 
 
 @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import re
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -306,6 +309,27 @@ def test_same_instant_events_keep_schedule_order(tmp_path):
         "+ 0.013000000 0 1 cbr 1 ------- 2 0.1 1.1 1 2",
         "- 0.013000000 0 1 cbr 1 ------- 2 0.1 1.1 1 2",
     ]
+
+
+# sha256 of the trace of the benchmark's `mesh_overload` job (3 s, 325 nodes,
+# 48 flows into DropTail and SFQ at about twice their load) at seeds 1-3.
+MESH_OVERLOAD_SHA256 = {
+    1: "bf6bae12add3e9148497c6298aa2b405d3e2391954f582100fea3cdb47fd11e6",
+    2: "0118849a3892cee5a814f41f14774bbebc80c7f3a81d235246fe4a5f381bceeb",
+    3: "090aeca54617265966524606d4ade6cbf2bc652dba202a417db2fc72e945c52a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MESH_OVERLOAD_SHA256))
+def test_traced_mesh_overload_keeps_its_trace(seed, tmp_path):
+    # Same-instant order on a large multi-hop run with many drops, which no
+    # golden scenario exercises. The text comes from the benchmark's own
+    # generator (stdlib only, so running it here imports nothing of minins).
+    workloads = runpy.run_path(str(Path(__file__).parent.parent / "perfbench" / "workloads.py"))
+    spec = parse_scenario(workloads["workload"]("mesh_overload", seed).job.scenario)
+    trace = tmp_path / "mesh.tr"
+    Simulation(spec._replace(trace_path=str(trace))).run()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == MESH_OVERLOAD_SHA256[seed]
 
 
 def test_huge_sfq_bucket_count_runs_and_conserves_packets():

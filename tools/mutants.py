@@ -67,6 +67,24 @@ MUTANTS = [
      ["tests/test_acceptance.py::test_criterion_8_micro_oracle_equivalence",
       "tests/test_acceptance.py::test_sfq_micro_oracle_equivalence",
       "tests/test_acceptance.py::test_zero_transmit_time_arrivals_match_the_brute_force_model"]),
+    # a generator whose start equals its stop, or whose stop equals the duration
+    ("scenario.py", "if spec.start > spec.stop:", "if spec.start >= spec.stop:",
+     ["tests/test_sim.py::test_zero_duration_run_is_valid"]),
+    ("scenario.py", "if gen.stop > duration:", "if gen.stop >= duration:",
+     ["tests/test_scenario.py::test_parse_minimal_scenario"]),
+    ("scenario.py", "if limit < 1:", "if limit < 0:",
+     ["tests/test_scenario.py::test_error_texts[line 4: queue limit must be >= 1]",
+      "tests/test_qdisc.py::test_config_validation"]),
+    ("scenario.py", "if component[agent.src] != component[agent.sink]:", "if False:",
+     ["tests/test_scenario.py::test_error_texts[line 6: udp lonely: sink c is unreachable "
+      "from src a]",
+      "tests/test_cli.py::test_run_unreachable_sink_leaves_no_trace"]),
+    # SFQ evicting from the lowest-indexed of the longest buckets, not the highest
+    ("qdisc.py", "max(self._busy, key=", "max(reversed(self._busy), key=",
+     ["tests/test_qdisc.py::test_sfq_matches_plain_list_reference",
+      "tests/test_sim.py::test_traced_mesh_overload_keeps_its_trace"]),
+    ("engine.py", "if time < self.now:", "if time < self.now - 1:",
+     ["tests/test_engine.py::test_scheduling_in_the_past_rejected"]),
     ("netmodel.py", "engine.seq < link.free_seq", "engine.seq <= link.free_seq",
      "equivalent: free_seq is only ever the number of the link's own transmit-complete "
      "event, which never calls forward, so engine.seq never equals it there"),
