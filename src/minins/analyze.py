@@ -90,10 +90,11 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
 
     Lifecycle grammar per uid: on each link, '+' then exactly one of '-'
     or 'd'; a '+' after a '-' only at the node that link ends at; 'r'
-    only downstream of a '-' on the incoming link; timestamps never
-    decrease. Packets still queued or in flight at end of trace are
-    fine. State is retired on 'r' or 'd', so a retired uid that shows up
-    again as a fresh '+' is not detected.
+    only downstream of a '-' on the incoming link, and only at the node
+    of the packet's destination address; timestamps never decrease.
+    Packets still queued or in flight at end of trace are fine. State is
+    retired on 'r' or 'd', so a retired uid that shows up again as a
+    fresh '+' is not detected.
 
     A line belongs to the flow (fid, source, sink) read from its own
     fields: its fid, the node of its source address and the node of its
@@ -166,22 +167,25 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
         elif op == "d":
             flow.dropped += 1
             sent_at.pop(uid, None)
-        elif op == "r":
+        else:  # r
+            birth = sent_at.pop(uid, None)
             if frm == to == flow.source:  # delivered at its own source: no '+', delay 0
                 flow.sent += 1
-            if to == flow.sink:
-                size = int(size)
-                flow.received += 1
-                flow.bytes_received += size
-                birth = sent_at.pop(uid, None)
-                if birth is not None:
-                    delay = time - birth
-                    flow.delay_total += delay
-                    if delay > flow.delay_max:
-                        flow.delay_max = delay
-                if bin_ns is not None:
-                    k = time // bin_ns
-                    flow.bytes_per_bin[k] = flow.bytes_per_bin.get(k, 0) + size
+            if to != flow.sink:
+                violations.append(f"line {lineno}: 'r' for uid {uid} at node {to}, "
+                                  f"not its destination node {flow.sink}")
+                continue
+            size = int(size)
+            flow.received += 1
+            flow.bytes_received += size
+            if birth is not None:
+                delay = time - birth
+                flow.delay_total += delay
+                if delay > flow.delay_max:
+                    flow.delay_max = delay
+            if bin_ns is not None:
+                k = time // bin_ns
+                flow.bytes_per_bin[k] = flow.bytes_per_bin.get(k, 0) + size
     return TraceReport({key: flow.stats() for key, flow in flows.items()},
                        {key: flow.bytes_per_bin for key, flow in flows.items()}, violations)
 

@@ -1,5 +1,8 @@
+from functools import cached_property
+
 import pytest
 
+from minins.analyze import analyze_trace
 from minins.golden import golden_dir
 from minins.scenario import parse_scenario
 from minins.sim import Simulation
@@ -15,8 +18,12 @@ class GoldenRun:
         self.sim = Simulation(self.spec._replace(trace_path=str(self.trace_path)))
         self.result = self.sim.run()
 
-    def trace_lines(self):
-        return self.trace_path.read_text().splitlines()
+    @cached_property
+    def report(self):
+        """One analyzer pass over the trace with 1 s bins, streamed from the
+        file as `minins analyze` reads it; made on first use."""
+        with open(self.trace_path, encoding="ascii", errors="surrogateescape") as f:
+            return analyze_trace(f, 10**9)
 
 
 @pytest.fixture(scope="session")

@@ -20,3 +20,25 @@ def sink_at(net, node: int) -> SinkMonitor:
     """A sink on port 0 of `node`, with the routes of `net` toward `node` computed."""
     net.route_to(node)
     return SinkMonitor(node, 0)
+
+
+class ListTracer:
+    """A tracer that keeps every record, in order, as (op, time, from, to,
+    uid); a delivery at the packet's own node is from and to that node."""
+
+    def __init__(self):
+        self.events = []
+
+    def record(self, op, time, link, pkt):
+        ends = (pkt.sink.node, pkt.sink.node) if link is None else (link.from_node, link.to_node)
+        self.events.append((op, time, *ends, pkt.uid))
+
+    def close_flush(self):
+        pass
+
+    def ops(self, op):
+        return [e for e in self.events if e[0] == op]
+
+    def deliveries(self, node):
+        """(uid, time) of every 'r' at `node`, in delivery order."""
+        return [(uid, time) for op, time, _, to, uid in self.events if op == "r" and to == node]

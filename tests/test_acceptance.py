@@ -9,6 +9,8 @@ import random
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 
+import pytest
+
 from minins.analyze import analyze_trace, utilization
 from minins.engine import EventEngine
 from minins.golden import golden_dir, run_validate
@@ -18,10 +20,11 @@ from minins.scenario import parse_scenario
 from minins.sim import Simulation
 from minins.traffic import SinkMonitor
 
-from net_helpers import link_between, seconds
+from net_helpers import ListTracer, link_between, seconds
 from reference_model import MicroLink, MicroScenario, reference_outcome
 
 EXP_BYTES_EXPECTED = 5e6 * (800 / 802) * 499 / 8  # duty-cycle analysis
+GOLDEN_NAMES = sorted(path.stem for path in golden_dir().glob("*.scn"))
 
 
 def test_criterion_1_utilization_formula_fidelity():
@@ -41,14 +44,15 @@ def test_criterion_2_deterministic_cbr_golden(cbr_run):
     # every packet takes exactly 21.6 ms end to end
     first_plus = {}
     delays = set()
-    for line in cbr_run.trace_lines():
-        fields = line.split()
-        op, t, uid = fields[0], fields[1], fields[11]
-        ns = int(t.replace(".", ""))
-        if op == "+" and uid not in first_plus:
-            first_plus[uid] = ns
-        elif op == "r":
-            delays.add(ns - first_plus[uid])
+    with open(cbr_run.trace_path, encoding="ascii") as trace:
+        for line in trace:
+            fields = line.split()
+            op, t, uid = fields[0], fields[1], fields[11]
+            ns = int(t.replace(".", ""))
+            if op == "+" and uid not in first_plus:
+                first_plus[uid] = ns
+            elif op == "r":
+                delays.add(ns - first_plus[uid])
     assert delays == {21_600_000}
     print("PASS criterion 2: cbr golden exact (99600 pkts, 21.6 ms, 15.936%)")
 
@@ -81,9 +85,9 @@ def test_criterion_4_equal_seed_runs_byte_identical(cbr_run, paper_run, tmp_path
     print("PASS criterion 4: reruns byte-identical (trace and statistics)")
 
 
-def test_criterion_5_conservation(cbr_run, paper_run, tmp_path):
-    for run in (cbr_run, paper_run):
-        assert analyze_trace(run.trace_lines()).violations == []
+def test_criterion_5_conservation(golden_runs, tmp_path):
+    for name in GOLDEN_NAMES:
+        assert golden_runs(name).report.violations == [], name
 
     rng = random.Random(505)
     for trial in range(6):
@@ -164,11 +168,10 @@ def test_criterion_6_sfq_fairness_vs_droptail_fifo(tmp_path):
 
 
 def test_criterion_7_online_offline_equivalence(golden_runs):
-    names = sorted(path.stem for path in golden_dir().glob("*.scn"))
-    assert names == ["cbr_golden", "overload_droptail", "paper", "sfq_pair"]
-    for name in names:
+    assert GOLDEN_NAMES == ["cbr_golden", "overload_droptail", "paper", "sfq_pair"]
+    for name in GOLDEN_NAMES:
         run = golden_runs(name)
-        report = analyze_trace(run.trace_lines())  # one pass counts every flow
+        report = run.report  # one pass counts every flow
         node_id = {node: k for k, node in enumerate(run.spec.nodes)}
         online = {}  # flow key -> (npkts, bytes, nlost) summed over its sinks
         # one sink per udp directive, in directive order
@@ -234,29 +237,6 @@ def _random_sfq_micro_scenario(rng: random.Random) -> MicroScenario:
     return MicroScenario(node_count=3, links=links, injections=injections)
 
 
-class _OutcomeWatch:
-    """Tracer that remembers each uid's delivery time, which uids got
-    dropped, and every record as (op, time, from, to, uid) in order."""
-
-    def __init__(self):
-        self.delivered = {}
-        self.dropped = set()
-        self.events = []
-
-    def record(self, op, time, link, pkt):
-        if link is None:  # delivered at its own source node
-            self.events.append((op, time, pkt.sink.node, pkt.sink.node, pkt.uid))
-        else:
-            self.events.append((op, time, link.from_node, link.to_node, pkt.uid))
-        if op == "r":
-            self.delivered[pkt.uid] = time
-        elif op == "d":
-            self.dropped.add(pkt.uid)
-
-    def close_flush(self):
-        pass
-
-
 class _UidSink(SinkMonitor):
     """Sink that also remembers the uids delivered to it."""
 
@@ -290,10 +270,12 @@ def _run_micro(scenario: MicroScenario, tracer):
     return sinks
 
 
-def _simulator_outcome(scenario: MicroScenario):
-    watch = _OutcomeWatch()
-    _run_micro(scenario, watch)
-    return watch.delivered, watch.dropped, watch.events
+def _traced_outcome(scenario: MicroScenario):
+    """(delivered uid -> time, dropped uids, every record) of a traced run."""
+    tracer = ListTracer()
+    _run_micro(scenario, tracer)
+    return ({uid: time for _, time, _, _, uid in tracer.ops("r")},
+            {uid for *_, uid in tracer.ops("d")}, tracer.events)
 
 
 def _untraced_outcome(scenario: MicroScenario):
@@ -311,40 +293,6 @@ def _reference_untraced(scenario: MicroScenario):
         if uid in dropped:
             lost[dst] += 1
     return set(delivered), lost
-
-
-def test_criterion_8_micro_oracle_equivalence():
-    rng = random.Random(88)
-    for trial in range(1000):
-        scenario = _random_micro_scenario(rng)
-        want = reference_outcome(scenario)
-        got = _simulator_outcome(scenario)
-        assert got == want, f"trial {trial}: {scenario}"
-    print("PASS criterion 8: 1000 micro scenarios match the brute-force model exactly")
-
-
-def test_criterion_8_untraced_micro_oracle_equivalence():
-    rng = random.Random(88)  # criterion 8's scenarios, run with no tracer
-    for trial in range(1000):
-        scenario = _random_micro_scenario(rng)
-        assert _untraced_outcome(scenario) == _reference_untraced(scenario), \
-            f"trial {trial}: {scenario}"
-
-
-def test_sfq_micro_oracle_equivalence():
-    rng = random.Random(89)
-    for trial in range(1000):
-        scenario = _random_sfq_micro_scenario(rng)
-        assert _simulator_outcome(scenario) == reference_outcome(scenario), \
-            f"trial {trial}: {scenario}"
-
-
-def test_sfq_untraced_micro_oracle_equivalence():
-    rng = random.Random(89)  # the traced SFQ oracle's scenarios, run with no tracer
-    for trial in range(1000):
-        scenario = _random_sfq_micro_scenario(rng)
-        assert _untraced_outcome(scenario) == _reference_untraced(scenario), \
-            f"trial {trial}: {scenario}"
 
 
 def _zero_tx_micro_scenario(rng: random.Random) -> MicroScenario:
@@ -365,20 +313,28 @@ def _zero_tx_micro_scenario(rng: random.Random) -> MicroScenario:
     return MicroScenario(node_count=3, links=links, injections=injections)
 
 
-def test_zero_transmit_time_arrivals_match_the_brute_force_model():
-    rng = random.Random(808)
-    for trial in range(300):
-        scenario = _zero_tx_micro_scenario(rng)
-        assert _simulator_outcome(scenario) == reference_outcome(scenario), \
-            f"trial {trial}: {scenario}"
+# (scenario drawer, seed, trials): criterion 8, then SFQ in the mix, then
+# zero-transmit-time links
+MICRO_ORACLES = [
+    pytest.param(_random_micro_scenario, 88, 1000, id="criterion_8"),
+    pytest.param(_random_sfq_micro_scenario, 89, 1000, id="sfq"),
+    pytest.param(_zero_tx_micro_scenario, 808, 300, id="zero_transmit_time"),
+]
 
 
-def test_zero_transmit_time_untraced_outcomes_match_the_brute_force_model():
-    rng = random.Random(808)
-    for trial in range(300):
-        scenario = _zero_tx_micro_scenario(rng)
-        assert _untraced_outcome(scenario) == _reference_untraced(scenario), \
-            f"trial {trial}: {scenario}"
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("draw, seed, trials", MICRO_ORACLES)
+def test_micro_oracle(draw, seed, trials, traced):
+    # traced: delivery times, drops and every record in order; untraced:
+    # the same scenarios, delivered uids and losses per destination node
+    outcome, want = ((_traced_outcome, reference_outcome) if traced
+                     else (_untraced_outcome, _reference_untraced))
+    rng = random.Random(seed)
+    for trial in range(trials):
+        scenario = draw(rng)
+        assert outcome(scenario) == want(scenario), f"trial {trial}: {scenario}"
+    print(f"PASS micro oracle: {trials} {draw.__name__} scenarios, traced={traced}, "
+          "match the brute-force model exactly")
 
 
 def test_criterion_9_validate_passes_clean_and_fails_perturbed(tmp_path, capsys):

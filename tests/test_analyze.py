@@ -308,7 +308,7 @@ def test_flow_stats_ignores_other_flows():
 
 
 def test_flow_stats_on_golden_run(cbr_run):
-    stats = flow_stats(cbr_run.trace_lines(), fid=2, source=1, sink=3)
+    stats = cbr_run.report.flow((2, 1, 3))
     assert stats.sent == stats.received == 99_600
     assert stats.dropped == 0
     assert stats.bytes_received == 99_600_000
@@ -370,11 +370,28 @@ def test_conservation_accepts_drop_then_silence():
     assert violations_of(lines) == []
 
 
+def test_conservation_catches_a_delivery_away_from_the_destination():
+    lines = GOOD[:2] + [GOOD[4].replace(" 2 3 ", " 1 2 ", 1)]  # 'r' at node 2, to 3.1
+    assert violations_of(lines) == [
+        "line 3: 'r' for uid 7 at node 2, not its destination node 3"]
+
+
+def test_every_delivery_retires_the_packet():
+    # uid 7 of flow (1, 0, 2) is delivered, then sent again: two packets
+    # sent, whether the first one ended at node 2, its destination, or not
+    def run(t, node):
+        return [f"{op} {t}.000000000 0 {node} cbr 1000 ------- 1 0.0 2.0 0 7\n"
+                for op in "+-r"]
+
+    for node in (2, 1):
+        assert analyze_trace(run(1, node) + run(2, node)).flow((1, 0, 2)).sent == 2, node
+
+
 # -- throughput -------------------------------------------------------------------
 
 
 def test_throughput_series_on_golden_run(cbr_run):
-    series = series_of(cbr_run.trace_lines(), fid=2, sink=3, bin_ns=10**9)
+    series = throughput_bps(cbr_run.report.bins[(2, 1, 3)], 10**9)
     interior = series[2:-1]
     assert interior and all(bps == 1_600_000.0 for bps in interior)
 
@@ -418,12 +435,8 @@ def test_throughput_series_stops_at_the_bin_limit():
 
 
 def test_results_do_not_depend_on_chunking(cbr_run):
-    text = cbr_run.trace_path.read_text()
-    as_list = text.splitlines()
-
-    def generator_form():
-        yield from as_list
-
-    a = flow_stats(as_list, fid=2, source=1, sink=3)
-    b = flow_stats(generator_form(), fid=2, source=1, sink=3)
-    assert a == b
+    # the whole report of a list, a generator and the session's pass
+    # streamed from the file object
+    as_list = cbr_run.trace_path.read_text().splitlines()
+    assert analyze_trace(as_list, 10**9) == cbr_run.report
+    assert analyze_trace((line for line in as_list), 10**9) == cbr_run.report

@@ -11,30 +11,10 @@ from minins.netmodel import Network, Packet, tx_time
 from minins.qdisc import QdiscConfig
 from minins.traffic import SinkMonitor
 
-from net_helpers import link_between, seconds, sink_at
+from net_helpers import ListTracer, link_between, seconds, sink_at
 from reference_model import MicroLink, MicroScenario, next_hop
 
 DT = QdiscConfig("droptail", 50)
-
-
-class ListTracer:
-    def __init__(self):
-        self.events = []  # (op, time, from, to, uid)
-
-    def record(self, op, time, link, pkt):
-        # link None: a delivery at the packet's own node
-        ends = (pkt.sink.node, pkt.sink.node) if link is None else (link.from_node, link.to_node)
-        self.events.append((op, time, *ends, pkt.uid))
-
-    def close_flush(self):
-        pass
-
-    def ops(self, op):
-        return [e for e in self.events if e[0] == op]
-
-    def deliveries(self, node):
-        """(uid, time) of every 'r' at `node`, in delivery order."""
-        return [(uid, time) for op, time, _, to, uid in self.events if op == "r" and to == node]
 
 
 def make_packet(uid, src, sink, size=1000, fid=1, birth=0):

@@ -165,14 +165,9 @@ def test_generator_substreams_keyed_by_position(tmp_path):
 def test_paper_scenario_first_cbr_enqueue_line(paper_run):
     # Flow 2's first packet: queued at node 1 toward node 2 at t=1 s,
     # addressed 1.0 -> 3.1 (the cbr sink took the second port on node 3).
-    for line in paper_run.trace_lines():
-        if line.startswith("+") and " cbr " in line:
-            assert re.fullmatch(
-                r"\+ 1\.000000000 1 2 cbr 1000 ------- 2 1\.0 3\.1 0 \d+", line
-            )
-            break
-    else:
-        raise AssertionError("no cbr enqueue line found")
+    with open(paper_run.trace_path, encoding="ascii") as trace:
+        line = next((line for line in trace if line.startswith("+") and " cbr " in line), "")
+    assert re.fullmatch(r"\+ 1\.000000000 1 2 cbr 1000 ------- 2 1\.0 3\.1 0 \d+\n", line)
 
 
 def test_paper_scenario_port_allocation(paper_run):

@@ -43,6 +43,8 @@ _ARRIVAL = (
     "            link.in_flight.append(pkt)\n"
     "            engine.schedule(arrive_at, link.arrive)\n")
 
+_ORACLE = "tests/test_acceptance.py::test_micro_oracle"
+
 # (file under src/minins, exact old text, new text, killing tests | "equivalent: why")
 MUTANTS = [
     ("analyze.py", "if nbins > _MAX_BINS:", "if nbins >= _MAX_BINS:",
@@ -52,7 +54,7 @@ MUTANTS = [
      ["tests/test_differential.py"]),
     ("qdisc.py", "        self._rr = idx\n", "",
      ["tests/test_qdisc.py::test_serve_leaves_what_enqueue_then_dequeue_leaves",
-      "tests/test_acceptance.py::test_sfq_untraced_micro_oracle_equivalence"]),
+      f"{_ORACLE}[sfq-untraced]"]),
     ("traffic.py", "if on_end < self.spec.stop:", "if on_end <= self.spec.stop:",
      ["tests/test_traffic.py::test_exp_generator_matches_the_on_off_reference"]),
     ("traffic.py", "if on_at < self.spec.stop:", "if on_at <= self.spec.stop:",
@@ -64,9 +66,8 @@ MUTANTS = [
      ["tests/test_differential.py"]),
     # the arrival scheduled before the transmit-complete number is reserved
     ("netmodel.py", _RESERVE + _ARRIVAL, _ARRIVAL + _RESERVE,
-     ["tests/test_acceptance.py::test_criterion_8_micro_oracle_equivalence",
-      "tests/test_acceptance.py::test_sfq_micro_oracle_equivalence",
-      "tests/test_acceptance.py::test_zero_transmit_time_arrivals_match_the_brute_force_model"]),
+     [f"{_ORACLE}[criterion_8-traced]", f"{_ORACLE}[sfq-traced]",
+      f"{_ORACLE}[zero_transmit_time-traced]"]),
     # a generator whose start equals its stop, or whose stop equals the duration
     ("scenario.py", "if spec.start > spec.stop:", "if spec.start >= spec.stop:",
      ["tests/test_sim.py::test_zero_duration_run_is_valid"]),
@@ -85,6 +86,13 @@ MUTANTS = [
       "tests/test_sim.py::test_traced_mesh_overload_keeps_its_trace"]),
     ("engine.py", "if time < self.now:", "if time < self.now - 1:",
      ["tests/test_engine.py::test_scheduling_in_the_past_rejected"]),
+    # a reserved number equal to the dispatched event's, at its time, accepted
+    ("engine.py", "seq <= self.seq:", "seq < self.seq:",
+     ["tests/test_engine.py::test_reserved_key_must_come_after_the_dispatched_event"]),
+    # a packet's first-send time retired only by a delivery at its destination
+    ("analyze.py", "birth = sent_at.pop(uid, None)",
+     "birth = sent_at.pop(uid, None) if to == flow.sink else sent_at.get(uid)",
+     ["tests/test_analyze.py::test_every_delivery_retires_the_packet"]),
     ("netmodel.py", "engine.seq < link.free_seq", "engine.seq <= link.free_seq",
      "equivalent: free_seq is only ever the number of the link's own transmit-complete "
      "event, which never calls forward, so engine.seq never equals it there"),
