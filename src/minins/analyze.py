@@ -72,19 +72,6 @@ class _Flow:
                          self.delay_max / NS_PER_SEC if received else None)
 
 
-def utilization(bytes_delivered: int, duration: float, bandwidth: float) -> float:
-    """Delivered bits over link capacity, as a percentage.
-
-    Evaluated exactly as bytes * 8 / (bandwidth * duration) * 100 in
-    binary floating point, preserving that operation order.
-    """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    return bytes_delivered * 8.0 / (bandwidth * duration) * 100.0
-
-
 def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceReport:
     """Check every packet's lifecycle and count every flow; one pass.
 

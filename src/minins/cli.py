@@ -11,7 +11,6 @@ import math
 import sys
 from pathlib import Path
 
-from .analyze import analyze_trace, throughput_bps
 from .errors import MininsError, ScenarioError
 from .scenario import SEED_MAX, parse_integer, parse_scenario
 from .sim import Simulation
@@ -79,6 +78,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    # Imported here: run and validate never load the analyzer.
+    from .analyze import analyze_trace, throughput_bps
+
     wants_flow = args.fid is not None or args.src is not None or args.sink is not None
     if wants_flow and None in (args.fid, args.src, args.sink):
         raise ScenarioError("flow statistics need --fid, --src and --sink together")

@@ -38,9 +38,9 @@ def run_golden(scn_path: Path, workdir: Path) -> tuple[list[str], str]:
     return result.stats_block().splitlines(), digest
 
 
-def check_golden(scn_path: Path, fixture: dict, workdir: Path) -> list[str]:
-    """Run one golden scenario; return a list of mismatch descriptions."""
-    stats, digest = run_golden(scn_path, workdir)
+def compare_golden(stats: list[str], digest: str, fixture: dict) -> list[str]:
+    """Mismatches between one run's statistics lines and trace sha256 and
+    its fixture, as descriptions; empty when both match exactly."""
     problems = [
         f"stats line {n}: expected {want!r}, got {got!r}"
         for n, (want, got) in enumerate(zip_longest(fixture["stats"], stats), 1)
@@ -49,6 +49,11 @@ def check_golden(scn_path: Path, fixture: dict, workdir: Path) -> list[str]:
     if digest != fixture["trace_sha256"]:
         problems.append(f"trace digest {digest[:12]}.. != expected {fixture['trace_sha256'][:12]}..")
     return problems
+
+
+def check_golden(scn_path: Path, fixture: dict, workdir: Path) -> list[str]:
+    """Run one golden scenario; return a list of mismatch descriptions."""
+    return compare_golden(*run_golden(scn_path, workdir), fixture)
 
 
 def _load_fixture(path: Path) -> dict:

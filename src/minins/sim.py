@@ -14,14 +14,25 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .analyze import utilization
 from .engine import EventEngine
 from .netmodel import Network
 from .rng import SplitMix64
 from .scenario import ScenarioSpec
-from .trace import TraceWriter
 from .traffic import CbrGenerator, ExpOnOffGenerator, SinkMonitor, UdpAgent
 from .units import format_time_short
+
+
+def utilization(bytes_delivered: int, duration: float, bandwidth: float) -> float:
+    """Delivered bits over link capacity, as a percentage.
+
+    Evaluated exactly as bytes * 8 / (bandwidth * duration) * 100 in
+    binary floating point, preserving that operation order.
+    """
+    if duration <= 0:
+        raise ValueError(f"duration must be positive, got {duration}")
+    if bandwidth <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    return bytes_delivered * 8.0 / (bandwidth * duration) * 100.0
 
 
 class RunResult(NamedTuple):
@@ -60,7 +71,12 @@ class Simulation:
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.engine = EventEngine()
-        self.tracer = TraceWriter(spec.trace_path) if spec.trace_path is not None else None
+        self.tracer = None
+        if spec.trace_path is not None:
+            # Imported here: an untraced run never loads the trace codec.
+            from .trace import TraceWriter
+
+            self.tracer = TraceWriter(spec.trace_path)
         self.sinks: list[SinkMonitor] = []
         self.agents: dict[str, UdpAgent] = {}
         self.generators: list = []

@@ -4,6 +4,8 @@ Each test finishes by printing a PASS line (visible with pytest -s);
 a failed assertion means the criterion itself failed.
 """
 
+import hashlib
+import json
 import multiprocessing
 import random
 import shutil
@@ -11,13 +13,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from minins.analyze import analyze_trace, utilization
+from minins.analyze import analyze_trace
 from minins.engine import EventEngine
-from minins.golden import golden_dir, run_validate
+from minins.golden import compare_golden, golden_dir, run_validate
 from minins.netmodel import Network, Packet
 from minins.qdisc import QdiscConfig, sfq_bucket
 from minins.scenario import parse_scenario
-from minins.sim import Simulation
+from minins.sim import Simulation, utilization
 from minins.traffic import SinkMonitor
 
 from net_helpers import ListTracer, link_between, seconds
@@ -337,10 +339,15 @@ def test_micro_oracle(draw, seed, trials, traced):
           "match the brute-force model exactly")
 
 
-def test_criterion_9_validate_passes_clean_and_fails_perturbed(tmp_path, capsys):
-    assert run_validate() is True
-    messages = capsys.readouterr().out.splitlines()
-    assert len(messages) == 4 and all(m.startswith("PASS") for m in messages)
+def test_criterion_9_validate_passes_clean_and_fails_perturbed(golden_runs, tmp_path, capsys):
+    # Pristine: the session's traced golden runs against their fixtures,
+    # through the comparison `minins validate` makes after rerunning each.
+    assert len(GOLDEN_NAMES) == 4
+    for name in GOLDEN_NAMES:
+        run = golden_runs(name)
+        fixture = json.loads((golden_dir() / f"{name}.expected.json").read_text(encoding="utf-8"))
+        digest = hashlib.sha256(run.trace_path.read_bytes()).hexdigest()
+        assert compare_golden(run.result.stats_block().splitlines(), digest, fixture) == [], name
 
     perturbations = [
         ("overload_droptail", "limit=10", "limit=12"),

@@ -3,10 +3,10 @@ import random
 import pytest
 
 import minins.analyze
-from minins.analyze import analyze_trace, flow_stats, throughput_bps, utilization
+from minins.analyze import analyze_trace, flow_stats, throughput_bps
 from minins.errors import TraceError
 from minins.scenario import parse_scenario
-from minins.sim import Simulation
+from minins.sim import Simulation, utilization
 from minins.trace import parse_line
 
 

@@ -93,6 +93,18 @@ MUTANTS = [
     ("analyze.py", "birth = sent_at.pop(uid, None)",
      "birth = sent_at.pop(uid, None) if to == flow.sink else sent_at.get(uid)",
      ["tests/test_analyze.py::test_every_delivery_retires_the_packet"]),
+    # a CBR send due exactly at the generator's stop instant still made
+    ("traffic.py", "if nxt < self._send_until:", "if nxt <= self._send_until:",
+     ["tests/test_traffic.py::test_cbr_send_exactly_at_stop_instant_is_cancelled"]),
+    # a busy link's transmit-complete event scheduled again for each packet
+    # that joins a non-empty queue, not only for the first one waiting
+    ("netmodel.py", "elif link.enqueued - link.drops == link.dequeued + 1:",
+     "elif link.enqueued - link.drops >= link.dequeued + 1:",
+     ["tests/test_netmodel.py::test_per_link_counters_obey_conservation"]),
+    # a trace line that ends in more than one newline accepted
+    ("trace.py", r'for _, pattern, returned in _FIELDS) + r"\n?"',
+     r'for _, pattern, returned in _FIELDS) + r"\n*"',
+     ["tests/test_analyze.py::test_parse_rejects_whitespace_the_writer_never_writes"]),
     ("netmodel.py", "engine.seq < link.free_seq", "engine.seq <= link.free_seq",
      "equivalent: free_seq is only ever the number of the link's own transmit-complete "
      "event, which never calls forward, so engine.seq never equals it there"),
