@@ -1,23 +1,26 @@
 """Offline trace analytics: per-flow counts, delay and throughput; lifecycle checks.
 
-`analyze_trace` reads a trace in one streaming pass, parsing each line
-once, with bounded per-packet state (a packet's state is retired when
-it is received or dropped), so results do not depend on how the input
-is chunked. Each line goes through `trace.parse_line`, which checks
-the whole line and returns the nine fields read here as text: op,
-time, from, to, size, fid, source and destination address, and uid.
+`analyze_trace` reads a trace in one streaming pass with bounded
+per-packet state (a packet's state is retired when it is received or
+dropped), so results do not depend on how the input is chunked. Lines
+are checked by the two patterns `trace.parse_line` accepts a line by:
+`_HEAD`, for op, time, from and to, on every line, and `_TAIL`, for
+the other eight fields, only on a tail text not yet checked for a live
+packet. A packet's later lines repeat its tail text, so its checked
+size, uid and flow are looked up by that text, until the packet's 'r'
+or 'd' line drops them. A line either pattern rejects goes to
+`trace.parse_line`, which skips it if blank and raises otherwise.
 Numbers in a trace are canonical decimal, so they are compared as
 text; the time is converted when it differs from the previous line's,
-the size only for a delivery that is counted, and the fid and the
-two addresses' nodes once per distinct (fid, source address,
-destination address) text.
+the size once per packet, and the fid and the two addresses' nodes
+once per distinct (fid, source address, destination address) text.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .trace import parse_line, parse_time_fixed
+from .trace import _HEAD, _TAIL, parse_line, parse_time_fixed
 from .units import NS_PER_SEC
 
 _MAX_BINS = 2**20  # a throughput series longer than this is refused, not built
@@ -105,11 +108,27 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
     # a line's (fid, source address, destination address) text -> its
     # flow, so the addresses are split once per agent, not per line
     by_text: dict[tuple[str, str, str], _Flow] = {}
+    # a live packet's tail text, from the first '+' line that counts it,
+    # -> (size, uid, flow), until its 'r' or 'd' line
+    tails: dict[str, tuple[int, str, _Flow]] = {}
+    match_head, match_tail = _HEAD.match, _TAIL.fullmatch
     for lineno, line in enumerate(lines, start=1):
-        fields = parse_line(line, lineno)
-        if fields is None:  # a blank line
+        head = match_head(line)
+        if head is None:
+            parse_line(line, lineno)  # None for a blank line; raises for any other
             continue
-        op, text, frm, to, size, fid, src, dst, uid = fields
+        op, text, frm, to = head.groups()
+        tail_text = line[head.end():]
+        known = tails.get(tail_text)
+        if known is not None:
+            size, uid, flow = known
+        else:
+            tail = match_tail(line, head.end())
+            if tail is None:
+                parse_line(line, lineno)  # raises: a line whose head matches is not blank
+                continue
+            size, fid, src, dst, uid = tail.groups()
+            flow = None  # looked up below, if this line counts
         if text != time_text:
             time_text = text
             time = parse_time_fixed(text)
@@ -135,18 +154,24 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
             if cur != ("+", frm, to):
                 violations.append(f"line {lineno}: 'd' for uid {uid} without matching '+'")
             state.pop(uid, None)
+            tails.pop(tail_text, None)
         else:  # r; a delivery at the packet's own source node has no link events
             if cur != ("-", frm, to) and not (frm == to and cur is None):
                 violations.append(f"line {lineno}: 'r' for uid {uid} without upstream '-'")
             state.pop(uid, None)
+            tails.pop(tail_text, None)
         if op == "-" or (op == "+" and uid in sent_at):
             continue  # a dequeue, or a later enqueue of a packet sent: nothing to count
-        names = (fid, src, dst)
-        flow = by_text.get(names)
-        if flow is None:
-            source, sink = src.partition(".")[0], dst.partition(".")[0]
-            flow = by_text[names] = flows.setdefault(
-                (int(fid), int(source), int(sink)), _Flow(source, sink))
+        if flow is None:  # a tail the memo does not hold
+            names = (fid, src, dst)
+            flow = by_text.get(names)
+            if flow is None:
+                source, sink = src.partition(".")[0], dst.partition(".")[0]
+                flow = by_text[names] = flows.setdefault(
+                    (int(fid), int(source), int(sink)), _Flow(source, sink))
+            size = int(size)
+            if op == "+":  # the packet lives on: its later lines reuse this tail
+                tails[tail_text] = (size, uid, flow)
         if op == "+":
             if frm == flow.source:
                 sent_at[uid] = time
@@ -162,7 +187,6 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
                 violations.append(f"line {lineno}: 'r' for uid {uid} at node {to}, "
                                   f"not its destination node {flow.sink}")
                 continue
-            size = int(size)
             flow.received += 1
             flow.bytes_received += size
             if birth is not None:

@@ -16,12 +16,17 @@ a digit limit of `int()`.
 
 This module is the only one that knows the format: `TraceWriter`
 writes it, `format_time_fixed` and `parse_time_fixed` are its time
-text, and `parse_line` reads a line back. One compiled pattern is the
-only acceptor of a line, whatever its length. `parse_line` returns the
-nine fields the analyzer reads as the text it checked, which the
-analyzer compares as text and converts only where it needs a number.
-One table of fields states the grammar: it builds that pattern, and,
-for a line the pattern rejects, names the first field that breaks it.
+text, and `parse_line` reads a line back. Two compiled patterns split
+at a line's fourth space are the only acceptor of a line, whatever its
+length: `_HEAD` matches the four fields that change from line to line
+(op, time, from, to) with their spaces, and `_TAIL` the other eight,
+which are the same on every line of a packet, with the optional LF.
+No field admits a space, so a line splits one way only. `parse_line`
+returns the nine fields the analyzer reads as the text it checked,
+which the analyzer compares as text and converts only where it needs a
+number. One table of fields states the grammar: it builds both
+patterns, and, for a line they reject, names the first field that
+breaks it.
 """
 
 from __future__ import annotations
@@ -107,13 +112,22 @@ _FIELDS = (
     ("seq", _NUM, False),
     ("uid", _NUM, True),
 )
-_EVENT = re.compile(" ".join(f"({pattern})" if returned else pattern
-                             for _, pattern, returned in _FIELDS) + r"\n?", re.ASCII)
+
+
+def _groups(rows) -> list[str]:
+    """Each row's pattern, as a group where parse_line returns the field."""
+    return [f"({pattern})" if returned else pattern for _, pattern, returned in rows]
+
+
+_HEAD_FIELDS = 4  # op, time, from, to: the fields that change from line to line
+_HEAD = re.compile("".join(f"{group} " for group in _groups(_FIELDS[:_HEAD_FIELDS])), re.ASCII)
+_TAIL = re.compile(" ".join(_groups(_FIELDS[_HEAD_FIELDS:])) + r"\n?", re.ASCII)
 
 
 def _fault(text: str) -> str:
-    """What is wrong with a line `_EVENT` rejects: a whole-line check it
-    fails, or else the first field whose pattern rejects it."""
+    """What is wrong with a line `_HEAD` or `_TAIL` rejects: a
+    whole-line check it fails, or else the first field whose pattern
+    rejects it."""
     if not text.isascii():
         return "non-ASCII character"
     line = text.removesuffix("\n")
@@ -125,7 +139,7 @@ def _fault(text: str) -> str:
     for (name, pattern, _), value in zip(_FIELDS, fields):
         if re.fullmatch(pattern, value, re.ASCII) is None:
             return f"bad {name} field {value!r}"
-    return "malformed line"  # unreachable: twelve matching fields match _EVENT
+    return "malformed line"  # unreachable: twelve matching fields match both halves
 
 
 def parse_line(text: str, lineno: int | None = None) -> tuple[str, ...] | None:
@@ -141,9 +155,11 @@ def parse_line(text: str, lineno: int | None = None) -> tuple[str, ...] | None:
     only spaces before an optional LF. Anything else, non-ASCII text
     included, raises TraceError naming `lineno`.
     """
-    match = _EVENT.fullmatch(text)
-    if match is not None:
-        return match.groups()
+    head = _HEAD.match(text)
+    if head is not None:
+        tail = _TAIL.fullmatch(text, head.end())
+        if tail is not None:
+            return head.groups() + tail.groups()
     if text.removesuffix("\n").strip(" "):
         raise TraceError(_fault(text), lineno)
     return None

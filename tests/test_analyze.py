@@ -129,7 +129,7 @@ def test_analyze_trace_skips_only_lines_of_spaces():
         assert err.value.lineno == 3 and str(err.value).startswith("line 3: "), repr(blank)
 
 
-def test_analyze_trace_parses_each_line_once(monkeypatch):
+def test_analyze_trace_hands_parse_line_only_the_lines_its_halves_reject(monkeypatch):
     calls = []
 
     def counting_parse(text, lineno=None):
@@ -139,9 +139,20 @@ def test_analyze_trace_parses_each_line_once(monkeypatch):
     # the module global analyze_trace calls, which perfbench's parse hook patches
     monkeypatch.setattr(minins.analyze, "parse_line", counting_parse)
     report = analyze_trace(GOOD[:2] + ["\n"] + GOOD[2:], 10**9)
-    assert calls == [1, 2, 3, 4, 5, 6]
+    assert calls == [3]  # the blank line; every other line matches both halves
     assert report.flow((2, 1, 3)).received == 1 and report.bins[2, 1, 3]
     assert report.violations == []
+
+
+def test_a_packets_later_line_has_its_tail_checked():
+    # The analyzer checks a packet's tail once and reuses it for the
+    # packet's later lines, but only for the very same text: a later line
+    # whose constant fields differ is checked afresh, and raises when bad.
+    lines = list(GOOD)
+    lines[1] = lines[1].replace(" 1000 ", " 01 ")
+    with pytest.raises(TraceError) as err:
+        analyze_trace(lines)
+    assert err.value.lineno == 2 and str(err.value) == "line 2: bad size field '01'"
 
 
 def test_analyze_trace_reports_every_flow_and_bins_only_when_asked():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -179,16 +181,23 @@ too_wide = st.builds(with_number, st.sampled_from(sorted(NUMBERS)),
                      st.integers(10**20, 10**30).map(str))
 
 
+# The whole line in one pattern, built from the field table itself: the
+# grammar that parse_line's head and tail patterns split in two.
+WHOLE_LINE = re.compile(" ".join(f"({pattern})" if returned else pattern
+                                 for _, pattern, returned in trace._FIELDS) + r"\n?", re.ASCII)
+
+
 @given(st.one_of(odd_text, one_field_off, records, too_wide))
 @example(" ".join(VALID_FIELDS[:10] + ["9" * 5000] + VALID_FIELDS[11:]))  # a 5000-digit seq
 def test_field_checks_name_what_the_pattern_rejects(tmp_path_factory, source):
-    # The pattern is the only acceptor; a line it rejects that is not
-    # blank raises on its line, with a reason a field check gives.
+    # parse_line accepts exactly the lines the whole-line pattern does and
+    # returns its groups; a line it rejects that is not blank raises on its
+    # line, with a reason a field check gives.
     if isinstance(source, tuple):  # a record, so the line TraceWriter writes for it
         [text] = written_lines(tmp_path_factory.mktemp("ev"), source)
     else:
         text = source
-    match = trace._EVENT.fullmatch(text)
+    match = WHOLE_LINE.fullmatch(text)
     try:
         fields = parse_line(text, 9)
     except TraceError as err:
