@@ -1,19 +1,16 @@
 """Offline trace analytics: per-flow counts, delay and throughput; lifecycle checks.
 
-`analyze_trace` reads a trace in one streaming pass with bounded
-per-packet state (a packet's state is retired when it is received or
-dropped), so results do not depend on how the input is chunked. Lines
-are checked by the two patterns `trace.parse_line` accepts a line by:
-`_HEAD`, for op, time, from and to, on every line, and `_TAIL`, for
-the other eight fields, only on a tail text not yet checked for a live
-packet. A packet's later lines repeat its tail text, so its checked
-size, uid and flow are looked up by that text, until the packet's 'r'
-or 'd' line drops them. A line either pattern rejects goes to
-`trace.parse_line`, which skips it if blank and raises otherwise.
-Numbers in a trace are canonical decimal, so they are compared as
-text; the time is converted when it differs from the previous line's,
-the size once per packet, and the fid and the two addresses' nodes
-once per distinct (fid, source address, destination address) text.
+`analyze_trace` reads a trace in one streaming pass, with one record
+per live packet, retired by its 'r' or 'd' line, so results do not
+depend on how the input is chunked. A packet is its tail text: the
+eight fields after op, time, from and to, uid included, which every
+line of a packet repeats. `_HEAD` checks op, time, from and to on
+every line, and `_TAIL` a tail only when it has no record yet; a line
+either rejects goes to `trace.parse_line`, which skips it if blank and
+raises otherwise. Numbers in a trace are canonical decimal, so they
+are compared as text; the time is converted when it differs from the
+previous line's, the size once per packet, and the fid and the nodes
+of both addresses once per distinct text of those three fields.
 """
 
 from __future__ import annotations
@@ -75,16 +72,30 @@ class _Flow:
                          self.delay_max / NS_PER_SEC if received else None)
 
 
+class _Packet:
+    """A live packet in `analyze_trace`: its size, uid and, None until
+    set, last link event (op, from, to), flow and first-send time (ns)."""
+
+    __slots__ = ("hop", "size", "uid", "flow", "birth")
+
+    def __init__(self, size: int, uid: str):
+        self.hop = self.flow = self.birth = None
+        self.size, self.uid = size, uid
+
+
 def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceReport:
     """Check every packet's lifecycle and count every flow; one pass.
 
-    Lifecycle grammar per uid: on each link, '+' then exactly one of '-'
-    or 'd'; a '+' after a '-' only at the node that link ends at; 'r'
-    only downstream of a '-' on the incoming link, and only at the node
-    of the packet's destination address; timestamps never decrease.
-    Packets still queued or in flight at end of trace are fine. State is
-    retired on 'r' or 'd', so a retired uid that shows up again as a
-    fresh '+' is not detected.
+    Lifecycle grammar per packet: on each link, '+' then exactly one of
+    '-' or 'd'; a '+' after a '-' only at the node that link ends at;
+    'r' only downstream of a '-' on the incoming link, and only at the
+    node of the packet's destination address; timestamps never
+    decrease; a packet that starts at its source (its first '+' there,
+    or its 'r' there) has a uid above every earlier such packet's, as
+    uids are given out in send order (else `line N: uid U reused`).
+    Packets still queued or in flight at end of trace are fine. A packet
+    is its eight constant fields, so a line that changes them breaks
+    the grammar.
 
     A line belongs to the flow (fid, source, sink) read from its own
     fields: its fid, the node of its source address and the node of its
@@ -100,17 +111,12 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
     TraceError.
     """
     violations: list[str] = []
-    state: dict[str, tuple] = {}  # uid -> (op of its last link event, from, to)
     time_text = None  # the previous line's, and `time` converted from it
     last_time = 0
-    sent_at: dict[str, int] = {}  # uid -> first '+' time at its source
+    last_uid = -1  # the largest uid of a packet that started at its source
     flows: dict[FlowKey, _Flow] = {}
-    # a line's (fid, source address, destination address) text -> its
-    # flow, so the addresses are split once per agent, not per line
-    by_text: dict[tuple[str, str, str], _Flow] = {}
-    # a live packet's tail text, from the first '+' line that counts it,
-    # -> (size, uid, flow), until its 'r' or 'd' line
-    tails: dict[str, tuple[int, str, _Flow]] = {}
+    by_text: dict[tuple[str, str, str], _Flow] = {}  # (fid, src, dst address) text -> flow
+    live: dict[str, _Packet] = {}  # a live packet's tail text -> its record
     match_head, match_tail = _HEAD.match, _TAIL.fullmatch
     for lineno, line in enumerate(lines, start=1):
         head = match_head(line)
@@ -118,17 +124,6 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
             parse_line(line, lineno)  # None for a blank line; raises for any other
             continue
         op, text, frm, to = head.groups()
-        tail_text = line[head.end():]
-        known = tails.get(tail_text)
-        if known is not None:
-            size, uid, flow = known
-        else:
-            tail = match_tail(line, head.end())
-            if tail is None:
-                parse_line(line, lineno)  # raises: a line whose head matches is not blank
-                continue
-            size, fid, src, dst, uid = tail.groups()
-            flow = None  # looked up below, if this line counts
         if text != time_text:
             time_text = text
             time = parse_time_fixed(text)
@@ -136,67 +131,71 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
             violations.append(f"line {lineno}: time goes backwards")
         else:
             last_time = time
-        cur = state.get(uid)
+        tail_text = line[head.end():]
+        pkt = live.get(tail_text)
+        if pkt is None and tail_text[-1:] != "\n":  # a last line without its LF
+            pkt = live.get(tail_text := tail_text + "\n")
+        if pkt is None or pkt.flow is None and op != "-":  # new, or made by a '-' line
+            tail = match_tail(line, head.end())
+            if tail is None:
+                parse_line(line, lineno)  # raises: a line whose head matches is not blank
+            size, fid, src, dst, uid = tail.groups()
+            flow = None  # a '-' line counts nothing, so it looks up no flow
+            if op != "-":
+                names = (fid, src, dst)
+                flow = by_text.get(names)
+                if flow is None:
+                    source, sink = src.partition(".")[0], dst.partition(".")[0]
+                    flow = by_text[names] = flows.setdefault(
+                        (int(fid), int(source), int(sink)), _Flow(source, sink))
+            if pkt is None:
+                pkt = live[tail_text] = _Packet(int(size), uid)
+                if (op == "+" or op == "r" and frm == to) and frm == flow.source:  # it starts
+                    if (number := int(uid)) <= last_uid:
+                        violations.append(f"line {lineno}: uid {uid} reused")
+                    else:
+                        last_uid = number
+            pkt.flow = flow
+        hop, flow = pkt.hop, pkt.flow
         if op == "+":
-            if cur is not None:
-                if cur[0] != "-":
-                    violations.append(f"line {lineno}: uid {uid} enqueued while queued")
-                elif cur[2] != frm:
-                    violations.append(
-                        f"line {lineno}: uid {uid} enqueued at node {frm}, "
-                        f"but its last hop ended at node {cur[2]}")
-            state[uid] = ("+", frm, to)
-        elif op == "-":
-            if cur != ("+", frm, to):
-                violations.append(f"line {lineno}: '-' for uid {uid} without matching '+'")
-            state[uid] = ("-", frm, to)
-        elif op == "d":
-            if cur != ("+", frm, to):
-                violations.append(f"line {lineno}: 'd' for uid {uid} without matching '+'")
-            state.pop(uid, None)
-            tails.pop(tail_text, None)
-        else:  # r; a delivery at the packet's own source node has no link events
-            if cur != ("-", frm, to) and not (frm == to and cur is None):
-                violations.append(f"line {lineno}: 'r' for uid {uid} without upstream '-'")
-            state.pop(uid, None)
-            tails.pop(tail_text, None)
-        if op == "-" or (op == "+" and uid in sent_at):
-            continue  # a dequeue, or a later enqueue of a packet sent: nothing to count
-        if flow is None:  # a tail the memo does not hold
-            names = (fid, src, dst)
-            flow = by_text.get(names)
-            if flow is None:
-                source, sink = src.partition(".")[0], dst.partition(".")[0]
-                flow = by_text[names] = flows.setdefault(
-                    (int(fid), int(source), int(sink)), _Flow(source, sink))
-            size = int(size)
-            if op == "+":  # the packet lives on: its later lines reuse this tail
-                tails[tail_text] = (size, uid, flow)
-        if op == "+":
-            if frm == flow.source:
-                sent_at[uid] = time
+            if hop is not None and hop[0] != "-":
+                violations.append(f"line {lineno}: uid {pkt.uid} enqueued while queued")
+            elif hop is not None and hop[2] != frm:
+                violations.append(f"line {lineno}: uid {pkt.uid} enqueued at node {frm}, "
+                                  f"but its last hop ended at node {hop[2]}")
+            pkt.hop = ("+", frm, to)
+            if pkt.birth is None and frm == flow.source:
+                pkt.birth = time
                 flow.sent += 1
+        elif op == "-":
+            if hop != ("+", frm, to):
+                violations.append(f"line {lineno}: '-' for uid {pkt.uid} without matching '+'")
+            pkt.hop = ("-", frm, to)
         elif op == "d":
+            if hop != ("+", frm, to):
+                violations.append(f"line {lineno}: 'd' for uid {pkt.uid} without matching '+'")
+            del live[tail_text]
             flow.dropped += 1
-            sent_at.pop(uid, None)
-        else:  # r
-            birth = sent_at.pop(uid, None)
+        else:  # r; a delivery at the packet's own source node has no link events
+            if hop != ("-", frm, to) and not (frm == to and hop is None):
+                violations.append(f"line {lineno}: 'r' for uid {pkt.uid} without upstream '-'")
+            del live[tail_text]
             if frm == to == flow.source:  # delivered at its own source: no '+', delay 0
                 flow.sent += 1
             if to != flow.sink:
-                violations.append(f"line {lineno}: 'r' for uid {uid} at node {to}, "
+                violations.append(f"line {lineno}: 'r' for uid {pkt.uid} at node {to}, "
                                   f"not its destination node {flow.sink}")
                 continue
             flow.received += 1
-            flow.bytes_received += size
-            if birth is not None:
-                delay = time - birth
+            flow.bytes_received += pkt.size
+            if pkt.birth is not None:
+                delay = time - pkt.birth
                 flow.delay_total += delay
                 if delay > flow.delay_max:
                     flow.delay_max = delay
             if bin_ns is not None:
                 k = time // bin_ns
-                flow.bytes_per_bin[k] = flow.bytes_per_bin.get(k, 0) + size
+                flow.bytes_per_bin[k] = flow.bytes_per_bin.get(k, 0) + pkt.size
     return TraceReport({key: flow.stats() for key, flow in flows.items()},
                        {key: flow.bytes_per_bin for key, flow in flows.items()}, violations)
 

@@ -131,10 +131,12 @@ class Simulation:
         duration = self.spec.duration
         sink_node = self.sinks[0].node if self.sinks else None
         # Quoted against the first declared link touching the primary
-        # sink's node (its last hop), so only that node's bytes count.
+        # sink's node (its last hop), so only bytes that crossed a link
+        # into that node count: not those of an agent on the node itself.
         into = self.network.links_into[sink_node] if self.sinks else []
         if duration > 0 and into:
-            node_bytes = sum(s.bytes for s in self.sinks if s.node == sink_node)
+            node_bytes = sum(agent.sink.bytes for agent in self.agents.values()
+                             if agent.sink.node == sink_node != agent.node)
             util = utilization(node_bytes, duration / 1e9, float(into[0].bandwidth))
         else:
             util = 0.0

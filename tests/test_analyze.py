@@ -162,6 +162,11 @@ def test_analyze_trace_reports_every_flow_and_bins_only_when_asked():
     assert analyze_trace(GOOD, 10**9).bins == {(2, 1, 3): {1: 1000}}
     # a flow the trace never names counts nothing
     assert report.flow((2, 1, 4)) == (0, 0, 0, 0, None, None)
+    # a '-' counts nothing, so it names no flow: in a trace cut just
+    # before one, its flow comes after (9, 1, 3), whose '+' comes before
+    # the 'r' that first counts the cut packet
+    cut = GOOD[3:4] + trace("+ 1.010800000 1 2 cbr 1000 ------- 9 1.0 3.1 0 8") + GOOD[4:]
+    assert list(analyze_trace(cut).flows) == [(9, 1, 3), (2, 1, 3)]
 
 
 # -- utilization ----------------------------------------------------------------
@@ -331,6 +336,8 @@ def test_flow_stats_on_golden_run(cbr_run):
 
 def test_conservation_clean_trace_has_no_violations():
     assert violations_of(GOOD) == []
+    # a last line without its LF is the same packet's line
+    assert violations_of(GOOD[:-1] + [GOOD[-1].removesuffix("\n")]) == []
 
 
 def test_conservation_catches_receive_before_enqueue():
@@ -396,6 +403,30 @@ def test_every_delivery_retires_the_packet():
 
     for node in (2, 1):
         assert analyze_trace(run(1, node) + run(2, node)).flow((1, 0, 2)).sent == 2, node
+
+
+def test_conservation_catches_a_line_that_changes_its_packets_constant_fields():
+    # A packet is its eight constant fields, so a '-' whose size differs
+    # from its '+' line's dequeues another packet, one never enqueued,
+    # and the packet's next '+' finds it still queued on 1->2.
+    lines = list(GOOD)
+    lines[1] = lines[1].replace(" 1000 ", " 999 ")
+    assert violations_of(lines) == ["line 2: '-' for uid 7 without matching '+'",
+                                    "line 3: uid 7 enqueued while queued"]
+
+
+def test_conservation_catches_a_reused_uid():
+    # uids are given out in send order, so a packet that starts at its
+    # source, by its first '+' there or by an 'r' there, must have a uid
+    # above every earlier one's: 3, 8 (after 8) and 5 (an 'r') are not.
+    def send(time, uid):
+        return [f"{op} {time}.000000000 1 2 cbr 1000 ------- 2 1.0 2.1 0 {uid}\n"
+                for op in "+-r"]
+
+    lines = (send(1, 7) + send(2, 8) + send(3, 3) + send(4, 8)
+             + ["r 5.000000000 1 1 cbr 1000 ------- 3 1.0 1.1 0 5\n"] + send(6, 9))
+    assert violations_of(lines) == [
+        "line 7: uid 3 reused", "line 10: uid 8 reused", "line 13: uid 5 reused"]
 
 
 # -- throughput -------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minins import sim as sim_module
+from minins.analyze import analyze_trace
 from minins.engine import EventEngine
 from minins.errors import ScenarioError
 from minins.golden import golden_dir
@@ -191,6 +192,24 @@ def test_utilization_uses_first_link_at_sink_node():
     assert result.utilization_pct == 200 * 8.0 / (2e6 * 1.0) * 100.0
 
 
+def test_utilization_leaves_out_bytes_delivered_at_their_own_source():
+    # Both agents send to a sink on b. The one on b itself delivers its
+    # 1000 bytes every 1 ms without using a link, so only the 100 bytes
+    # from a count: 100*8/1e6*100 = 0.08 percent, not 800.08.
+    spec = parse_scenario(
+        "sim duration=1s\nnode a\nnode b\n"
+        "duplex-link a b bw=1Mb delay=1ms queue=droptail\n"
+        "udp own src=b sink=b fid=1\n"
+        "udp f src=a sink=b fid=2\n"
+        "cbr agent=own size=1000 interval=1ms start=0s stop=1s\n"
+        "cbr agent=f size=100 interval=1s start=0s stop=1s\n"
+    )
+    result = Simulation(spec).run()
+    assert (result.sink_node, result.npkts, result.bytes) == (1, 1001, 1_000_100)
+    assert repr(result.utilization_pct) == "0.08"
+    assert "Utilizacao do link: 0.08%\n" in result.stats_block()
+
+
 def test_utilization_counts_only_the_reported_sink_node():
     # Flows end at b and c. The figure is quoted against b's first
     # declared link (a-b, 2 Mb), so only b's 200 bytes count: c's 10000
@@ -320,11 +339,21 @@ def test_traced_mesh_overload_keeps_its_trace(seed, tmp_path):
     # Same-instant order on a large multi-hop run with many drops, which no
     # golden scenario exercises. The text comes from the benchmark's own
     # generator (stdlib only, so running it here imports nothing of minins).
+    # The analyzer must find no violation in the trace, and count over
+    # all its flows what the run counted.
     workloads = runpy.run_path(str(Path(__file__).parent.parent / "perfbench" / "workloads.py"))
     spec = parse_scenario(workloads["workload"]("mesh_overload", seed).job.scenario)
     trace = tmp_path / "mesh.tr"
-    Simulation(spec._replace(trace_path=str(trace))).run()
+    sim = Simulation(spec._replace(trace_path=str(trace)))
+    result = sim.run()
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == MESH_OVERLOAD_SHA256[seed]
+    with open(trace, encoding="ascii") as f:
+        report = analyze_trace(f)
+    assert report.violations == []
+    flows = report.flows.values()
+    assert sum(flow.received for flow in flows) == result.npkts
+    assert sum(flow.dropped for flow in flows) == result.nlost
+    assert sum(flow.sent for flow in flows) == sum(gen.emitted for gen in sim.generators)
 
 
 def test_huge_sfq_bucket_count_runs_and_conserves_packets():

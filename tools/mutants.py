@@ -89,10 +89,14 @@ MUTANTS = [
     # a reserved number equal to the dispatched event's, at its time, accepted
     ("engine.py", "seq <= self.seq:", "seq < self.seq:",
      ["tests/test_engine.py::test_reserved_key_must_come_after_the_dispatched_event"]),
-    # a packet's first-send time retired only by a delivery at its destination
-    ("analyze.py", "birth = sent_at.pop(uid, None)",
-     "birth = sent_at.pop(uid, None) if to == flow.sink else sent_at.get(uid)",
+    # a packet's record retired only by a delivery at its destination
+    ("analyze.py", "    del live[tail_text]\n            if frm == to == flow.source:",
+     "    if to == flow.sink:\n                del live[tail_text]\n"
+     "            if frm == to == flow.source:",
      ["tests/test_analyze.py::test_every_delivery_retires_the_packet"]),
+    # a packet that starts at its source with a uid not above an earlier one's, accepted
+    ("analyze.py", 'violations.append(f"line {lineno}: uid {uid} reused")', "pass",
+     ["tests/test_analyze.py::test_conservation_catches_a_reused_uid"]),
     # a CBR send due exactly at the generator's stop instant still made
     ("traffic.py", "if nxt < self._send_until:", "if nxt <= self._send_until:",
      ["tests/test_traffic.py::test_cbr_send_exactly_at_stop_instant_is_cancelled"]),
