@@ -4,23 +4,35 @@
 per live packet, retired by its 'r' or 'd' line, so results do not
 depend on how the input is chunked. A packet is its tail text: the
 eight fields after op, time, from and to, uid included, which every
-line of a packet repeats. `_HEAD` checks op, time, from and to on
-every line, and `_TAIL` a tail only when it has no record yet; a line
-either rejects goes to `trace.parse_line`, which skips it if blank and
-raises otherwise. Numbers in a trace are canonical decimal, so they
-are compared as text; the time is converted when it differs from the
-previous line's, the size once per packet, and the fid and the nodes
-of both addresses once per distinct text of those three fields.
+line of a packet repeats. A line is split at its first four spaces,
+and each field is checked against the grammar of `trace._FIELDS` once
+per distinct text: the op by set lookup, the time by its pattern when
+it differs from the previous line's, the from and to nodes by their
+pattern when not seen before, and the tail by `_TAIL` only when it has
+no record yet. A line any check rejects goes to `trace.parse_line`,
+which skips it if blank and raises otherwise. Numbers in a trace are
+canonical decimal, so they are compared as text; the time is converted
+when it differs from the previous line's, the size once per packet,
+and the fid and the nodes of both addresses once per distinct text of
+those three fields.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, NamedTuple
 
-from .trace import _HEAD, _TAIL, parse_line, parse_time_fixed
+from .trace import _FIELDS, _TAIL, parse_line, parse_time_fixed
 from .units import NS_PER_SEC
 
 _MAX_BINS = 2**20  # a throughput series longer than this is refused, not built
+
+# The head's fields one at a time, from the grammar's table: the op, one
+# character, by set lookup, and the time and the from and to nodes,
+# which share one pattern, by their patterns.
+_OPS = frozenset(filter(re.compile(_FIELDS[0][1]).fullmatch, map(chr, range(128))))
+_TIME = re.compile(_FIELDS[1][1], re.ASCII)
+_NODE = re.compile(_FIELDS[2][1], re.ASCII)
 
 
 FlowKey = tuple[int, int, int]  # (fid, source node, sink node)
@@ -31,8 +43,8 @@ class FlowStats(NamedTuple):
     received: int
     dropped: int
     bytes_received: int
-    mean_delay: float | None  # seconds; None when nothing received
-    max_delay: float | None
+    mean_delay: float | None  # seconds, over the deliveries whose first send
+    max_delay: float | None  # the trace shows; None when there is none
 
 
 _NO_FLOW = FlowStats(0, 0, 0, 0, None, None)  # a flow with no line in the trace
@@ -56,20 +68,21 @@ class _Flow:
     to: trace numbers are canonical, so equal text is equal value."""
 
     __slots__ = ("source", "sink", "sent", "received", "dropped", "bytes_received",
-                 "delay_total", "delay_max", "bytes_per_bin")
+                 "delayed", "delay_total", "delay_max", "bytes_per_bin")
 
     def __init__(self, source: str, sink: str):
         self.source = source
         self.sink = sink
         self.sent = self.received = self.dropped = self.bytes_received = 0
+        self.delayed = 0  # deliveries whose delay is known: the trace shows their first send
         self.delay_total = self.delay_max = 0  # ns
         self.bytes_per_bin: dict[int, int] = {}
 
     def stats(self) -> FlowStats:
-        received = self.received
-        return FlowStats(self.sent, received, self.dropped, self.bytes_received,
-                         self.delay_total / received / NS_PER_SEC if received else None,
-                         self.delay_max / NS_PER_SEC if received else None)
+        delayed = self.delayed
+        return FlowStats(self.sent, self.received, self.dropped, self.bytes_received,
+                         self.delay_total / delayed / NS_PER_SEC if delayed else None,
+                         self.delay_max / NS_PER_SEC if delayed else None)
 
 
 class _Packet:
@@ -104,11 +117,12 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
     which has no link events; received counts deliveries at the sink
     node; dropped counts 'd' lines; delay runs from that first enqueue
     to delivery (first-hop transmission included), and is 0 for a
-    delivery at the source. With `bin_ns`, a positive whole number of
-    ns, the report also holds each flow's bytes received at the sink per
-    time bin of that width, bin k from k * bin_ns (see
-    `throughput_bps`). Blank lines are skipped; a malformed line raises
-    TraceError.
+    delivery at the source; the mean and max delay are over the
+    deliveries whose first enqueue the trace holds. With `bin_ns`, a
+    positive whole number of ns, the report also holds each flow's bytes
+    received at the sink per time bin of that width, bin k from
+    k * bin_ns (see `throughput_bps`). Blank lines are skipped; a
+    malformed line raises TraceError.
     """
     violations: list[str] = []
     time_text = None  # the previous line's, and `time` converted from it
@@ -117,28 +131,36 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
     flows: dict[FlowKey, _Flow] = {}
     by_text: dict[tuple[str, str, str], _Flow] = {}  # (fid, src, dst address) text -> flow
     live: dict[str, _Packet] = {}  # a live packet's tail text -> its record
-    match_head, match_tail = _HEAD.match, _TAIL.fullmatch
+    nodes: set[str] = set()  # from and to texts the node pattern accepted
+    match_time, match_node, match_tail = _TIME.fullmatch, _NODE.fullmatch, _TAIL.fullmatch
     for lineno, line in enumerate(lines, start=1):
-        head = match_head(line)
-        if head is None:
+        try:
+            op, text, frm, to, tail_text = line.split(" ", 4)
+        except ValueError:  # under four spaces
+            op = None
+        if op not in _OPS:
             parse_line(line, lineno)  # None for a blank line; raises for any other
             continue
-        op, text, frm, to = head.groups()
         if text != time_text:
+            if match_time(text) is None:
+                parse_line(line, lineno)  # raises: a line with an op is not blank
             time_text = text
             time = parse_time_fixed(text)
+        if frm not in nodes or to not in nodes:
+            if match_node(frm) is None or match_node(to) is None:
+                parse_line(line, lineno)  # raises
+            nodes.update((frm, to))
         if time < last_time:
             violations.append(f"line {lineno}: time goes backwards")
         else:
             last_time = time
-        tail_text = line[head.end():]
         pkt = live.get(tail_text)
         if pkt is None and tail_text[-1:] != "\n":  # a last line without its LF
             pkt = live.get(tail_text := tail_text + "\n")
         if pkt is None or pkt.flow is None and op != "-":  # new, or made by a '-' line
-            tail = match_tail(line, head.end())
+            tail = match_tail(tail_text)
             if tail is None:
-                parse_line(line, lineno)  # raises: a line whose head matches is not blank
+                parse_line(line, lineno)  # raises: a line with an op is not blank
             size, fid, src, dst, uid = tail.groups()
             flow = None  # a '-' line counts nothing, so it looks up no flow
             if op != "-":
@@ -181,6 +203,7 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
                 violations.append(f"line {lineno}: 'r' for uid {pkt.uid} without upstream '-'")
             del live[tail_text]
             if frm == to == flow.source:  # delivered at its own source: no '+', delay 0
+                pkt.birth = time
                 flow.sent += 1
             if to != flow.sink:
                 violations.append(f"line {lineno}: 'r' for uid {pkt.uid} at node {to}, "
@@ -190,6 +213,7 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
             flow.bytes_received += pkt.size
             if pkt.birth is not None:
                 delay = time - pkt.birth
+                flow.delayed += 1
                 flow.delay_total += delay
                 if delay > flow.delay_max:
                     flow.delay_max = delay

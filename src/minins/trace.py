@@ -16,17 +16,19 @@ a digit limit of `int()`.
 
 This module is the only one that knows the format: `TraceWriter`
 writes it, `format_time_fixed` and `parse_time_fixed` are its time
-text, and `parse_line` reads a line back. Two compiled patterns split
-at a line's fourth space are the only acceptor of a line, whatever its
-length: `_HEAD` matches the four fields that change from line to line
-(op, time, from, to) with their spaces, and `_TAIL` the other eight,
-which are the same on every line of a packet, with the optional LF.
-No field admits a space, so a line splits one way only. `parse_line`
-returns the nine fields the analyzer reads as the text it checked,
-which the analyzer compares as text and converts only where it needs a
-number. One table of fields states the grammar: it builds both
-patterns, and, for a line they reject, names the first field that
-breaks it.
+text, and `parse_line` reads a line back. One table of field patterns,
+`_FIELDS`, is the only acceptor of a line, whatever its length.
+`parse_line` applies it as two compiled patterns split at a line's
+fourth space: `_HEAD` matches the four fields that change from line to
+line (op, time, from, to) with their spaces, and `_TAIL` the other
+eight, which are the same on every line of a packet, with the optional
+LF. The analyzer applies the same table's head patterns one field at a
+time, once per distinct text, and `_TAIL` once per packet. No field
+admits a space, so a line splits one way only. `parse_line` returns the
+nine fields the analyzer reads as the text it checked, which the
+analyzer compares as text and converts only where it needs a number.
+For a line the patterns reject, the same table names the first field
+that breaks the grammar.
 """
 
 from __future__ import annotations

@@ -139,7 +139,7 @@ def test_analyze_trace_hands_parse_line_only_the_lines_its_halves_reject(monkeyp
     # the module global analyze_trace calls, which perfbench's parse hook patches
     monkeypatch.setattr(minins.analyze, "parse_line", counting_parse)
     report = analyze_trace(GOOD[:2] + ["\n"] + GOOD[2:], 10**9)
-    assert calls == [3]  # the blank line; every other line matches both halves
+    assert calls == [3]  # the blank line; the analyzer accepts every other line itself
     assert report.flow((2, 1, 3)).received == 1 and report.bins[2, 1, 3]
     assert report.violations == []
 
@@ -153,6 +153,76 @@ def test_a_packets_later_line_has_its_tail_checked():
     with pytest.raises(TraceError) as err:
         analyze_trace(lines)
     assert err.value.lineno == 2 and str(err.value) == "line 2: bad size field '01'"
+
+
+@pytest.mark.parametrize("index, old, new, reason", [
+    (1, " 1 2 ", " 02 2 ", "bad from field '02'"),  # a '-' line, now unlike its '+'
+    (2, " 2 3 ", " 02 3 ", "bad from field '02'"),
+    (3, " 2 3 ", " 2 03 ", "bad to field '03'"),
+    (2, " 1.010800000 ", " 1.01080000 ", "bad time field '1.01080000'"),
+    (4, " 1.021600000 ", " 1.021600000x ", "bad time field '1.021600000x'"),
+])
+def test_a_later_line_has_its_head_checked(index, old, new, reason):
+    # Each distinct time, from and to text is checked once, when a line
+    # first holds it: a later line with a new, bad one still raises.
+    lines = list(GOOD)
+    lines[index] = lines[index].replace(old, new, 1)
+    with pytest.raises(TraceError) as err:
+        analyze_trace(lines)
+    assert str(err.value) == f"line {index + 1}: {reason}"
+
+
+def test_analyze_trace_raises_at_the_first_line_parse_line_rejects(golden_runs):
+    # Seeded mutations of windows of a golden trace with drops: the
+    # analyzer raises at the first line parse_line rejects, with its
+    # message, and never when parse_line rejects none.
+    with open(golden_runs("overload_droptail").trace_path, encoding="ascii") as f:
+        golden = f.readlines()
+    rng = random.Random(32)
+    corrupt = "0129 .-+rdx\t\n\r\u00e9"
+
+    def mutate(window):
+        k = rng.randrange(len(window))
+        line = window[k]
+        kind = rng.randrange(8)
+        if kind == 0:
+            del window[k]
+        elif kind == 1:
+            window.insert(k, line)
+        elif kind == 2:  # swapped with the line before it
+            window[k - 1], window[k] = line, window[k - 1]
+        elif kind == 3:
+            window[k] = rng.choice("+-rdx") + line[1:]
+        elif kind == 4:  # the time of a line up to ten before it
+            earlier = window[max(0, k - rng.randrange(1, 11))]
+            window[k] = " ".join(line.split(" ")[:1] + earlier.split(" ")[1:2]
+                                 + line.split(" ")[2:])
+        elif kind == 5:
+            i = rng.randrange(len(line) + 1)  # at the end of an empty line too
+            window[k] = line[:i] + rng.choice(corrupt) + line[i + 1:]
+        elif kind == 6:
+            window[k] = line.removesuffix("\n")
+        else:
+            window[k] = rng.choice(("", "\n", "   \n"))
+
+    for _ in range(400):
+        start = rng.randrange(len(golden) - 100)
+        window = golden[start:start + 100]
+        for _ in range(rng.randrange(4)):
+            mutate(window)
+        expected = None
+        for lineno, line in enumerate(window, start=1):
+            try:
+                parse_line(line, lineno)
+            except TraceError as err:
+                expected = str(err)
+                break
+        try:
+            analyze_trace(window)
+            got = None
+        except TraceError as err:
+            got = str(err)
+        assert got == expected, window
 
 
 def test_analyze_trace_reports_every_flow_and_bins_only_when_asked():
@@ -208,6 +278,22 @@ def test_flow_stats_single_packet():
     assert (stats.sent, stats.received, stats.dropped) == (1, 1, 0)
     assert stats.bytes_received == 1000
     assert stats.mean_delay == stats.max_delay == 0.0216
+
+
+def test_flow_stats_time_only_deliveries_whose_first_send_the_trace_shows():
+    # cut after uid 7's first hop: its delivery counts, but has no delay
+    cut = GOOD[3:]
+    stats = analyze_trace(cut).flow((2, 1, 3))
+    assert (stats.received, stats.mean_delay, stats.max_delay) == (1, None, None)
+    whole = trace(
+        "+ 2.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 1 8",
+        "- 2.000000000 1 2 cbr 1000 ------- 2 1.0 3.1 1 8",
+        "+ 2.010800000 2 3 cbr 1000 ------- 2 1.0 3.1 1 8",
+        "- 2.010800000 2 3 cbr 1000 ------- 2 1.0 3.1 1 8",
+        "r 2.021600000 2 3 cbr 1000 ------- 2 1.0 3.1 1 8",
+    )
+    stats = analyze_trace(cut + whole).flow((2, 1, 3))
+    assert (stats.received, stats.mean_delay, stats.max_delay) == (2, 0.0216, 0.0216)
 
 
 def test_flow_stats_empty_trace():
@@ -364,13 +450,21 @@ def test_conservation_catches_each_line_that_stays_at_an_earlier_instant():
     def enqueue(time, uid):
         return f"+ {time} 1 2 cbr 1000 ------- 2 1.0 3.1 0 {uid}\n"
 
+    # then the last one's '-', the same line but for its op
     lines = GOOD[:3] + [enqueue("1.000000000", 8), enqueue("1.000000000", 9),
-                        enqueue("1.005000000", 10)]
+                        enqueue("1.005000000", 10), "-" + enqueue("1.005000000", 10)[1:]]
     assert violations_of(lines) == [
         "line 4: time goes backwards",
         "line 5: time goes backwards",
         "line 6: time goes backwards",
+        "line 7: time goes backwards",
     ]
+
+
+def test_conservation_catches_a_duplicated_dequeue():
+    # an idle hop's '+' and '-', then that '-' again
+    lines = GOOD[:2] + GOOD[1:]
+    assert violations_of(lines) == ["line 3: '-' for uid 7 without matching '+'"]
 
 
 def test_conservation_accepts_unfinished_packets():

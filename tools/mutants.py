@@ -109,10 +109,16 @@ MUTANTS = [
     ("trace.py", r'" ".join(_groups(_FIELDS[_HEAD_FIELDS:])) + r"\n?"',
      r'" ".join(_groups(_FIELDS[_HEAD_FIELDS:])) + r"\n*"',
      ["tests/test_analyze.py::test_parse_rejects_whitespace_the_writer_never_writes"]),
-    # a packet's checked tail found by its uid field alone, so a later
-    # line of the packet with other constant fields goes unchecked
-    ("analyze.py", "tail_text = line[head.end():]", 'tail_text = line.rpartition(" ")[2]',
+    # a packet's record found by its uid alone when its tail text is new,
+    # so a later line of the packet with other constant fields goes unchecked
+    ("analyze.py", "pkt = live.get(tail_text)\n",
+     "pkt = live.get(tail_text) or next(\n"
+     "            (p for p in live.values() if p.uid == tail_text.split()[-1]), None)\n",
      ["tests/test_analyze.py::test_a_packets_later_line_has_its_tail_checked"]),
+    # from and to never checked
+    ("analyze.py", "if frm not in nodes or to not in nodes:", "if False:",
+     ["tests/test_analyze.py::test_a_later_line_has_its_head_checked",
+      "tests/test_analyze.py::test_analyze_trace_raises_at_the_first_line_parse_line_rejects"]),
     ("netmodel.py", "engine.seq < link.free_seq", "engine.seq <= link.free_seq",
      "equivalent: free_seq is only ever the number of the link's own transmit-complete "
      "event, which never calls forward, so engine.seq never equals it there"),
