@@ -5,35 +5,29 @@ per live packet, retired by its 'r' or 'd' line, so results do not
 depend on how the input is chunked. A packet is its tail text: the
 eight fields after op, time, from and to, uid included, which every
 line of a packet repeats. A line is split at its first four spaces,
-and each field is checked against the grammar of `trace._FIELDS` once
-per distinct text: the op by set lookup, the time by its pattern when
-it differs from the previous line's, the from and to nodes by their
-pattern when not seen before, and the tail by `_TAIL` only when it has
-no record yet. A line any check rejects goes to `trace.parse_line`,
-which skips it if blank and raises otherwise. Numbers in a trace are
-canonical decimal, so they are compared as text; the time is converted
-when it differs from the previous line's, the size once per packet,
-and the fid and the nodes of both addresses once per distinct text of
-those three fields.
+and each field is checked by the grammar's own matchers once per
+distinct text: the op by set lookup, the time by `trace._MATCHERS`'s
+time matcher when it differs from the previous line's, the from and to
+nodes by theirs when not seen before, and the tail by `trace._TAIL`
+only when it has no record yet. A line any check rejects goes to
+`trace.parse_line`, which skips it if blank and raises otherwise.
+Numbers in a trace are canonical decimal, so they are compared as
+text; the time is converted when it differs from the previous line's,
+the size once per packet, and the fid and the nodes of both addresses
+once per distinct text of those three fields.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, NamedTuple
 
-from .trace import _FIELDS, _TAIL, parse_line, parse_time_fixed
+from .trace import _MATCHERS, _TAIL, parse_line, parse_time_fixed
 from .units import NS_PER_SEC
 
 _MAX_BINS = 2**20  # a throughput series longer than this is refused, not built
 
-# The head's fields one at a time, from the grammar's table: the op, one
-# character, by set lookup, and the time and the from and to nodes,
-# which share one pattern, by their patterns.
-_OPS = frozenset(filter(re.compile(_FIELDS[0][1]).fullmatch, map(chr, range(128))))
-_TIME = re.compile(_FIELDS[1][1], re.ASCII)
-_NODE = re.compile(_FIELDS[2][1], re.ASCII)
-
+# The op, one character, by set lookup: the characters its matcher accepts.
+_OPS = frozenset(filter(_MATCHERS[0], map(chr, range(128))))
 
 FlowKey = tuple[int, int, int]  # (fid, source node, sink node)
 
@@ -131,8 +125,9 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
     flows: dict[FlowKey, _Flow] = {}
     by_text: dict[tuple[str, str, str], _Flow] = {}  # (fid, src, dst address) text -> flow
     live: dict[str, _Packet] = {}  # a live packet's tail text -> its record
-    nodes: set[str] = set()  # from and to texts the node pattern accepted
-    match_time, match_node, match_tail = _TIME.fullmatch, _NODE.fullmatch, _TAIL.fullmatch
+    nodes: set[str] = set()  # from and to texts accepted; the two share one pattern
+    match_time, match_from, match_to = _MATCHERS[1:4]
+    match_tail = _TAIL.fullmatch
     for lineno, line in enumerate(lines, start=1):
         try:
             op, text, frm, to, tail_text = line.split(" ", 4)
@@ -147,7 +142,7 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
             time_text = text
             time = parse_time_fixed(text)
         if frm not in nodes or to not in nodes:
-            if match_node(frm) is None or match_node(to) is None:
+            if match_from(frm) is None or match_to(to) is None:
                 parse_line(line, lineno)  # raises
             nodes.update((frm, to))
         if time < last_time:

@@ -91,8 +91,9 @@ def _cmd_analyze(args) -> int:
 
     flow = tuple(parse_integer(flag, text) for flag, text in (
         ("--fid", args.fid), ("--src", args.src), ("--sink", args.sink))) if wants_flow else None
-    # Undecodable bytes reach parse_line as surrogates, which it rejects by line.
-    with open(args.trace, encoding="ascii", errors="surrogateescape") as f:
+    # Undecodable bytes reach parse_line as surrogates, which it rejects by
+    # line; LF is the only line end, so a CR stays in its line and is rejected.
+    with open(args.trace, encoding="ascii", errors="surrogateescape", newline="\n") as f:
         report = analyze_trace(f, args.bin)
     status = 0
     if wants_flow:

@@ -17,18 +17,17 @@ a digit limit of `int()`.
 This module is the only one that knows the format: `TraceWriter`
 writes it, `format_time_fixed` and `parse_time_fixed` are its time
 text, and `parse_line` reads a line back. One table of field patterns,
-`_FIELDS`, is the only acceptor of a line, whatever its length.
-`parse_line` applies it as two compiled patterns split at a line's
-fourth space: `_HEAD` matches the four fields that change from line to
-line (op, time, from, to) with their spaces, and `_TAIL` the other
-eight, which are the same on every line of a packet, with the optional
-LF. The analyzer applies the same table's head patterns one field at a
-time, once per distinct text, and `_TAIL` once per packet. No field
-admits a space, so a line splits one way only. `parse_line` returns the
-nine fields the analyzer reads as the text it checked, which the
-analyzer compares as text and converts only where it needs a number.
-For a line the patterns reject, the same table names the first field
-that breaks the grammar.
+`_FIELDS`, is the grammar, and each pattern is compiled once, into
+`_MATCHERS`, the only acceptor of a field. `parse_line` splits a line
+at its spaces and runs the matchers one field at a time, in table
+order, so the first field its matcher rejects names the fault. No field
+admits a space, so a line splits one way only. The analyzer checks a
+line's op, time, from and to with the same matchers, once per distinct
+text, and its other eight fields, which are the same on every line of
+a packet, once per packet with `_TAIL`, those eight patterns joined
+into one. `parse_line` returns the nine fields the analyzer reads as
+the text it checked, which the analyzer compares as text and converts
+only where it needs a number.
 """
 
 from __future__ import annotations
@@ -116,32 +115,13 @@ _FIELDS = (
 )
 
 
-def _groups(rows) -> list[str]:
-    """Each row's pattern, as a group where parse_line returns the field."""
-    return [f"({pattern})" if returned else pattern for _, pattern, returned in rows]
-
-
-_HEAD_FIELDS = 4  # op, time, from, to: the fields that change from line to line
-_HEAD = re.compile("".join(f"{group} " for group in _groups(_FIELDS[:_HEAD_FIELDS])), re.ASCII)
-_TAIL = re.compile(" ".join(_groups(_FIELDS[_HEAD_FIELDS:])) + r"\n?", re.ASCII)
-
-
-def _fault(text: str) -> str:
-    """What is wrong with a line `_HEAD` or `_TAIL` rejects: a
-    whole-line check it fails, or else the first field whose pattern
-    rejects it."""
-    if not text.isascii():
-        return "non-ASCII character"
-    line = text.removesuffix("\n")
-    if not line.isprintable():  # tabs, CR and other control characters
-        return "non-printable character"
-    fields = line.split(" ")
-    if len(fields) != len(_FIELDS):
-        return f"expected {len(_FIELDS)} fields, got {len(fields)}"
-    for (name, pattern, _), value in zip(_FIELDS, fields):
-        if re.fullmatch(pattern, value, re.ASCII) is None:
-            return f"bad {name} field {value!r}"
-    return "malformed line"  # unreachable: twelve matching fields match both halves
+# Each field's pattern, compiled once: the only acceptor of a field.
+_MATCHERS = tuple(re.compile(pattern, re.ASCII).fullmatch for _, pattern, _ in _FIELDS)
+# The eight fields after op, time, from and to, which every line of a
+# packet repeats, and the optional LF, grouped where parse_line returns
+# the field: the analyzer's once-per-packet check.
+_TAIL = re.compile(" ".join(f"({pattern})" if returned else pattern
+                            for _, pattern, returned in _FIELDS[4:]) + r"\n?", re.ASCII)
 
 
 def parse_line(text: str, lineno: int | None = None) -> tuple[str, ...] | None:
@@ -155,13 +135,22 @@ def parse_line(text: str, lineno: int | None = None) -> tuple[str, ...] | None:
     canonical decimal, which `int()` converts. ptype, flags and seq are
     checked but not returned. Returns None for a blank line: empty, or
     only spaces before an optional LF. Anything else, non-ASCII text
-    included, raises TraceError naming `lineno`.
+    included, raises TraceError naming `lineno` and the first fault
+    found: a non-ASCII character, then a non-printable one (a tab, CR
+    or other control character), then a field count other than 12, then
+    the first field, in line order, that its pattern rejects.
     """
-    head = _HEAD.match(text)
-    if head is not None:
-        tail = _TAIL.fullmatch(text, head.end())
-        if tail is not None:
-            return head.groups() + tail.groups()
-    if text.removesuffix("\n").strip(" "):
-        raise TraceError(_fault(text), lineno)
-    return None
+    line = text.removesuffix("\n")
+    if not line.strip(" "):
+        return None
+    if not text.isascii():
+        raise TraceError("non-ASCII character", lineno)
+    if not line.isprintable():
+        raise TraceError("non-printable character", lineno)
+    fields = line.split(" ")
+    if len(fields) != len(_FIELDS):
+        raise TraceError(f"expected {len(_FIELDS)} fields, got {len(fields)}", lineno)
+    for (name, _, _), match, value in zip(_FIELDS, _MATCHERS, fields):
+        if match(value) is None:
+            raise TraceError(f"bad {name} field {value!r}", lineno)
+    return tuple(value for (_, _, returned), value in zip(_FIELDS, fields) if returned)

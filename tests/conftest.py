@@ -22,7 +22,8 @@ class GoldenRun:
     def report(self):
         """One analyzer pass over the trace with 1 s bins, streamed from the
         file as `minins analyze` reads it; made on first use."""
-        with open(self.trace_path, encoding="ascii", errors="surrogateescape") as f:
+        with open(self.trace_path, encoding="ascii", errors="surrogateescape",
+                  newline="\n") as f:
             return analyze_trace(f, 10**9)
 
 

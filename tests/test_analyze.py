@@ -74,6 +74,10 @@ def test_parse_rejects_whitespace_the_writer_never_writes():
         with pytest.raises(TraceError) as err:
             parse_line(bad, lineno=5)
         assert err.value.lineno == 5 and str(err.value).startswith("line 5: ")
+        # the analyzer's own head and tail checks reject it too, with the same reason
+        with pytest.raises(TraceError) as in_trace:
+            analyze_trace(["\n"] * 4 + [bad])
+        assert str(in_trace.value) == str(err.value), repr(bad)
 
 
 def test_parse_rejects_leading_zeros():

@@ -360,6 +360,18 @@ def test_analyze_non_ascii_trace_exits_2(tmp_path, capsys):
         assert "line 2" in captured.err
 
 
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_analyze_rejects_a_trace_with_cr_line_ends(cbr_run, tmp_path, capsys, line_end):
+    # LF is a trace's only line end: a CR is a control character in its line.
+    text = cbr_run.trace_path.read_text(encoding="ascii")
+    assert main(["analyze", str(cbr_run.trace_path), "--check"]) == 0
+    capsys.readouterr()
+    trace = tmp_path / "cr.tr"
+    trace.write_bytes(text.replace("\n", line_end).encode("ascii"))
+    assert main(["analyze", str(trace), "--check"]) == 2
+    assert capsys.readouterr() == ("", "error: line 1: non-printable character\n")
+
+
 def test_analyze_missing_file_exits_2(capsys):
     assert main(["analyze", "/nonexistent.tr", "--check"]) == 2
 

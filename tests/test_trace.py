@@ -182,7 +182,7 @@ too_wide = st.builds(with_number, st.sampled_from(sorted(NUMBERS)),
 
 
 # The whole line in one pattern, built from the field table itself: the
-# grammar that parse_line's head and tail patterns split in two.
+# grammar that parse_line applies one field at a time.
 WHOLE_LINE = re.compile(" ".join(f"({pattern})" if returned else pattern
                                  for _, pattern, returned in trace._FIELDS) + r"\n?", re.ASCII)
 
