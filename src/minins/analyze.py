@@ -9,12 +9,14 @@ and each field is checked by the grammar's own matchers once per
 distinct text: the op by set lookup, the time by `trace._MATCHERS`'s
 time matcher when it differs from the previous line's, the from and to
 nodes by theirs when not seen before, and the tail by `trace._TAIL`
-only when it has no record yet. A line any check rejects goes to
-`trace.parse_line`, which skips it if blank and raises otherwise.
-Numbers in a trace are canonical decimal, so they are compared as
-text; the time is converted when it differs from the previous line's,
-the size once per packet, and the fid and the nodes of both addresses
-once per distinct text of those three fields.
+only when it has no record yet. That record is made at the packet's
+first line, of any op, and settles then what never changes: its size,
+uid and flow, and whether it starts there, counted as sent. A line any
+check rejects goes to `trace.parse_line`, which skips it if blank and
+raises otherwise. Numbers in a trace are canonical decimal, so they are
+compared as text; the time is converted when it differs from the
+previous line's, the size once per packet, and the fid and the nodes of
+both addresses once per distinct text of those three fields.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ _NO_FLOW = FlowStats(0, 0, 0, 0, None, None)  # a flow with no line in the trace
 
 
 class TraceReport(NamedTuple):
-    # Every flow with a '+', 'd' or 'r' line, in first-line order, and
-    # each one's bytes received per bin index (each {} without bins).
+    # Every flow with a line, in first-line order, and each one's bytes
+    # received per bin index (each {} without bins).
     flows: dict[FlowKey, FlowStats]
     bins: dict[FlowKey, dict[int, int]]
     violations: list[str]
@@ -80,14 +82,15 @@ class _Flow:
 
 
 class _Packet:
-    """A live packet in `analyze_trace`: its size, uid and, None until
-    set, last link event (op, from, to), flow and first-send time (ns)."""
+    """A live packet in `analyze_trace`: its size, uid and flow, all
+    fixed when its record is made, and, None until set, its last link
+    event (op, from, to) and first-send time (ns)."""
 
     __slots__ = ("hop", "size", "uid", "flow", "birth")
 
-    def __init__(self, size: int, uid: str):
-        self.hop = self.flow = self.birth = None
-        self.size, self.uid = size, uid
+    def __init__(self, size: int, uid: str, flow: _Flow):
+        self.hop = self.birth = None
+        self.size, self.uid, self.flow = size, uid, flow
 
 
 def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceReport:
@@ -97,22 +100,22 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
     '-' or 'd'; a '+' after a '-' only at the node that link ends at;
     'r' only downstream of a '-' on the incoming link, and only at the
     node of the packet's destination address; timestamps never
-    decrease; a packet that starts at its source (its first '+' there,
-    or its 'r' there) has a uid above every earlier such packet's, as
-    uids are given out in send order (else `line N: uid U reused`).
+    decrease; a packet that starts at its source (see sent below) has
+    a uid above every earlier such packet's, as uids are given out in
+    send order (else `line N: uid U reused`).
     Packets still queued or in flight at end of trace are fine. A packet
     is its eight constant fields, so a line that changes them breaks
     the grammar.
 
     A line belongs to the flow (fid, source, sink) read from its own
     fields: its fid, the node of its source address and the node of its
-    destination address. sent counts a packet's first enqueue at the
-    source node, or its delivery there ('r' from and to the source),
-    which has no link events; received counts deliveries at the sink
-    node; dropped counts 'd' lines; delay runs from that first enqueue
-    to delivery (first-hop transmission included), and is 0 for a
-    delivery at the source; the mean and max delay are over the
-    deliveries whose first enqueue the trace holds. With `bin_ns`, a
+    destination address. sent counts a packet whose first line starts
+    it: its '+' at its source node, or its 'r' from and to that node (a
+    delivery at the source has no link events); received counts
+    deliveries at the sink node; dropped counts 'd' lines; delay runs
+    from that first line to delivery (first-hop transmission included),
+    and is 0 for a delivery at the source; the mean and max delay are
+    over the deliveries of packets counted as sent. With `bin_ns`, a
     positive whole number of ns, the report also holds each flow's bytes
     received at the sink per time bin of that width, bin k from
     k * bin_ns (see `throughput_bps`). Blank lines are skipped; a
@@ -152,27 +155,25 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
         pkt = live.get(tail_text)
         if pkt is None and tail_text[-1:] != "\n":  # a last line without its LF
             pkt = live.get(tail_text := tail_text + "\n")
-        if pkt is None or pkt.flow is None and op != "-":  # new, or made by a '-' line
+        if pkt is None:  # a new packet: its tail is checked and its flow found once
             tail = match_tail(tail_text)
             if tail is None:
                 parse_line(line, lineno)  # raises: a line with an op is not blank
             size, fid, src, dst, uid = tail.groups()
-            flow = None  # a '-' line counts nothing, so it looks up no flow
-            if op != "-":
-                names = (fid, src, dst)
-                flow = by_text.get(names)
-                if flow is None:
-                    source, sink = src.partition(".")[0], dst.partition(".")[0]
-                    flow = by_text[names] = flows.setdefault(
-                        (int(fid), int(source), int(sink)), _Flow(source, sink))
-            if pkt is None:
-                pkt = live[tail_text] = _Packet(int(size), uid)
-                if (op == "+" or op == "r" and frm == to) and frm == flow.source:  # it starts
-                    if (number := int(uid)) <= last_uid:
-                        violations.append(f"line {lineno}: uid {uid} reused")
-                    else:
-                        last_uid = number
-            pkt.flow = flow
+            names = (fid, src, dst)
+            flow = by_text.get(names)
+            if flow is None:
+                source, sink = src.partition(".")[0], dst.partition(".")[0]
+                flow = by_text[names] = flows.setdefault(
+                    (int(fid), int(source), int(sink)), _Flow(source, sink))
+            pkt = live[tail_text] = _Packet(int(size), uid, flow)
+            if (op == "+" or op == "r" and frm == to) and frm == flow.source:  # it starts
+                pkt.birth = time
+                flow.sent += 1
+                if (number := int(uid)) <= last_uid:
+                    violations.append(f"line {lineno}: uid {uid} reused")
+                else:
+                    last_uid = number
         hop, flow = pkt.hop, pkt.flow
         if op == "+":
             if hop is not None and hop[0] != "-":
@@ -181,9 +182,6 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
                 violations.append(f"line {lineno}: uid {pkt.uid} enqueued at node {frm}, "
                                   f"but its last hop ended at node {hop[2]}")
             pkt.hop = ("+", frm, to)
-            if pkt.birth is None and frm == flow.source:
-                pkt.birth = time
-                flow.sent += 1
         elif op == "-":
             if hop != ("+", frm, to):
                 violations.append(f"line {lineno}: '-' for uid {pkt.uid} without matching '+'")
@@ -197,9 +195,6 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
             if hop != ("-", frm, to) and not (frm == to and hop is None):
                 violations.append(f"line {lineno}: 'r' for uid {pkt.uid} without upstream '-'")
             del live[tail_text]
-            if frm == to == flow.source:  # delivered at its own source: no '+', delay 0
-                pkt.birth = time
-                flow.sent += 1
             if to != flow.sink:
                 violations.append(f"line {lineno}: 'r' for uid {pkt.uid} at node {to}, "
                                   f"not its destination node {flow.sink}")

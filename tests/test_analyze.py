@@ -57,6 +57,10 @@ def test_parse_rejects_non_ascii():
         with pytest.raises(TraceError) as err:
             parse_line(line, lineno=4)
         assert err.value.lineno == 4
+        assert str(err.value) == "line 4: non-ASCII character"
+        with pytest.raises(TraceError) as in_trace:
+            analyze_trace(["\n"] * 3 + [line])
+        assert str(in_trace.value) == "line 4: non-ASCII character"
 
 
 def test_parse_rejects_whitespace_the_writer_never_writes():
@@ -236,11 +240,14 @@ def test_analyze_trace_reports_every_flow_and_bins_only_when_asked():
     assert analyze_trace(GOOD, 10**9).bins == {(2, 1, 3): {1: 1000}}
     # a flow the trace never names counts nothing
     assert report.flow((2, 1, 4)) == (0, 0, 0, 0, None, None)
-    # a '-' counts nothing, so it names no flow: in a trace cut just
-    # before one, its flow comes after (9, 1, 3), whose '+' comes before
-    # the 'r' that first counts the cut packet
+    # a packet's record takes its flow at its first line, of any op: in a
+    # trace cut just before a '-', that '-' names its flow before (9, 1, 3)
     cut = GOOD[3:4] + trace("+ 1.010800000 1 2 cbr 1000 ------- 9 1.0 3.1 0 8") + GOOD[4:]
-    assert list(analyze_trace(cut).flows) == [(9, 1, 3), (2, 1, 3)]
+    assert list(analyze_trace(cut).flows) == [(2, 1, 3), (9, 1, 3)]
+    # a flow seen only on a '-' line is listed, and counts nothing
+    only_dequeue = analyze_trace(GOOD[3:4], 10**9)
+    assert only_dequeue.flows == {(2, 1, 3): (0, 0, 0, 0, None, None)}
+    assert only_dequeue.bins == {(2, 1, 3): {}}
 
 
 # -- utilization ----------------------------------------------------------------

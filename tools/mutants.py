@@ -90,10 +90,17 @@ MUTANTS = [
     ("engine.py", "seq <= self.seq:", "seq < self.seq:",
      ["tests/test_engine.py::test_reserved_key_must_come_after_the_dispatched_event"]),
     # a packet's record retired only by a delivery at its destination
-    ("analyze.py", "    del live[tail_text]\n            if frm == to == flow.source:",
+    ("analyze.py", "    del live[tail_text]\n            if to != flow.sink:",
      "    if to == flow.sink:\n                del live[tail_text]\n"
-     "            if frm == to == flow.source:",
+     "            if to != flow.sink:",
      ["tests/test_analyze.py::test_every_delivery_retires_the_packet"]),
+    # a delivery at the packet's own source not counted as its start
+    ("analyze.py", '(op == "+" or op == "r" and frm == to) and frm == flow.source',
+     'op == "+" and frm == flow.source',
+     ["tests/test_analyze.py::test_flow_stats_match_the_run_for_own_source_and_multi_hop_flows"]),
+    # a packet's start that leaves its first-send time unset, so no delay is known
+    ("analyze.py", "                pkt.birth = time\n", "",
+     ["tests/test_analyze.py::test_flow_stats_on_golden_run"]),
     # a packet that starts at its source with a uid not above an earlier one's, accepted
     ("analyze.py", 'violations.append(f"line {lineno}: uid {uid} reused")', "pass",
      ["tests/test_analyze.py::test_conservation_catches_a_reused_uid"]),
@@ -127,6 +134,13 @@ MUTANTS = [
      "pkt = live.get(tail_text) or next(\n"
      "            (p for p in live.values() if p.uid == tail_text.split()[-1]), None)\n",
      ["tests/test_analyze.py::test_a_packets_later_line_has_its_tail_checked"]),
+    # parse_line's whole-line checks, each one skipped
+    ("trace.py", "if not text.isascii():", "if False:",
+     ["tests/test_analyze.py::test_parse_rejects_non_ascii"]),
+    ("trace.py", "if not line.isprintable():", "if False:",
+     ["tests/test_cli.py::test_analyze_rejects_a_trace_with_cr_line_ends"]),
+    ("trace.py", "if len(fields) != len(_FIELDS):", "if False:",
+     ["tests/test_analyze.py::test_parse_rejects_wrong_field_count"]),
     # from and to never checked
     ("analyze.py", "if frm not in nodes or to not in nodes:", "if False:",
      ["tests/test_analyze.py::test_a_later_line_has_its_head_checked",
