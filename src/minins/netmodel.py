@@ -15,10 +15,16 @@ the victim's sink.
 
 A packet's only record of where it goes is the sink that counts it
 (`pkt.sink`): its destination is that sink's node and port, so a
-delivery and a drop find their sink without a lookup. `parse_scenario`
-rejects a sink unreachable from its source, and the sink's node is
-routed to before any packet is sent, so forwarding always finds a next
-hop: neither is checked per packet.
+delivery and a drop find their sink without a lookup. Its only record
+of where it comes from is the generator that sent it (`pkt.origin`),
+whose ptype and agent give the trace's ptype and source address; only
+the trace writer and `repr` read them. What the per-hop path reads is
+copied onto the packet when it is sent: the sink, the size (its
+transmission time) and the fid (SFQ's bucket key), so a hop follows no
+pointer through `origin`. `parse_scenario` rejects a sink unreachable
+from its source, and the sink's node is routed to before any packet is
+sent, so forwarding always finds a next hop: neither is checked per
+packet.
 
 As in ns-2's `LinkDelay::recv`, a hop's arrival is scheduled when its
 transmission starts, so it is one engine event. The end of the
@@ -75,26 +81,26 @@ from .units import NS_PER_SEC
 class Packet:
     """The unit that is routed, queued, traced, and counted."""
 
-    __slots__ = ("uid", "fid", "ptype", "size", "src", "sport", "seq", "birth", "sink", "tail")
+    __slots__ = ("uid", "fid", "size", "seq", "birth", "sink", "origin", "tail")
 
-    def __init__(self, uid: int, fid: int, ptype: str, size: int, src: int, sport: int,
-                 seq: int, birth: int, sink):
+    def __init__(self, uid: int, fid: int, size: int, seq: int, birth: int, sink, origin):
         self.uid = uid  # unique across the whole run
         self.fid = fid  # flow id / traffic class
-        self.ptype = ptype  # short label: "cbr", "exp", ...
         self.size = size  # bytes, >= 1
-        self.src = src
-        self.sport = sport
         self.seq = seq  # per-flow sequence number
         self.birth = birth  # ns
         self.sink = sink  # the SinkMonitor it goes to; its node and port are the destination
+        # The generator that sent it: its ptype, and its agent's node and
+        # port as the source address.
+        self.origin = origin
         self.tail = None  # TraceWriter's cache: the line's formatted end
 
     def __repr__(self) -> str:
-        return (f"Packet(uid={self.uid!r}, fid={self.fid!r}, ptype={self.ptype!r}, "
-                f"size={self.size!r}, src={self.src!r}, sport={self.sport!r}, "
-                f"dst={self.sink.node!r}, dport={self.sink.port!r}, seq={self.seq!r}, "
-                f"birth={self.birth!r})")
+        origin = self.origin
+        return (f"Packet(uid={self.uid!r}, fid={self.fid!r}, ptype={origin.ptype!r}, "
+                f"size={self.size!r}, src={origin.agent.node!r}, "
+                f"sport={origin.agent.port!r}, dst={self.sink.node!r}, "
+                f"dport={self.sink.port!r}, seq={self.seq!r}, birth={self.birth!r})")
 
 
 class SimplexLink:

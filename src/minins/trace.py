@@ -16,12 +16,16 @@ a digit limit of `int()`.
 
 This module is the only one that knows the format: `TraceWriter`
 writes it, `format_time_fixed` and `parse_time_fixed` are its time
-text, and `parse_line` reads a line back. One table of field patterns,
-`_FIELDS`, is the grammar, and each pattern is compiled once, into
-`_MATCHERS`, the only acceptor of a field. `parse_line` splits a line
-at its spaces and runs the matchers one field at a time, in table
-order, so the first field its matcher rejects names the fault. No field
-admits a space, so a line splits one way only. The analyzer checks a
+text, and `parse_line` reads a line back. The writer formats each part
+of a line once for all the lines that repeat it, in four caches: the
+six fields from ptype to the destination address once per generator,
+a packet's eight constant fields once per packet, a link's from and to
+once per link, and the time once per instant. One table of field
+patterns, `_FIELDS`, is the grammar, and each pattern is compiled
+once, into `_MATCHERS`, the only acceptor of a field. `parse_line`
+splits a line at its spaces and runs the matchers one field at a time,
+in table order, so the first field its matcher rejects names the
+fault. No field admits a space, so a line splits one way only. The analyzer checks a
 line's op, time, from and to with the same matchers, once per distinct
 text, and its other eight fields, which are the same on every line of
 a packet, once per packet with `_TAIL`, those eight patterns joined
@@ -58,10 +62,14 @@ def parse_time_fixed(text: str) -> int:
 class TraceWriter:
     """Single-owner trace file writer; one line per record() call.
 
-    The last eight fields never change during a packet's life, so they
-    are formatted once, on the packet's first line, into `pkt.tail`.
-    A link's " from to" fields are formatted once, on its first line,
-    into `link.ends`. The time field is formatted once per instant.
+    It keeps four caches. The six fields from ptype to the destination
+    address are the same on every packet a generator sends, so they are
+    formatted once, on its first packet's first line, into
+    `origin.trace_prefix`. A packet's last eight fields never change
+    during its life, so they are formatted once, on its first line, as
+    that prefix plus its seq and uid, into `pkt.tail`. A link's
+    " from to" fields are formatted once, on its first line, into
+    `link.ends`. The time field is formatted once per instant.
     """
 
     def __init__(self, path):
@@ -74,9 +82,14 @@ class TraceWriter:
         or None for a delivery at its own node (from and to are its sink's)."""
         tail = pkt.tail
         if tail is None:
-            tail = pkt.tail = (
-                f" {pkt.ptype} {pkt.size} {FLAGS} {pkt.fid} {pkt.src}.{pkt.sport}"
-                f" {pkt.sink.node}.{pkt.sink.port} {pkt.seq} {pkt.uid}\n")
+            origin = pkt.origin
+            prefix = origin.trace_prefix
+            if prefix is None:
+                agent = origin.agent
+                prefix = origin.trace_prefix = (
+                    f" {origin.ptype} {origin.size} {FLAGS} {agent.fid} {agent.node}.{agent.port}"
+                    f" {agent.sink.node}.{agent.sink.port} ")
+            tail = pkt.tail = f"{prefix}{pkt.seq} {pkt.uid}\n"
         if link is None:
             ends = f" {pkt.sink.node} {pkt.sink.node}"
         else:

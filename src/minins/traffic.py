@@ -2,9 +2,13 @@
 
 A UdpAgent stamps outgoing packets with its flow id and its own
 sequence numbers (as in ns-2, agents sharing a flow id number their
-packets independently); a SinkMonitor counts the packets delivered to
-it and, as the network reports them, those dropped on the way. On top
-sit two generators: constant bit rate (fixed-size packets at a fixed
+packets independently). A generator sends through its agent with
+`agent.send(self)`: the packet takes its size from the generator and
+points back at it (`Packet.origin`), which is where the trace writer
+finds its ptype and source address, so one agent may be driven by
+several generators of different kinds and sizes. A SinkMonitor counts
+the packets delivered to it and, as the network reports them, those
+dropped on the way. On top sit two generators: constant bit rate (fixed-size packets at a fixed
 interval) and exponential on-off (alternating exponentially distributed
 ON/OFF periods, sending at a fixed rate while ON, starting with ON).
 
@@ -46,12 +50,13 @@ class UdpAgent:
         self._alloc_uid = alloc_uid
         self._next_seq = 0
 
-    def send(self, size: int, ptype: str) -> Packet:
+    def send(self, origin) -> Packet:
+        """Send one packet of `origin`, a generator driving this agent."""
         seq = self._next_seq
         self._next_seq = seq + 1
-        # Positional, in field order: uid fid ptype size src sport seq birth sink.
-        pkt = Packet(self._alloc_uid(), self.fid, ptype, size, self.node, self.port,
-                     seq, self.network.engine.now, self.sink)
+        # Positional, in field order: uid fid size seq birth sink origin.
+        pkt = Packet(self._alloc_uid(), self.fid, origin.size, seq,
+                     self.network.engine.now, self.sink, origin)
         self.network.forward(self.node, pkt)
         return pkt
 
@@ -101,6 +106,7 @@ class _OnOffSender:
         self.gap = gap  # ns between sends while ON
         self.emitted = 0
         self._send_until = spec.stop
+        self.trace_prefix = None  # TraceWriter's cache: the fields its packets share
 
     def install(self) -> None:
         if self.spec.start < self.spec.stop:
@@ -112,7 +118,7 @@ class _OnOffSender:
         self.engine.schedule(self.engine.now, self._send)
 
     def _send(self) -> None:
-        self.agent.send(self.size, self.ptype)
+        self.agent.send(self)
         self.emitted += 1
         nxt = self.engine.now + self.gap
         if nxt < self._send_until:

@@ -1,5 +1,8 @@
 """Small helpers the network tests share."""
 
+from types import SimpleNamespace
+
+from minins.netmodel import Packet
 from minins.traffic import SinkMonitor
 from minins.units import NS_PER_SEC
 
@@ -42,3 +45,20 @@ class ListTracer:
     def deliveries(self, node):
         """(uid, time) of every 'r' at `node`, in delivery order."""
         return [(uid, time) for op, time, _, to, uid in self.events if op == "r" and to == node]
+
+
+class StandInOrigin:
+    """What a packet's sender holds for the trace writer and
+    `Packet.__repr__`, without an engine or a network: a generator of
+    `ptype` and `size` driving an agent on `src`, port `sport`, that
+    sends flow `fid` to `sink`."""
+
+    def __init__(self, sink, ptype="cbr", size=1000, fid=1, src=0, sport=0):
+        self.ptype = ptype
+        self.size = size
+        self.agent = SimpleNamespace(fid=fid, node=src, port=sport, sink=sink)
+        self.trace_prefix = None
+
+    def packet(self, uid, seq, birth=0):
+        """A packet as `UdpAgent.send` makes it for this origin."""
+        return Packet(uid, self.agent.fid, self.size, seq, birth, self.agent.sink, self)

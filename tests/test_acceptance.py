@@ -16,13 +16,13 @@ import pytest
 from minins.analyze import analyze_trace
 from minins.engine import EventEngine
 from minins.golden import compare_golden, golden_dir, run_validate
-from minins.netmodel import Network, Packet
+from minins.netmodel import Network
 from minins.qdisc import QdiscConfig, sfq_bucket
 from minins.scenario import parse_scenario
 from minins.sim import Simulation, utilization
 from minins.traffic import SinkMonitor
 
-from net_helpers import ListTracer, link_between, seconds
+from net_helpers import ListTracer, StandInOrigin, link_between, seconds
 from reference_model import MicroLink, MicroScenario, reference_outcome
 
 EXP_BYTES_EXPECTED = 5e6 * (800 / 802) * 499 / 8  # duty-cycle analysis
@@ -265,8 +265,7 @@ def _run_micro(scenario: MicroScenario, tracer):
     for node in range(scenario.node_count):
         net.route_to(node)
     for time, uid, src, dst, size, fid in scenario.injections:
-        pkt = Packet(uid=uid, fid=fid, ptype="cbr", size=size, src=src, sport=0,
-                     seq=uid, birth=time, sink=sinks[dst])
+        pkt = StandInOrigin(sinks[dst], size=size, fid=fid, src=src).packet(uid, uid, time)
         eng.schedule(time, lambda s=src, p=pkt: net.forward(s, p))
     eng.run_until(10 ** 15)
     return sinks

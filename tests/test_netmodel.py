@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minins.engine import EventEngine
-from minins.netmodel import Network, Packet, tx_time
+from minins.netmodel import Network, tx_time
 from minins.qdisc import QdiscConfig
 from minins.traffic import SinkMonitor
 
-from net_helpers import ListTracer, link_between, seconds, sink_at
+from net_helpers import ListTracer, StandInOrigin, link_between, seconds, sink_at
 from reference_model import MicroLink, MicroScenario, next_hop
 
 DT = QdiscConfig("droptail", 50)
@@ -19,8 +19,7 @@ DT = QdiscConfig("droptail", 50)
 
 def make_packet(uid, src, sink, size=1000, fid=1, birth=0):
     """A packet from `src` addressed to, and carrying, `sink`."""
-    return Packet(uid=uid, fid=fid, ptype="cbr", size=size, src=src, sport=0,
-                  seq=uid, birth=birth, sink=sink)
+    return StandInOrigin(sink, size=size, fid=fid, src=src).packet(uid, uid, birth)
 
 
 def star_network():

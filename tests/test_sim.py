@@ -261,6 +261,36 @@ def test_shared_fid_agents_number_packets_independently(tmp_path):
     assert seqs == {"1": list(range(100)), "2": list(range(100))}
 
 
+def test_one_agent_driven_by_two_generators(tmp_path):
+    # A cbr and an exp generator of different sizes share one agent, so
+    # they share its fid, source and sink address: each line still
+    # carries its own generator's ptype and size, each generator's
+    # packets start with one '+' at the source, and an untraced run
+    # reports what the traced one does.
+    spec = parse_scenario(
+        "sim duration=2s seed=5\nnode a\nnode b\nnode c\n"
+        "duplex-link a b bw=10Mb delay=2ms queue=droptail\n"
+        "duplex-link b c bw=2Mb delay=5ms queue=droptail limit=5\n"
+        "udp u src=a sink=c fid=4\n"
+        "cbr agent=u size=400 interval=7ms start=0s stop=1500ms\n"
+        "exp agent=u size=900 burst=100ms idle=50ms rate=2Mb start=100ms stop=2s\n"
+    )
+    trace = tmp_path / "two.tr"
+    traced = Simulation(spec._replace(trace_path=str(trace)))
+    traced_result = traced.run()
+    cbr, exp = traced.generators
+    assert cbr.emitted > 0 and exp.emitted > 0
+    sizes = {"cbr": "400", "exp": "900"}
+    starts = {"cbr": 0, "exp": 0}
+    for line in trace.read_text().splitlines():
+        op, _, frm, _, ptype, size, *_ = line.split(" ")
+        assert size == sizes[ptype], line
+        starts[ptype] += op == "+" and frm == "0"
+    assert starts == {"cbr": cbr.emitted, "exp": exp.emitted}
+    untraced = Simulation(spec)
+    assert _observed(untraced, untraced.run()) == _observed(traced, traced_result)
+
+
 @st.composite
 def udp_scenarios(draw):
     """Scenario text: 2-7 nodes, a random subset of the links between

@@ -7,21 +7,21 @@ from hypothesis import strategies as st
 from minins import trace
 from minins.engine import EventEngine
 from minins.errors import TraceError
-from minins.netmodel import Network, Packet, SimplexLink
+from minins.netmodel import Network, SimplexLink
 from minins.qdisc import QdiscConfig
 from minins.trace import FLAGS, TraceWriter, format_time_fixed, parse_line, parse_time_fixed
 from minins.traffic import SinkMonitor
 from minins.units import NS_PER_SEC
 
-from net_helpers import seconds, sink_at
+from net_helpers import StandInOrigin, seconds, sink_at
 
 
-def sample_packet(dst=3, dport=1, **overrides):
-    """A packet for the writer alone, to a sink at node `dst`, port `dport`."""
-    fields = dict(uid=7, fid=2, ptype="cbr", size=1000, src=1, sport=0,
-                  seq=0, birth=0, sink=SinkMonitor(dst, dport))
+def sample_packet(dst=3, dport=1, uid=7, seq=0, **overrides):
+    """A packet for the writer alone, to a sink at node `dst`, port `dport`,
+    from an origin of its own; `overrides` replace the origin's fields."""
+    fields = dict(ptype="cbr", size=1000, fid=2, src=1, sport=0)
     fields.update(overrides)
-    return Packet(**fields)
+    return StandInOrigin(SinkMonitor(dst, dport), **fields).packet(uid, seq)
 
 
 def link(from_node, to_node):
@@ -50,29 +50,39 @@ def test_writer_matches_fixed_layout(tmp_path):
 
 def fixed_layout(op, time, via, pkt):
     from_node, to_node = link_ends(via, pkt)
-    return (f"{op} {format_time_fixed(time)} {from_node} {to_node} {pkt.ptype} {pkt.size}"
-            f" {FLAGS} {pkt.fid} {pkt.src}.{pkt.sport} {pkt.sink.node}.{pkt.sink.port}"
-            f" {pkt.seq} {pkt.uid}\n")
+    origin = pkt.origin
+    return (f"{op} {format_time_fixed(time)} {from_node} {to_node} {origin.ptype} {pkt.size}"
+            f" {FLAGS} {pkt.fid} {origin.agent.node}.{origin.agent.port}"
+            f" {pkt.sink.node}.{pkt.sink.port} {pkt.seq} {pkt.uid}\n")
 
 
 def test_writer_formats_tail_per_packet_and_time_per_instant(tmp_path):
     a = sample_packet()
     b = sample_packet(uid=8, fid=3, ptype="exp", size=40, src=4, sport=1, dst=5, dport=2, seq=9)
     c = sample_packet(uid=9, src=5, dst=5)
+    # two more packets from a's and b's origins, with their own seq and uid
+    a2, b2 = a.origin.packet(uid=10, seq=1), b.origin.packet(uid=11, seq=10)
     l12, l42, l23 = link(1, 2), link(4, 2), link(2, 3)
     records = [
         ("+", 0, l12, a),  # first record at time 0
         ("-", 0, l12, a),  # same packet, same instant, same link
         ("+", 0, l42, b),  # a second packet, interleaved with the first
+        ("+", 0, l12, a2),  # a's origin again, its prefix already made
         ("+", 800_000, l23, a),  # a later instant
         ("-", 800_000, l42, b),
         ("-", 800_000, l23, a),
+        ("+", 800_000, l42, b2),
         ("r", 1_600_000, l23, a),
         ("r", 1_600_000, None, c),  # delivered at its own node: no link
         ("d", seconds(2) + 1, l42, b),
+        ("d", seconds(2) + 1, l42, b2),
     ]
     assert written_lines(tmp_path, *records) == [fixed_layout(*r) for r in records]
     assert (l12.ends, l42.ends, l23.ends) == (" 1 2", " 4 2", " 2 3")
+    assert a.origin.trace_prefix == " cbr 1000 ------- 2 1.0 3.1 "
+    assert b.origin.trace_prefix == " exp 40 ------- 3 4.1 5.2 "
+    assert (a2.tail, b2.tail) == (" cbr 1000 ------- 2 1.0 3.1 1 10\n",
+                                  " exp 40 ------- 3 4.1 5.2 10 11\n")
 
 
 def test_time_renders_with_nine_fractional_digits():
@@ -111,8 +121,8 @@ links = st.builds(link, naturals, naturals)
        sport=naturals, dst=naturals, dport=naturals, seq=naturals, uid=naturals)
 def test_writer_lines_parse_back(tmp_path_factory, op, time, via, ptype,
                                  size, fid, src, sport, dst, dport, seq, uid):
-    pkt = Packet(uid=uid, fid=fid, ptype=ptype, size=size, src=src, sport=sport,
-                 seq=seq, birth=0, sink=SinkMonitor(dst, dport))
+    origin = StandInOrigin(SinkMonitor(dst, dport), ptype, size, fid, src, sport)
+    pkt = origin.packet(uid, seq)
     [line] = written_lines(tmp_path_factory.mktemp("rt"), (op, time, via, pkt))
     from_node, to_node = link_ends(via, pkt)
     fields = parse_line(line, 1)
@@ -153,9 +163,10 @@ def test_parse_line_returns_tuple_or_trace_error(text):
         assert text.isascii()
 
 
-packets = st.builds(Packet, uid=naturals, fid=naturals, ptype=st.sampled_from(["cbr", "exp"]),
-                    size=naturals, src=naturals, sport=naturals, seq=naturals,
-                    birth=st.just(0), sink=st.builds(SinkMonitor, naturals, naturals))
+origins = st.builds(StandInOrigin, st.builds(SinkMonitor, naturals, naturals),
+                    ptype=st.sampled_from(["cbr", "exp"]), size=naturals, fid=naturals,
+                    src=naturals, sport=naturals)
+packets = st.builds(StandInOrigin.packet, origins, uid=naturals, seq=naturals)
 records = st.tuples(st.sampled_from("+-rd"), naturals, st.one_of(st.none(), links), packets)
 # Each number of a line: its field index, and for an address or the time
 # the part before (0) or after (1) the dot.
@@ -243,8 +254,7 @@ def test_each_field_names_itself(index):
 def test_writer_appends_one_line_per_record(tmp_path):
     path = tmp_path / "out.tr"
     writer = TraceWriter(str(path))
-    pkt = Packet(uid=0, fid=1, ptype="cbr", size=500, src=0, sport=0,
-                 seq=0, birth=0, sink=SinkMonitor(1, 0))
+    pkt = StandInOrigin(SinkMonitor(1, 0), size=500).packet(0, 0)
     l01 = link(0, 1)
     writer.record("+", 0, l01, pkt)
     writer.record("-", 0, l01, pkt)
@@ -270,9 +280,9 @@ def test_trace_lines_follow_dispatch_order(tmp_path):
     net = Network(eng, writer, 2,
                   [(0, 1, 1_000_000, seconds(0.001), QdiscConfig("droptail", 50))])
     sink = sink_at(net, 1)
+    origin = StandInOrigin(sink, size=100)
     for uid in range(5):
-        pkt = Packet(uid=uid, fid=1, ptype="cbr", size=100, src=0, sport=0,
-                     seq=uid, birth=0, sink=sink)
+        pkt = origin.packet(uid, uid)
         eng.schedule(uid * 300, lambda pkt=pkt: net.forward(0, pkt))
     eng.run_until(seconds(1))
     writer.close_flush()

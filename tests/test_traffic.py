@@ -7,7 +7,7 @@ import pytest
 from minins.engine import EventEngine
 from minins.errors import ScenarioError
 from minins.golden import golden_dir
-from minins.netmodel import Network, Packet
+from minins.netmodel import Network
 from minins.qdisc import QdiscConfig
 from minins.rng import SplitMix64
 from minins.scenario import CbrSpec, ExpSpec, parse_scenario
@@ -19,7 +19,7 @@ from minins.traffic import (
     exp_variate,
 )
 
-from net_helpers import link_between, seconds, sink_at
+from net_helpers import StandInOrigin, link_between, seconds, sink_at
 from reference_model import reference_onoff
 
 MS = 1_000_000
@@ -31,8 +31,8 @@ class StubAgent:
     def __init__(self):
         self.sends = []  # (time filled by caller is not known; store sizes)
 
-    def send(self, size, ptype):
-        self.sends.append((size, ptype))
+    def send(self, origin):
+        self.sends.append((origin.size, origin.ptype))
 
 
 class TimedAgent(StubAgent):
@@ -41,8 +41,8 @@ class TimedAgent(StubAgent):
         self.engine = engine
         self.times = []
 
-    def send(self, size, ptype):
-        super().send(size, ptype)
+    def send(self, origin):
+        super().send(origin)
         self.times.append(self.engine.now)
 
 
@@ -393,8 +393,7 @@ def test_exp_generator_matches_the_on_off_reference():
 
 
 def rx_packet(seq, sink):
-    return Packet(uid=seq, fid=1, ptype="cbr", size=1000, src=0, sport=0,
-                  seq=seq, birth=0, sink=sink)
+    return StandInOrigin(sink).packet(seq, seq)
 
 
 def sink_flow(net, src, sink_node):

@@ -141,6 +141,18 @@ MUTANTS = [
      ["tests/test_cli.py::test_analyze_rejects_a_trace_with_cr_line_ends"]),
     ("trace.py", "if len(fields) != len(_FIELDS):", "if False:",
      ["tests/test_analyze.py::test_parse_rejects_wrong_field_count"]),
+    # a generator's constant trace fields cached on its agent, so every
+    # generator of one agent writes the first one's ptype and size
+    ("trace.py",
+     "            prefix = origin.trace_prefix\n"
+     "            if prefix is None:\n"
+     "                agent = origin.agent\n"
+     "                prefix = origin.trace_prefix = (\n",
+     '            prefix = getattr(origin.agent, "trace_prefix", None)\n'
+     "            if prefix is None:\n"
+     "                agent = origin.agent\n"
+     "                prefix = agent.trace_prefix = (\n",
+     ["tests/test_sim.py::test_one_agent_driven_by_two_generators"]),
     # from and to never checked
     ("analyze.py", "if frm not in nodes or to not in nodes:", "if False:",
      ["tests/test_analyze.py::test_a_later_line_has_its_head_checked",
