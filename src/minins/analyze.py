@@ -17,6 +17,9 @@ raises otherwise. Numbers in a trace are canonical decimal, so they are
 compared as text; the time is converted when it differs from the
 previous line's, the size once per packet, and the fid and the nodes of
 both addresses once per distinct text of those three fields.
+
+A flow's figures, its bins included, are one `FlowStats`; `TraceReport`
+holds one per flow, and the lifecycle violations.
 """
 
 from __future__ import annotations
@@ -41,16 +44,14 @@ class FlowStats(NamedTuple):
     bytes_received: int
     mean_delay: float | None  # seconds, over the deliveries whose first send
     max_delay: float | None  # the trace shows; None when there is none
+    bins: dict[int, int]  # bytes received per bin index; {} without bins
 
 
-_NO_FLOW = FlowStats(0, 0, 0, 0, None, None)  # a flow with no line in the trace
+_NO_FLOW = FlowStats(0, 0, 0, 0, None, None, {})  # a flow with no line in the trace
 
 
 class TraceReport(NamedTuple):
-    # Every flow with a line, in first-line order, and each one's bytes
-    # received per bin index (each {} without bins).
-    flows: dict[FlowKey, FlowStats]
-    bins: dict[FlowKey, dict[int, int]]
+    flows: dict[FlowKey, FlowStats]  # every flow with a line, in first-line order
     violations: list[str]
 
     def flow(self, key: FlowKey) -> FlowStats:
@@ -78,7 +79,8 @@ class _Flow:
         delayed = self.delayed
         return FlowStats(self.sent, self.received, self.dropped, self.bytes_received,
                          self.delay_total / delayed / NS_PER_SEC if delayed else None,
-                         self.delay_max / NS_PER_SEC if delayed else None)
+                         self.delay_max / NS_PER_SEC if delayed else None,
+                         self.bytes_per_bin)
 
 
 class _Packet:
@@ -116,8 +118,8 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
     from that first line to delivery (first-hop transmission included),
     and is 0 for a delivery at the source; the mean and max delay are
     over the deliveries of packets counted as sent. With `bin_ns`, a
-    positive whole number of ns, the report also holds each flow's bytes
-    received at the sink per time bin of that width, bin k from
+    positive whole number of ns, each flow's `FlowStats.bins` holds its
+    bytes received at the sink per time bin of that width, bin k from
     k * bin_ns (see `throughput_bps`). Blank lines are skipped; a
     malformed line raises TraceError.
     """
@@ -210,13 +212,12 @@ def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceRepor
             if bin_ns is not None:
                 k = time // bin_ns
                 flow.bytes_per_bin[k] = flow.bytes_per_bin.get(k, 0) + pkt.size
-    return TraceReport({key: flow.stats() for key, flow in flows.items()},
-                       {key: flow.bytes_per_bin for key, flow in flows.items()}, violations)
+    return TraceReport({key: flow.stats() for key, flow in flows.items()}, violations)
 
 
 def throughput_bps(bytes_per_bin: dict[int, int], bin_ns: int) -> list[float]:
     """Received bits/s per bin of `bin_ns` ns, from one flow's
-    `TraceReport.bins`: every bin from 0 through the one holding the
+    `FlowStats.bins`: every bin from 0 through the one holding the
     last delivery, [] for none. More than 2**20 bins raise ValueError."""
     nbins = max(bytes_per_bin, default=-1) + 1
     if nbins > _MAX_BINS:

@@ -99,7 +99,7 @@ def _cmd_analyze(args) -> int:
     if wants_flow:
         stats = report.flow(flow)
         try:
-            series = [] if args.bin is None else throughput_bps(report.bins.get(flow, {}), args.bin)
+            series = [] if args.bin is None else throughput_bps(stats.bins, args.bin)
         except ValueError as exc:  # too many throughput bins for this --bin
             raise ScenarioError(f"--bin: {exc}") from None
         print(f"sent={stats.sent}")

@@ -16,6 +16,9 @@ to the packet's bucket, which is made on the flow's first packet as
 SFQ keeps only the buckets its flows have used, plus a sorted list of
 the non-empty ones, so its memory grows with the number of flows and
 its service cost with the number of busy buckets, not with `buckets`.
+
+Every limit and bucket count is given: the scenario parser alone states
+the defaults a scenario leaves out.
 """
 
 from __future__ import annotations
@@ -26,15 +29,11 @@ from typing import NamedTuple
 
 from .rng import mix64
 
-DROPTAIL_DEFAULT_LIMIT = 50
-SFQ_DEFAULT_LIMIT = 40
-SFQ_DEFAULT_BUCKETS = 16
-
 
 class QdiscConfig(NamedTuple):
     kind: str  # "droptail" | "sfq"
     limit: int
-    buckets: int = SFQ_DEFAULT_BUCKETS  # meaningful for sfq only
+    buckets: int | None = None  # sfq's; None for droptail
 
 
 class EnqueueResult(NamedTuple):
@@ -54,7 +53,7 @@ class DropTail:
 
     kind = "droptail"
 
-    def __init__(self, limit: int = DROPTAIL_DEFAULT_LIMIT):
+    def __init__(self, limit: int):
         self.limit = limit
         self._q: deque = deque()
 
@@ -79,7 +78,7 @@ class Sfq:
 
     kind = "sfq"
 
-    def __init__(self, limit: int = SFQ_DEFAULT_LIMIT, buckets: int = SFQ_DEFAULT_BUCKETS):
+    def __init__(self, limit: int, buckets: int):
         self.limit = limit
         self.buckets = buckets
         self._q: dict[int, deque] = {}  # bucket index -> FIFO, made on first use

@@ -12,12 +12,7 @@ from typing import NamedTuple
 
 from .errors import ScenarioError
 from .netmodel import tx_time
-from .qdisc import (
-    DROPTAIL_DEFAULT_LIMIT,
-    SFQ_DEFAULT_BUCKETS,
-    SFQ_DEFAULT_LIMIT,
-    QdiscConfig,
-)
+from .qdisc import QdiscConfig
 from .units import MAX_VALUE, bounded_int, parse_bandwidth, parse_time
 
 
@@ -69,6 +64,8 @@ class ScenarioSpec(NamedTuple):
 
 
 SEED_MAX = 2**64 - 1
+QUEUE_LIMITS = {"droptail": 50, "sfq": 40}  # each queue kind's default limit, in packets
+SFQ_BUCKETS = 16  # an sfq queue's default bucket count
 REQUIRED = ...  # the default of an option that must be given
 
 # Each directive's options in the order they are read, so a line reports
@@ -103,7 +100,7 @@ def _unit(parse):
 
 
 def _queue_kind(key: str, raw: str) -> str:
-    if raw not in ("droptail", "sfq"):
+    if raw not in QUEUE_LIMITS:
         raise ScenarioError("queue= must be droptail or sfq")
     return raw
 
@@ -203,16 +200,15 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 if frozenset((a, b)) in link_pairs:
                     raise ScenarioError(f"duplicate link {a!r} {b!r}")
                 bw, delay, kind, limit, buckets = _read_options(name, args[2:])
-                if limit is None:
-                    limit = DROPTAIL_DEFAULT_LIMIT if kind == "droptail" else SFQ_DEFAULT_LIMIT
+                limit = QUEUE_LIMITS[kind] if limit is None else limit
                 if limit < 1:
                     raise ScenarioError("queue limit must be >= 1")
-                if buckets is None:
-                    buckets = SFQ_DEFAULT_BUCKETS
-                elif kind != "sfq":
+                if kind == "sfq":
+                    buckets = SFQ_BUCKETS if buckets is None else buckets
+                    if buckets < 1:
+                        raise ScenarioError("bucket count must be >= 1")
+                elif buckets is not None:
                     raise ScenarioError("buckets= only applies to sfq queues")
-                if buckets < 1:
-                    raise ScenarioError("bucket count must be >= 1")
                 links.append(LinkSpec(a, b, bw, delay, QdiscConfig(kind, limit, buckets)))
                 link_pairs.add(frozenset((a, b)))
 

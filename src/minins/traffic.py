@@ -50,7 +50,7 @@ class UdpAgent:
         self._alloc_uid = alloc_uid
         self._next_seq = 0
 
-    def send(self, origin) -> Packet:
+    def send(self, origin) -> None:
         """Send one packet of `origin`, a generator driving this agent."""
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -58,7 +58,6 @@ class UdpAgent:
         pkt = Packet(self._alloc_uid(), self.fid, origin.size, seq,
                      self.network.engine.now, self.sink, origin)
         self.network.forward(self.node, pkt)
-        return pkt
 
 
 class SinkMonitor:

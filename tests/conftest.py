@@ -21,7 +21,8 @@ class GoldenRun:
     @cached_property
     def report(self):
         """One analyzer pass over the trace with 1 s bins, streamed from the
-        file as `minins analyze` reads it; made on first use."""
+        file as `minins analyze` reads it; made on first use. Each flow's
+        `FlowStats` holds its bins."""
         with open(self.trace_path, encoding="ascii", errors="surrogateescape",
                   newline="\n") as f:
             return analyze_trace(f, 10**9)

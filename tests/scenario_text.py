@@ -48,7 +48,7 @@ def render_scenario(spec: ScenarioSpec) -> str:
         qdisc = link.qdisc
         out.append(render_line("duplex-link", [link.a, link.b], {
             "bw": link.bandwidth, "delay": link.delay, "queue": qdisc.kind,
-            "limit": qdisc.limit, "buckets": qdisc.buckets if qdisc.kind == "sfq" else None}))
+            "limit": qdisc.limit, "buckets": qdisc.buckets}))
     out += [render_line("udp", [agent.name], agent._asdict()) for agent in spec.agents]
     out += [render_line(gen.kind, [], gen._asdict()) for gen in spec.generators]
     if spec.trace_path is not None:

@@ -256,8 +256,7 @@ def _run_micro(scenario: MicroScenario, tracer):
     eng = EventEngine()
     duplex_links = [
         (a, b, link.bandwidth, link.delay,
-         QdiscConfig("droptail", link.limit) if link.buckets is None
-         else QdiscConfig("sfq", link.limit, link.buckets))
+         QdiscConfig("droptail" if link.buckets is None else "sfq", link.limit, link.buckets))
         for (a, b), link in scenario.links.items() if a < b
     ]
     net = Network(eng, tracer, scenario.node_count, duplex_links)

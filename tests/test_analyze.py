@@ -28,7 +28,7 @@ def violations_of(lines):
 
 
 def series_of(lines, fid, sink, bin_ns):
-    return throughput_bps(analyze_trace(lines, bin_ns).bins.get((fid, 1, sink), {}), bin_ns)
+    return throughput_bps(analyze_trace(lines, bin_ns).flow((fid, 1, sink)).bins, bin_ns)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_analyze_trace_hands_parse_line_only_the_lines_its_halves_reject(monkeyp
     monkeypatch.setattr(minins.analyze, "parse_line", counting_parse)
     report = analyze_trace(GOOD[:2] + ["\n"] + GOOD[2:], 10**9)
     assert calls == [3]  # the blank line; the analyzer accepts every other line itself
-    assert report.flow((2, 1, 3)).received == 1 and report.bins[2, 1, 3]
+    assert report.flow((2, 1, 3)).received == 1 and report.flows[2, 1, 3].bins
     assert report.violations == []
 
 
@@ -236,18 +236,17 @@ def test_analyze_trace_raises_at_the_first_line_parse_line_rejects(golden_runs):
 def test_analyze_trace_reports_every_flow_and_bins_only_when_asked():
     report = analyze_trace(GOOD)
     assert list(report.flows) == [(2, 1, 3)] and report.violations == []
-    assert report.bins == {(2, 1, 3): {}}
-    assert analyze_trace(GOOD, 10**9).bins == {(2, 1, 3): {1: 1000}}
+    assert report.flows[2, 1, 3].bins == {}
+    assert analyze_trace(GOOD, 10**9).flows[2, 1, 3].bins == {1: 1000}
     # a flow the trace never names counts nothing
-    assert report.flow((2, 1, 4)) == (0, 0, 0, 0, None, None)
+    assert report.flow((2, 1, 4)) == (0, 0, 0, 0, None, None, {})
     # a packet's record takes its flow at its first line, of any op: in a
     # trace cut just before a '-', that '-' names its flow before (9, 1, 3)
     cut = GOOD[3:4] + trace("+ 1.010800000 1 2 cbr 1000 ------- 9 1.0 3.1 0 8") + GOOD[4:]
     assert list(analyze_trace(cut).flows) == [(2, 1, 3), (9, 1, 3)]
     # a flow seen only on a '-' line is listed, and counts nothing
     only_dequeue = analyze_trace(GOOD[3:4], 10**9)
-    assert only_dequeue.flows == {(2, 1, 3): (0, 0, 0, 0, None, None)}
-    assert only_dequeue.bins == {(2, 1, 3): {}}
+    assert only_dequeue.flows == {(2, 1, 3): (0, 0, 0, 0, None, None, {})}
 
 
 # -- utilization ----------------------------------------------------------------
@@ -538,7 +537,7 @@ def test_conservation_catches_a_reused_uid():
 
 
 def test_throughput_series_on_golden_run(cbr_run):
-    series = throughput_bps(cbr_run.report.bins[(2, 1, 3)], 10**9)
+    series = throughput_bps(cbr_run.report.flows[2, 1, 3].bins, 10**9)
     interior = series[2:-1]
     assert interior and all(bps == 1_600_000.0 for bps in interior)
 

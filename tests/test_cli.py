@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import shutil
 import warnings
@@ -203,6 +204,26 @@ def test_analyze_counts_flows_that_share_a_fid_apart(tmp_path, capsys):
                         ("1", "sent=50\nreceived=27\ndropped=23\nbytes_received=27000\n")):
         assert main(["analyze", str(trace), "--fid", "1", "--src", src, "--sink", "2"]) == 0
         assert capsys.readouterr().out.startswith(counts)
+
+
+# sha256 of `minins analyze TRACE --fid F --src S --sink K --bin 0.5 --check`'s
+# stdout on a golden scenario's trace: every count, delay, bin and the
+# violation count, byte for byte.
+ANALYZE_SHA256 = {
+    ("overload_droptail", "1", "0", "1"):
+        "ed6cc4aad338099f393ee1e73ac265b60a8d547ec7397e41327c6121943b1bc7",
+    ("sfq_pair", "1", "0", "3"): "0aea3cb0c014b8d57f25a70bb62ee5ba8d28d71fd6acfcceba264586cd1bed30",
+    ("sfq_pair", "2", "1", "3"): "24bb168512d92108de052cb8eb757c99c1675e92c37968920878af26646344b4",
+}
+
+
+@pytest.mark.parametrize("name, fid, src, sink", sorted(ANALYZE_SHA256))
+def test_analyze_keeps_its_output_on_golden_traces(golden_runs, capsys, name, fid, src, sink):
+    trace = golden_runs(name).trace_path
+    assert main(["analyze", str(trace), "--fid", fid, "--src", src, "--sink", sink,
+                 "--bin", "0.5", "--check"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == ANALYZE_SHA256[name, fid, src, sink]
 
 
 def test_analyze_requires_complete_flow_selector(tiny_scn, tmp_path, capsys):

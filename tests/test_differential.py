@@ -99,7 +99,7 @@ def test_traced_and_untraced_runs_agree(tmp_path, seed):
            for key, stats in report.flows.items()}
     assert got == {key: counts for key, counts in want.items() if counts[0]}
     for key, (_, received, nbytes, _) in want.items():
-        series = throughput_bps(report.bins.get(key, {}), bin_ns)
+        series = throughput_bps(report.flow(key).bins, bin_ns)
         # Each bin's rate times its width gives back its bytes exactly.
         assert sum(round(bps * bin_ns / 8e9) for bps in series) == nbytes
         assert (series == []) == (received == 0)

@@ -79,7 +79,7 @@ def test_sfq_bucket_pure_and_mod_one():
 
 
 def test_sfq_under_limit_accepts():
-    q = Sfq(limit=40)
+    q = Sfq(limit=40, buckets=16)
     assert q.enqueue(Pkt(1, fid=7)).dropped is None
     assert q.held() == 1
 
@@ -227,7 +227,7 @@ def test_serve_leaves_what_enqueue_then_dequeue_leaves(kind, buckets, limit, ops
 
 def test_enqueue_without_drop_returns_the_shared_result():
     assert DropTail(limit=1).enqueue(Pkt(1)) is ACCEPTED
-    assert Sfq(limit=1).enqueue(Pkt(1)) is ACCEPTED
+    assert Sfq(limit=1, buckets=16).enqueue(Pkt(1)) is ACCEPTED
     assert ACCEPTED.dropped is None
 
 

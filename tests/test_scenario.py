@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from minins.errors import ScenarioError
 from minins.golden import golden_dir
 from minins.netmodel import tx_time
-from minins.qdisc import SFQ_DEFAULT_BUCKETS, QdiscConfig
+from minins.qdisc import QdiscConfig
 from minins.scenario import (
     OPTIONS,
     REQUIRED,
@@ -107,7 +107,9 @@ def test_parse_bundled_paper_scenario():
     assert spec.seed == 42
     assert spec.nodes == ["n0", "n1", "n2", "n3"]
     assert len(spec.links) == 3
-    assert [l.qdisc.kind for l in spec.links] == ["droptail", "droptail", "sfq"]
+    # each queue at its kind's defaults; a DropTail link has no bucket count
+    assert [l.qdisc for l in spec.links] == [("droptail", 50, None), ("droptail", 50, None),
+                                             ("sfq", 40, 16)]
     assert all(l.bandwidth == 10_000_000 and l.delay == 10_000_000 for l in spec.links)
     assert [a.fid for a in spec.agents] == [1, 2]
     assert len(spec.generators) == 2
@@ -409,7 +411,7 @@ def random_specs(draw):
         if draw(st.booleans()):
             a, b = b, a
         kind = draw(st.sampled_from(["droptail", "sfq"]))
-        buckets = draw(st.integers(1, 64)) if kind == "sfq" else SFQ_DEFAULT_BUCKETS
+        buckets = draw(st.integers(1, 64)) if kind == "sfq" else None
         qdisc = QdiscConfig(kind, draw(st.integers(1, 100)), buckets)
         links.append(LinkSpec(a, b, draw(st.integers(1, 10**10)),
                               draw(st.integers(0, 10**10)), qdisc))

@@ -157,6 +157,18 @@ MUTANTS = [
     ("analyze.py", "if frm not in nodes or to not in nodes:", "if False:",
      ["tests/test_analyze.py::test_a_later_line_has_its_head_checked",
       "tests/test_analyze.py::test_analyze_trace_raises_at_the_first_line_parse_line_rejects"]),
+    # a drop credited to the arriving packet's sink, not to the victim's
+    ("netmodel.py", "victim.sink.nlost += 1", "pkt.sink.nlost += 1",
+     ["tests/test_acceptance.py::test_criterion_7_online_offline_equivalence"]),
+    # a generator whose start equals its stop still opens its on period
+    ("traffic.py", "if self.spec.start < self.spec.stop:", "if self.spec.start <= self.spec.stop:",
+     ["tests/test_sim.py::test_zero_duration_run_is_valid"]),
+    # a CBR generator's first send made inline when its on period opens,
+    # not as an event of its own; none of the four golden digests moves,
+    # but the events per packet do, and so does the traced mesh_overload
+    ("traffic.py", "self.engine.schedule(self.engine.now, self._send)", "self._send()",
+     ["tests/test_sim.py::test_cbr_golden_untraced_costs_two_events_per_packet",
+      "tests/test_sim.py::test_cbr_golden_traced_costs_three_events_per_packet"]),
     ("netmodel.py", "engine.seq < link.free_seq", "engine.seq <= link.free_seq",
      "equivalent: free_seq is only ever the number of the link's own transmit-complete "
      "event, which never calls forward, so engine.seq never equals it there"),
