@@ -98,6 +98,10 @@ class _Packet:
 def analyze_trace(lines: Iterable[str], bin_ns: int | None = None) -> TraceReport:
     """Check every packet's lifecycle and count every flow; one pass.
 
+    `lines` are a trace's lines, each with or without its LF: a file
+    that `trace.open_trace` opened, or its lines in a list. A file
+    opened any other way may change the lines before they are checked.
+
     Lifecycle grammar per packet: on each link, '+' then exactly one of
     '-' or 'd'; a '+' after a '-' only at the node that link ends at;
     'r' only downstream of a '-' on the incoming link, and only at the

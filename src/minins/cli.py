@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 from .errors import MininsError, ScenarioError
-from .scenario import SEED_MAX, parse_integer, parse_scenario
+from .scenario import SEED_MAX, parse_integer, read_scenario
 from .sim import Simulation
 from .units import NS_PER_SEC, format_time_short
 
@@ -64,10 +63,9 @@ def _cmd_run(args) -> int:
     if args.trace == "":
         raise ScenarioError("--trace needs a file path")
     try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
+        spec = read_scenario(args.scenario)
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
-    spec = parse_scenario(text)
     if seed is not None:
         spec = spec._replace(seed=seed)
     if args.trace is not None:
@@ -78,8 +76,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    # Imported here: run and validate never load the analyzer.
+    # Imported here: run and validate never load the analyzer, nor an
+    # untraced run the trace codec.
     from .analyze import analyze_trace, throughput_bps
+    from .trace import open_trace
 
     wants_flow = args.fid is not None or args.src is not None or args.sink is not None
     if wants_flow and None in (args.fid, args.src, args.sink):
@@ -91,9 +91,7 @@ def _cmd_analyze(args) -> int:
 
     flow = tuple(parse_integer(flag, text) for flag, text in (
         ("--fid", args.fid), ("--src", args.src), ("--sink", args.sink))) if wants_flow else None
-    # Undecodable bytes reach parse_line as surrogates, which it rejects by
-    # line; LF is the only line end, so a CR stays in its line and is rejected.
-    with open(args.trace, encoding="ascii", errors="surrogateescape", newline="\n") as f:
+    with open_trace(args.trace) as f:
         report = analyze_trace(f, args.bin)
     status = 0
     if wants_flow:

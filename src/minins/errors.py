@@ -12,14 +12,10 @@ class MininsError(Exception):
 class ScenarioError(MininsError):
     """Bad scenario text or semantically invalid scenario (exit 1)."""
 
-    exit_code = 1
-
 
 class SimulationError(MininsError):
     """Simulator misuse: scheduling an event before the one being
     dispatched (exit 1)."""
-
-    exit_code = 1
 
 
 class TraceError(MininsError):

@@ -17,7 +17,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 from .errors import MininsError
-from .scenario import parse_scenario
+from .scenario import read_scenario
 from .sim import Simulation
 
 
@@ -31,7 +31,7 @@ def run_golden(scn_path: Path, workdir: Path) -> tuple[list[str], str]:
     Returns the lines of its printed statistics block and the sha256 of
     its trace file.
     """
-    spec = parse_scenario(scn_path.read_text(encoding="utf-8"))
+    spec = read_scenario(scn_path)
     trace_path = workdir / (scn_path.stem + ".tr")
     result = Simulation(spec._replace(trace_path=str(trace_path))).run()
     digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()

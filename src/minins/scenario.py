@@ -156,6 +156,12 @@ def _components(nodes: list[str], links: list[LinkSpec]) -> dict[str, str]:
     return {node: root(node) for node in nodes}
 
 
+def read_scenario(path) -> ScenarioSpec:
+    """Parse the scenario file at `path`, whose text is UTF-8."""
+    with open(path, encoding="utf-8") as f:
+        return parse_scenario(f.read())
+
+
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse and validate scenario text; all errors carry line numbers."""
     duration = seed = None

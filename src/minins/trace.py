@@ -16,11 +16,12 @@ a digit limit of `int()`.
 
 This module is the only one that knows the format: `TraceWriter`
 writes it, `format_time_fixed` and `parse_time_fixed` are its time
-text, and `parse_line` reads a line back. The writer formats each part
-of a line once for all the lines that repeat it, in four caches: the
-six fields from ptype to the destination address once per generator,
-a packet's eight constant fields once per packet, a link's from and to
-once per link, and the time once per instant. One table of field
+text, `open_trace` opens a trace for reading and `parse_line` reads a
+line back. The writer formats each part of a line once for all the
+lines that repeat it, in four caches: the six fields from ptype to the
+destination address once per generator, a packet's eight constant
+fields once per packet, a link's from and to once per link, and the
+time once per instant. One table of field
 patterns, `_FIELDS`, is the grammar, and each pattern is compiled
 once, into `_MATCHERS`, the only acceptor of a field. `parse_line`
 splits a line at its spaces and runs the matchers one field at a time,
@@ -135,6 +136,16 @@ _MATCHERS = tuple(re.compile(pattern, re.ASCII).fullmatch for _, pattern, _ in _
 # the field: the analyzer's once-per-packet check.
 _TAIL = re.compile(" ".join(f"({pattern})" if returned else pattern
                             for _, pattern, returned in _FIELDS[4:]) + r"\n?", re.ASCII)
+
+
+def open_trace(path):
+    """The trace at `path`, opened for reading as `parse_line` needs it.
+
+    Undecodable bytes reach `parse_line` as surrogates, which it rejects
+    by line; LF is the only line end, so a CR stays in its line and is
+    rejected.
+    """
+    return open(path, encoding="ascii", errors="surrogateescape", newline="\n")
 
 
 def parse_line(text: str, lineno: int | None = None) -> tuple[str, ...] | None:

@@ -6,10 +6,12 @@ packets independently). A generator sends through its agent with
 `agent.send(self)`: the packet takes its size from the generator and
 points back at it (`Packet.origin`), which is where the trace writer
 finds its ptype and source address, so one agent may be driven by
-several generators of different kinds and sizes. A SinkMonitor counts
-the packets delivered to it and, as the network reports them, those
-dropped on the way. On top sit two generators: constant bit rate (fixed-size packets at a fixed
-interval) and exponential on-off (alternating exponentially distributed
+several generators of different kinds and sizes. A generator's ptype
+is its directive's word, `CbrSpec.kind` or `ExpSpec.kind`. A
+SinkMonitor counts the packets delivered to it and, as the network
+reports them, those dropped on the way. On top sit two generators:
+constant bit rate (fixed-size packets at a fixed interval) and
+exponential on-off (alternating exponentially distributed
 ON/OFF periods, sending at a fixed rate while ON, starting with ON).
 
 Randomness comes only from the on-off generator, which draws from its
@@ -95,12 +97,11 @@ class _OnOffSender:
     stop).
     """
 
-    ptype: str
-
     def __init__(self, engine, agent: UdpAgent, spec, gap: int):
         self.engine = engine
         self.agent = agent
         self.spec = spec
+        self.ptype = spec.kind
         self.size = spec.size  # per send; a NamedTuple field read costs more
         self.gap = gap  # ns between sends while ON
         self.emitted = 0
@@ -131,8 +132,6 @@ class CbrGenerator(_OnOffSender):
     send that would land at or past stop is never scheduled.
     """
 
-    ptype = "cbr"
-
     def __init__(self, engine, agent: UdpAgent, spec: CbrSpec):
         super().__init__(engine, agent, spec, spec.interval)
 
@@ -146,8 +145,6 @@ class ExpOnOffGenerator(_OnOffSender):
     next ON opening. Nothing (send or ON/OFF switch) is scheduled at or
     past stop, so the generator falls silent there by itself.
     """
-
-    ptype = "exp"
 
     def __init__(self, engine, agent: UdpAgent, spec: ExpSpec, rng):
         super().__init__(engine, agent, spec, tx_time(spec.size, spec.rate))

@@ -4,8 +4,9 @@ import pytest
 
 from minins.analyze import analyze_trace
 from minins.golden import golden_dir
-from minins.scenario import parse_scenario
+from minins.scenario import read_scenario
 from minins.sim import Simulation
+from minins.trace import open_trace
 
 
 class GoldenRun:
@@ -13,7 +14,7 @@ class GoldenRun:
 
     def __init__(self, name, tmp_dir):
         self.name = name
-        self.spec = parse_scenario((golden_dir() / f"{name}.scn").read_text())
+        self.spec = read_scenario(golden_dir() / f"{name}.scn")
         self.trace_path = tmp_dir / f"{name}.tr"
         self.sim = Simulation(self.spec._replace(trace_path=str(self.trace_path)))
         self.result = self.sim.run()
@@ -23,8 +24,7 @@ class GoldenRun:
         """One analyzer pass over the trace with 1 s bins, streamed from the
         file as `minins analyze` reads it; made on first use. Each flow's
         `FlowStats` holds its bins."""
-        with open(self.trace_path, encoding="ascii", errors="surrogateescape",
-                  newline="\n") as f:
+        with open_trace(self.trace_path) as f:
             return analyze_trace(f, 10**9)
 
 

@@ -18,7 +18,7 @@ from minins.engine import EventEngine
 from minins.golden import compare_golden, golden_dir, run_validate
 from minins.netmodel import Network
 from minins.qdisc import QdiscConfig, sfq_bucket
-from minins.scenario import parse_scenario
+from minins.scenario import parse_scenario, read_scenario
 from minins.sim import Simulation, utilization
 from minins.traffic import SinkMonitor
 
@@ -61,7 +61,7 @@ def test_criterion_2_deterministic_cbr_golden(cbr_run):
 
 def paper_seed_totals(seed):
     """(exp sink bytes, utilization %, bottleneck drops) of one paper.scn seed."""
-    spec = parse_scenario((golden_dir() / "paper.scn").read_text())
+    spec = read_scenario(golden_dir() / "paper.scn")
     sim = Simulation(spec._replace(seed=seed))  # trace-free: bands are about totals
     result = sim.run()
     return sim.sinks[0].bytes, result.utilization_pct, link_between(sim.network, 2, 3).drops
@@ -350,9 +350,10 @@ def test_criterion_9_validate_passes_clean_and_fails_perturbed(golden_runs, tmp_
     # Perturbed: a link delay edited in one golden scenario. The edited
     # queue limit is test_cli's test_validate_flags_tampered_queue_limit.
     name = "cbr_golden"
-    text = (golden_dir() / f"{name}.scn").read_text()
+    text = (golden_dir() / f"{name}.scn").read_text(encoding="utf-8")
     assert "delay=10ms" in text
-    (tmp_path / f"{name}.scn").write_text(text.replace("delay=10ms", "delay=11ms"))
+    (tmp_path / f"{name}.scn").write_text(text.replace("delay=10ms", "delay=11ms"),
+                                       encoding="utf-8")
     shutil.copy(golden_dir() / f"{name}.expected.json", tmp_path)
     assert run_validate(tmp_path) is False
     assert any(m.startswith("FAIL") for m in capsys.readouterr().out.splitlines())

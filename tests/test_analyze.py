@@ -7,7 +7,7 @@ from minins.analyze import analyze_trace, flow_stats, throughput_bps
 from minins.errors import TraceError
 from minins.scenario import parse_scenario
 from minins.sim import Simulation, utilization
-from minins.trace import parse_line
+from minins.trace import open_trace, parse_line
 
 
 def trace(*lines):
@@ -184,7 +184,7 @@ def test_analyze_trace_raises_at_the_first_line_parse_line_rejects(golden_runs):
     # Seeded mutations of windows of a golden trace with drops: the
     # analyzer raises at the first line parse_line rejects, with its
     # message, and never when parse_line rejects none.
-    with open(golden_runs("overload_droptail").trace_path, encoding="ascii") as f:
+    with open_trace(golden_runs("overload_droptail").trace_path) as f:
         golden = f.readlines()
     rng = random.Random(32)
     corrupt = "0129 .-+rdx\t\n\r\u00e9"

@@ -408,9 +408,9 @@ def test_validate_directory_with_passing_fixture(tmp_path, capsys):
 
 def test_validate_flags_tampered_queue_limit(tmp_path, capsys):
     name = "overload_droptail"
-    text = (golden_dir() / f"{name}.scn").read_text()
+    text = (golden_dir() / f"{name}.scn").read_text(encoding="utf-8")
     assert "limit=10" in text
-    (tmp_path / f"{name}.scn").write_text(text.replace("limit=10", "limit=12"))
+    (tmp_path / f"{name}.scn").write_text(text.replace("limit=10", "limit=12"), encoding="utf-8")
     shutil.copy(golden_dir() / f"{name}.expected.json", tmp_path)
     assert main(["validate", "--dir", str(tmp_path)]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -419,9 +419,9 @@ def test_validate_flags_tampered_queue_limit(tmp_path, capsys):
 def test_validate_flags_tampered_link_delay(tmp_path, capsys):
     # counts survive a delay change here; the trace digest must not
     name = "overload_droptail"
-    text = (golden_dir() / f"{name}.scn").read_text()
+    text = (golden_dir() / f"{name}.scn").read_text(encoding="utf-8")
     assert "delay=5ms" in text
-    (tmp_path / f"{name}.scn").write_text(text.replace("delay=5ms", "delay=6ms"))
+    (tmp_path / f"{name}.scn").write_text(text.replace("delay=5ms", "delay=6ms"), encoding="utf-8")
     shutil.copy(golden_dir() / f"{name}.expected.json", tmp_path)
     assert main(["validate", "--dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out

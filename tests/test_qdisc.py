@@ -1,11 +1,9 @@
 import random
 from dataclasses import dataclass
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minins.errors import ScenarioError
 from minins.qdisc import (
     ACCEPTED,
     DropTail,
@@ -15,7 +13,6 @@ from minins.qdisc import (
     build_qdisc,
     sfq_bucket,
 )
-from minins.scenario import parse_scenario
 
 from reference_model import ReferenceSfq, reference_bucket
 
@@ -239,17 +236,3 @@ def test_build_qdisc_from_config():
     sfq = build_qdisc(QdiscConfig("sfq", 40, 8))
     assert isinstance(sfq, Sfq)
     assert sfq.limit == 40 and sfq.buckets == 8
-
-
-def test_config_validation():
-    # Queue parameters are validated once, where the scenario is parsed.
-    head = "sim duration=1s\nnode a\nnode b\nduplex-link a b bw=1Mb delay=0s "
-    cases = [
-        ("queue=red", "droptail or sfq"),
-        ("queue=droptail limit=0", "queue limit"),
-        ("queue=sfq limit=0", "queue limit"),
-        ("queue=sfq buckets=0", "bucket count"),
-    ]
-    for options, fragment in cases:
-        with pytest.raises(ScenarioError, match=f"line 4: .*{fragment}"):
-            parse_scenario(head + options + "\n")

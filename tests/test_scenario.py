@@ -18,6 +18,7 @@ from minins.scenario import (
     LinkSpec,
     ScenarioSpec,
     parse_scenario,
+    read_scenario,
 )
 from minins.units import MAX_VALUE, format_time_short, parse_bandwidth, parse_time
 
@@ -102,7 +103,7 @@ def test_format_time_short():
 
 
 def test_parse_bundled_paper_scenario():
-    spec = parse_scenario((golden_dir() / "paper.scn").read_text())
+    spec = read_scenario(golden_dir() / "paper.scn")
     assert spec.duration == 500_000_000_000
     assert spec.seed == 42
     assert spec.nodes == ["n0", "n1", "n2", "n3"]
@@ -236,6 +237,8 @@ ERROR_TEXTS = [
     (TWO + "duplex-link a b bw=1Mb delay=0s queue=red frob=1\n",
      "line 4: queue= must be droptail or sfq"),
     (TWO + LINK + " limit=0\n", "line 4: queue limit must be >= 1"),
+    (TWO + "\n" + LINK.replace("droptail", "sfq") + " limit=0\n",
+     "line 5: queue limit must be >= 1"),
     (TWO + LINK + " limit=x\n", "line 4: limit= wants a non-negative integer, got 'x'"),
     (TWO + LINK + f" limit={MAX_VALUE + 1}\n",
      f"line 4: limit: value exceeds the maximum {MAX_VALUE}"),
@@ -287,6 +290,8 @@ ERROR_TEXTS = [
      "line 6: rate too high for size: zero gap between sends"),
     (FLOW + EXP.replace("idle=1ms", "idle=0s").replace("start=0s", "start=2s"),
      "line 6: burst and idle must be positive"),
+    (FLOW + "\n" + EXP.replace("burst=1ms", "burst=0s"),
+     "line 7: burst and idle must be positive"),
     (FLOW + EXP.replace("start=0s", "start=2s"), "line 6: start exceeds stop"),
     (FLOW + EXP.replace("stop=1s", "stop=2s") + "\n" + CBR.replace("stop=1s", "stop=3s"),
      "line 6: generator stop exceeds simulation duration"),
@@ -371,7 +376,7 @@ def test_color_accepted_and_ignored():
 
 def test_render_parse_round_trip():
     for name in ("paper.scn", "cbr_golden.scn", "overload_droptail.scn", "sfq_pair.scn"):
-        spec = parse_scenario((golden_dir() / name).read_text())
+        spec = read_scenario(golden_dir() / name)
         assert parse_scenario(render_scenario(spec)) == spec
 
 

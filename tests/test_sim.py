@@ -13,8 +13,9 @@ from minins.analyze import analyze_trace
 from minins.engine import EventEngine
 from minins.errors import ScenarioError
 from minins.golden import golden_dir
-from minins.scenario import parse_scenario
+from minins.scenario import parse_scenario, read_scenario
 from minins.sim import Simulation
+from minins.trace import open_trace
 
 SHORT_PAPER = """\
 sim duration=20s seed=77
@@ -78,8 +79,8 @@ class CountingEngine(EventEngine):
 def run_counted_cbr_golden(monkeypatch, trace_path=None):
     """Run cbr_golden on a CountingEngine; its events dispatched."""
     monkeypatch.setattr(sim_module, "EventEngine", CountingEngine)
-    text = (golden_dir() / "cbr_golden.scn").read_text()
-    sim = Simulation(parse_scenario(text)._replace(trace_path=trace_path))
+    spec = read_scenario(golden_dir() / "cbr_golden.scn")
+    sim = Simulation(spec._replace(trace_path=trace_path))
     assert sim.run().npkts == 99_600
     return sim.engine.dispatched
 
@@ -119,7 +120,7 @@ def test_zero_duration_run_is_valid(tmp_path):
 
 def test_empty_trace_path_is_an_os_error():
     # Only None means untraced: an empty path must not drop the trace silently.
-    spec = parse_scenario((golden_dir() / "cbr_golden.scn").read_text())
+    spec = read_scenario(golden_dir() / "cbr_golden.scn")
     with pytest.raises(OSError):
         Simulation(spec._replace(trace_path=""))
 
@@ -377,7 +378,7 @@ def test_traced_mesh_overload_keeps_its_trace(seed, tmp_path):
     sim = Simulation(spec._replace(trace_path=str(trace)))
     result = sim.run()
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == MESH_OVERLOAD_SHA256[seed]
-    with open(trace, encoding="ascii") as f:
+    with open_trace(trace) as f:
         report = analyze_trace(f)
     assert report.violations == []
     flows = report.flows.values()
@@ -389,7 +390,7 @@ def test_traced_mesh_overload_keeps_its_trace(seed, tmp_path):
 def test_huge_sfq_bucket_count_runs_and_conserves_packets():
     # A billion buckets is a valid scenario: SFQ keeps only the buckets
     # its two flows use, so the run neither hangs nor exhausts memory.
-    text = (golden_dir() / "sfq_pair.scn").read_text()
+    text = (golden_dir() / "sfq_pair.scn").read_text(encoding="utf-8")
     assert text.count("queue=sfq") == 1
     spec = parse_scenario(text.replace("queue=sfq", "queue=sfq buckets=1000000000"))
     sim = Simulation(spec)

@@ -75,7 +75,7 @@ MUTANTS = [
      ["tests/test_scenario.py::test_parse_minimal_scenario"]),
     ("scenario.py", "if limit < 1:", "if limit < 0:",
      ["tests/test_scenario.py::test_error_texts[line 4: queue limit must be >= 1]",
-      "tests/test_qdisc.py::test_config_validation"]),
+      "tests/test_scenario.py::test_error_texts[line 5: queue limit must be >= 1]"]),
     ("scenario.py", "if component[agent.src] != component[agent.sink]:", "if False:",
      ["tests/test_scenario.py::test_error_texts[line 6: udp lonely: sink c is unreachable "
       "from src a]",
@@ -125,9 +125,16 @@ MUTANTS = [
     ("analyze.py", "match_time, match_from, match_to = _MATCHERS[1:4]",
      "match_time, match_from, match_to = _MATCHERS[4], *_MATCHERS[2:4]",
      ["tests/test_analyze.py::test_a_later_line_has_its_head_checked"]),
-    # a trace read with universal newlines, so CR and CRLF end a line
-    ("cli.py", ', newline="\\n") as f:', ") as f:",
+    # a trace read with universal newlines, so CR and CRLF end a line; the
+    # writer's open also ends in newline=, so the old text starts at errors=
+    ("trace.py", 'errors="surrogateescape", newline="\\n")', 'errors="surrogateescape")',
      ["tests/test_cli.py::test_analyze_rejects_a_trace_with_cr_line_ends"]),
+    # a trace's undecodable bytes raising UnicodeDecodeError, not a line's TraceError
+    ("trace.py", ', errors="surrogateescape"', "",
+     ["tests/test_cli.py::test_analyze_non_ascii_trace_exits_2"]),
+    # a scenario file read as Latin-1, so bytes that are not UTF-8 parse
+    ("scenario.py", 'encoding="utf-8"', 'encoding="latin-1"',
+     ["tests/test_cli.py::test_run_non_utf8_scenario_is_an_error_line"]),
     # a packet's record found by its uid alone when its tail text is new,
     # so a later line of the packet with other constant fields goes unchecked
     ("analyze.py", "pkt = live.get(tail_text)\n",
@@ -152,6 +159,9 @@ MUTANTS = [
      "            if prefix is None:\n"
      "                agent = origin.agent\n"
      "                prefix = agent.trace_prefix = (\n",
+     ["tests/test_sim.py::test_one_agent_driven_by_two_generators"]),
+    # every generator's ptype the CBR word, whatever its directive
+    ("traffic.py", "self.ptype = spec.kind", 'self.ptype = "cbr"',
      ["tests/test_sim.py::test_one_agent_driven_by_two_generators"]),
     # from and to never checked
     ("analyze.py", "if frm not in nodes or to not in nodes:", "if False:",
