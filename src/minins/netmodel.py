@@ -62,11 +62,14 @@ So an untraced run sends a packet that finds its link idle without
 queueing it: `qdisc.serve(pkt)` leaves the state that `enqueue(pkt)`
 and then `dequeue()` would leave on the empty queue (for SFQ, the
 packet's bucket becomes the last served), and the link still counts
-the packet as enqueued and dequeued. A traced run makes both calls, in
-the order its '+' and '-' lines record them: it is the reference path,
-which the golden trace digests pin and `perfbench`'s hook self-test
-checks (one `enqueue` per '+' line, one `dequeue` per '-' line), and
-its time goes to writing the lines, not to the queue calls.
+the packet as enqueued and dequeued. Every other hop, busy or traced,
+takes the one queue path: '+' if traced, `enqueue`, then the drop, or
+the transmission started at once on an idle link. A traced run thus
+makes both queue calls, in the order its '+' and '-' lines record
+them: it is the reference path, which the golden trace digests pin and
+`perfbench`'s hook self-test checks (one `enqueue` per '+' line, one
+`dequeue` per '-' line), and its time goes to writing the lines, not
+to the queue calls.
 """
 
 from __future__ import annotations
@@ -206,13 +209,10 @@ class Network:
         """Move `pkt` onward from `node`: deliver here, or queue on the
         outgoing link toward its sink's node (starting transmission if idle).
 
-        An untraced packet that finds its link idle skips the queue
-        discipline and goes straight onto the wire. The idle link's
-        queue is empty and its limit at least 1, so enqueue would accept
-        the packet and dequeue return it at once; `qdisc.serve` leaves
-        what those two calls would, SFQ's round-robin position included.
-        A traced run makes both calls, which its '+' and '-' lines
-        record, and stays the reference path (see the module docstring).
+        An untraced packet that finds its link idle goes onto the wire:
+        `qdisc.serve` leaves what enqueue and then dequeue would, SFQ's
+        round-robin position included. Every other hop, busy or traced,
+        takes the queue path (see the module docstring).
         """
         engine = self.engine
         now = engine.now
@@ -226,26 +226,27 @@ class Network:
         link = self._routes[dst][node]
         link.enqueued += 1
         free_at = link.free_at
-        if now < free_at or (now == free_at and engine.seq < link.free_seq):
-            # busy: the transmit-complete event sends this packet, pushed
-            # now if it is the only one waiting
-            if tracer is not None:
-                tracer.record("+", now, link, pkt)
-            victim = link.qdisc.enqueue(pkt).dropped
-            if victim is not None:
-                if tracer is not None:
-                    tracer.record("d", now, link, victim)
-                link.drops += 1
-                victim.sink.nlost += 1
-            elif link.enqueued - link.drops == link.dequeued + 1:
-                engine.schedule(free_at, link.tx_done, link.free_seq)
-        elif tracer is not None:
-            tracer.record("+", now, link, pkt)
-            link.qdisc.enqueue(pkt)  # into an empty queue: accepted
-            self._start_tx(link)
-        else:
+        idle = not (now < free_at or (now == free_at and engine.seq < link.free_seq))
+        if idle and tracer is None:
             link.qdisc.serve(pkt)
             self._start_tx(link, pkt)
+            return
+        if tracer is not None:
+            tracer.record("+", now, link, pkt)
+        victim = link.qdisc.enqueue(pkt).dropped
+        # Only a busy link drops: an idle link's queue is empty and every
+        # limit is at least 1, so it accepts the packet.
+        if victim is not None:
+            if tracer is not None:
+                tracer.record("d", now, link, victim)
+            link.drops += 1
+            victim.sink.nlost += 1
+        elif idle:
+            self._start_tx(link)
+        elif link.enqueued - link.drops == link.dequeued + 1:
+            # busy, and this packet is the only one waiting: the
+            # transmit-complete event sends it, pushed now
+            engine.schedule(free_at, link.tx_done, link.free_seq)
 
     def _start_tx(self, link: SimplexLink, pkt: Packet | None = None) -> None:
         """Send `pkt`, or else the next waiting packet; the caller knows

@@ -189,6 +189,29 @@ def test_link_is_busy_until_its_transmit_complete_key():
     assert (link.enqueued, link.dequeued, link.drops) == (3, 2, 1)
 
 
+def test_link_is_idle_from_its_transmit_complete_key():
+    # The mirror case: an event due at 8 ms but scheduled at 1 ms, after
+    # the transmission starts at 0 ms, comes after its key, so the link
+    # is already idle for it. Its packet is sent at once, and no
+    # transmit-complete event is pushed.
+    eng = EventEngine()
+    tracer = ListTracer()
+    net = Network(eng, tracer, 2, [(0, 1, 1_000_000, 1_000_000, QdiscConfig("droptail", 1))])
+    sink = sink_at(net, 1)
+    link = link_between(net, 0, 1)
+    pushed = []
+    link.tx_done = partial(pushed.append, "transmit-complete")
+    late = make_packet(1, src=0, sink=sink)
+    eng.schedule(0, lambda: net.forward(0, make_packet(0, src=0, sink=sink)))
+    eng.schedule(1_000_000, lambda: eng.schedule(8_000_000, lambda: net.forward(0, late)))
+    eng.run_until(seconds(1))
+    at_8ms = [(op, uid) for op, t, _, _, uid in tracer.events if t == 8_000_000]
+    assert at_8ms == [("+", 1), ("-", 1)]
+    assert tracer.deliveries(1) == [(0, 9_000_000), (1, 17_000_000)]
+    assert pushed == []
+    assert (link.enqueued, link.dequeued, link.drops) == (2, 2, 0)
+
+
 def test_per_link_counters_obey_conservation():
     # slam 100 packets into a tight queue, then stop time mid-drain
     eng = EventEngine()
@@ -229,11 +252,33 @@ def mixed_queue_runs(draw):
     return node_count, duplex_links, injections, draw(st.integers(0, 30_000_000))
 
 
+def count_queue_calls(qdisc):
+    """Wrap `qdisc`'s enqueue and dequeue so that `qdisc.calls` counts
+    them, and the enqueues that return a victim."""
+    calls = qdisc.calls = Counter()
+    enqueue, dequeue = qdisc.enqueue, qdisc.dequeue
+
+    def counted_enqueue(pkt):
+        result = enqueue(pkt)
+        calls["enqueue"] += 1
+        calls["victim"] += result.dropped is not None
+        return result
+
+    def counted_dequeue():
+        calls["dequeue"] += 1
+        return dequeue()
+
+    qdisc.enqueue, qdisc.dequeue = counted_enqueue, counted_dequeue
+
+
 def run_mixed(case, tracer):
-    """Run `case`; returns the network and its sink on port 0 of every node."""
+    """Run `case`, counting every link's queue calls (`qdisc.calls`);
+    returns the network and its sink on port 0 of every node."""
     node_count, duplex_links, injections, stop = case
     eng = EventEngine()
     net = Network(eng, tracer, node_count, duplex_links)
+    for link in net.links:
+        count_queue_calls(link.qdisc)
     sinks = [sink_at(net, node) for node in range(node_count)]
     uids = itertools.count()
     for time, src, dst, size, fid, burst in injections:
@@ -249,7 +294,9 @@ def run_mixed(case, tracer):
 def test_links_conserve_packets_in_counters_and_trace(case):
     # Each link's counters and its +/-/d trace lines obey
     # '+' = '-' + 'd' + held(), which is how a link knows a packet is
-    # waiting; an untraced run moves exactly the same packets. Every
+    # waiting; an untraced run moves exactly the same packets. A traced
+    # run is the reference path: one enqueue per '+' line, one dequeue
+    # per '-' line and one victim per 'd' line, on every link. Every
     # packet injected toward a node is delivered to its sink, counted
     # lost there, or still queued or in flight: a drop always finds the
     # victim's sink.
@@ -260,6 +307,9 @@ def test_links_conserve_packets_in_counters_and_trace(case):
         ops = Counter(op for op, _, frm, to, _ in tracer.events
                       if (frm, to) == (link.from_node, link.to_node))
         assert (ops["+"], ops["-"], ops["d"]) == (link.enqueued, link.dequeued, link.drops)
+        calls = link.qdisc.calls
+        assert (calls["enqueue"], calls["dequeue"], calls["victim"]) == \
+            (ops["+"], ops["-"], ops["d"])
         assert ops["+"] == ops["-"] + ops["d"] + link.qdisc.held()
         assert link.enqueued == link.dequeued + link.drops + link.qdisc.held()
         assert (bare.enqueued, bare.dequeued, bare.drops, bare.qdisc.held()) == \

@@ -179,6 +179,35 @@ MUTANTS = [
     ("traffic.py", "self.engine.schedule(self.engine.now, self._send)", "self._send()",
      ["tests/test_sim.py::test_cbr_golden_untraced_costs_two_events_per_packet",
       "tests/test_sim.py::test_cbr_golden_traced_costs_three_events_per_packet"]),
+    # a traced idle hop sent without queue calls: its '+' and '-' lines
+    # are the same, but no enqueue or dequeue records them
+    ("netmodel.py", "        if idle and tracer is None:\n",
+     "        if idle and tracer is not None:\n"
+     '            tracer.record("+", now, link, pkt)\n'
+     "            link.qdisc.serve(pkt)\n"
+     '            tracer.record("-", now, link, pkt)\n'
+     "            self._start_tx(link, pkt)\n"
+     "            return\n"
+     "        if idle and tracer is None:\n",
+     ["tests/test_netmodel.py::test_links_conserve_packets_in_counters_and_trace"]),
+    # a link still busy for an event at the transmit-complete time that
+    # comes after its key
+    ("netmodel.py", "now < free_at or", "now <= free_at or",
+     ["tests/test_netmodel.py::test_link_is_idle_from_its_transmit_complete_key"]),
+    # a transmit-complete event pushed when nothing waits
+    ("netmodel.py", "if link.enqueued - link.drops > link.dequeued:",
+     "if link.enqueued - link.drops >= link.dequeued:",
+     ["tests/test_netmodel.py::test_link_transmits_one_packet_at_a_time"]),
+    # a packet queued on an idle link never started
+    ("netmodel.py", "        elif idle:\n            self._start_tx(link)\n", "",
+     ["tests/test_netmodel.py::test_single_packet_two_hops_takes_21_6_ms"]),
+    # an untraced delivery due exactly at the limit left to an arrival event
+    ("netmodel.py", "arrive_at <= engine.limit", "arrive_at < engine.limit",
+     ["tests/test_netmodel.py::"
+      "test_untraced_delivery_due_by_the_limit_is_credited_when_the_last_hop_starts"]),
+    # a drop the link does not count
+    ("netmodel.py", "            link.drops += 1\n", "",
+     ["tests/test_netmodel.py::test_per_link_counters_obey_conservation"]),
     ("netmodel.py", "engine.seq < link.free_seq", "engine.seq <= link.free_seq",
      "equivalent: free_seq is only ever the number of the link's own transmit-complete "
      "event, which never calls forward, so engine.seq never equals it there"),
